@@ -37,6 +37,7 @@ from .geometry import (
     FacetFunctional,
     Face,
     FieldSpec,
+    InvariantViolation,
     NotFullDimensional,
     NotPointed,
     dual_description,

@@ -11,7 +11,6 @@ colon-ideal description of one side in terms of the other.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,20 +23,21 @@ from .geometry import (
     QQ,
     Cone,
     Face,
+    FacetSelection,
+    InvariantViolation,
     Vector,
+    default_grading,
     dot,
     faces_of,
     rank_over_field,
     solve_exact,
     vadd,
 )
+from .topology import barycentric, boundary_subcomplex, is_cohen_macaulay
 
 SELECTED = "selected"      # strict inequalities on the selected facets
 COMPLEMENT = "complement"  # strict inequalities on the complementary facets
 SIDES = (SELECTED, COMPLEMENT)
-
-_SPOT_CHECK_SEED = 1009
-_SPOT_CHECKS = 5
 
 
 class BadGrading(ValueError):
@@ -46,25 +46,6 @@ class BadGrading(ValueError):
 
 class WitnessSearchExhausted(RuntimeError):
     """No facet-interior witness below the scan cap; raise the bound."""
-
-
-@dataclass(frozen=True)
-class FacetSelection:
-    """A nonempty proper subset of the facets of a cone."""
-
-    cone: Cone
-    selected: frozenset[int]
-
-    def __post_init__(self):
-        sel = frozenset(self.selected)
-        object.__setattr__(self, "selected", sel)
-        n = len(self.cone.facets)
-        if not sel or len(sel) >= n or not all(0 <= i < n for i in sel):
-            raise ValueError("selection must be a nonempty proper subset of facet indices")
-
-    @property
-    def complement(self) -> frozenset[int]:
-        return frozenset(range(len(self.cone.facets))) - self.selected
 
 
 @dataclass(frozen=True)
@@ -171,15 +152,6 @@ class LaurentPoly:
     def shifted(self, v):
         return LaurentPoly({vadd(e, v): c for e, c in self.terms.items()})
 
-    def evaluate(self, point) -> Fraction:
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            val = Fraction(c)
-            for x, a in zip(point, e):
-                val *= Fraction(x) ** a
-            total += val
-        return total
-
     def __repr__(self):
         return f"LaurentPoly({dict(sorted(self.terms.items()))!r})"
 
@@ -239,15 +211,6 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"TruncatedSeries(bound={self.bound}, {len(self.coeffs)} terms)"
-
-
-def default_grading(cone: Cone) -> Vector:
-    """Componentwise sum of the facet covectors.
-
-    Strictly positive on every nonzero cone point because the cone is pointed,
-    so it always works as a grading; no user input needed.
-    """
-    return tuple(sum(f.coeffs[i] for f in cone.facets) for i in range(cone.dim))
 
 
 def _check_grading(cone, w):
@@ -351,7 +314,8 @@ def _wall_functional(gens, omit):
     rows.append(gens[omit])
     rhs = [Fraction(0)] * (len(gens) - 1) + [Fraction(1)]
     sol = solve_exact(rows, rhs)
-    assert sol is not None
+    if sol is None:
+        raise InvariantViolation(f"generators {gens} are linearly dependent")
     return sol
 
 
@@ -420,7 +384,8 @@ def simplicial_gf(generators, open_walls=None) -> RationalGF:
 def _multiset_difference(big, small):
     counts = Counter(big)
     counts.subtract(Counter(small))
-    assert all(v >= 0 for v in counts.values())
+    if any(v < 0 for v in counts.values()):
+        raise InvariantViolation(f"denominator {small} is not a sub-multiset of {big}")
     out = []
     for v, k in sorted(counts.items()):
         out.extend([v] * k)
@@ -513,43 +478,18 @@ def gf_scale(gf: RationalGF, factor) -> RationalGF:
     return RationalGF(gf.numerator.scale(factor), gf.denom_rays)
 
 
-def _power(point, exponent) -> Fraction:
-    val = Fraction(1)
-    for x, a in zip(point, exponent):
-        val *= Fraction(x) ** a
-    return val
-
-
 def gf_equal(a: RationalGF, b: RationalGF) -> bool:
     """Equality in the field of rational functions.
 
     Shared denominator factors cancel as multisets; the remainder is decided
-    by cross multiplication.  Five seeded rational evaluations run first as a
-    cheap reject (sound: a differing value proves inequality)."""
+    exactly by cross multiplication.  Over one denominator this is a
+    comparison of numerators."""
     if a.n_variables != b.n_variables:
         raise ValueError("generating functions in different variable counts")
     counts_a, counts_b = Counter(a.denom_rays), Counter(b.denom_rays)
     common = counts_a & counts_b
     a_extra = sorted((counts_a - common).elements())
     b_extra = sorted((counts_b - common).elements())
-    d = a.n_variables
-    rng = random.Random(_SPOT_CHECK_SEED)
-    for _ in range(_SPOT_CHECKS):
-        pt = []
-        for _ in range(d):
-            while True:
-                num, den = rng.randint(2, 96), rng.randint(2, 97)
-                if num != den:
-                    break
-            pt.append(Fraction(num, den))
-        lhs = a.numerator.evaluate(pt)
-        for v in b_extra:
-            lhs *= 1 - _power(pt, v)
-        rhs = b.numerator.evaluate(pt)
-        for v in a_extra:
-            rhs *= 1 - _power(pt, v)
-        if lhs != rhs:
-            return False
     lhs_poly = a.numerator
     for v in b_extra:
         lhs_poly = lhs_poly.times_one_minus(v)
@@ -595,26 +535,29 @@ def reciprocity_check(selection: FacetSelection, fields=(QQ, GF2), grading=None)
     """Check F_complement(1/x) == (-1)^d F_selected(x) as rational functions.
 
     The report carries per-field Cohen-Macaulay verdicts for the removed
-    boundary part's cross-section.  When the identity holds the witness is the
-    shared canonical form of both sides; otherwise it is the smallest grading
-    degree where the expansions disagree, with both per-degree totals."""
+    boundary part's cross-section.  Both sides are written over the canonical
+    denominator (all cone rays), so the identity is decided by comparing
+    numerators.  When it holds the witness is the shared canonical form of
+    both sides; otherwise it is the smallest grading degree where the
+    expansions disagree, with both per-degree totals."""
     cone = selection.cone
     g_selected = domain_gf(DomainSpec(selection, SELECTED))
     g_complement = domain_gf(DomainSpec(selection, COMPLEMENT))
     lhs = invert_variables(g_complement)
     rhs = gf_scale(g_selected, (-1) ** cone.dim)
+    if lhs.denom_rays != rhs.denom_rays:
+        raise InvariantViolation("the two sides are not over the canonical denominator")
     holds = gf_equal(lhs, rhs)
 
-    from . import topology  # deferred: topology imports FacetSelection from here
-
-    cross_section = topology.boundary_subcomplex(selection)
-    subdivided = topology.barycentric(cross_section)
-    cm_over = {f.label: topology.is_cohen_macaulay(subdivided, f).is_cm for f in fields}
+    cross_section = boundary_subcomplex(selection)
+    subdivided = barycentric(cross_section)
+    cm_over = {f.label: is_cohen_macaulay(subdivided, f).is_cm for f in fields}
 
     if holds:
-        # Both sides live over the same denominator, so equality of functions
-        # forces equality of canonical numerators.
-        assert lhs.denom_rays == rhs.denom_rays and lhs.numerator == rhs.numerator
+        # Over one denominator, equality of functions forces equality of
+        # canonical numerators.
+        if lhs.numerator != rhs.numerator:
+            raise InvariantViolation("equal functions with different numerators")
         witness = {
             "kind": "identity",
             "denominator_rays": [list(v) for v in rhs.denom_rays],
@@ -627,19 +570,14 @@ def reciprocity_check(selection: FacetSelection, fields=(QQ, GF2), grading=None)
 
 
 def _first_disagreement(lhs, rhs, w):
-    for bound in (4, 8, 16, 32, 64):
-        sa = expand(lhs, w, bound)
-        sb = expand(rhs, w, bound)
-        exponents = set(sa.coeffs) | set(sb.coeffs)
-        bad_degrees = sorted(
-            {dot(w, e) for e in exponents if sa.coefficient(e) != sb.coefficient(e)}
-        )
-        if bad_degrees:
-            degree = bad_degrees[0]
-            lhs_total = sum(c for e, c in sa.coeffs.items() if dot(w, e) == degree)
-            rhs_total = sum(c for e, c in sb.coeffs.items() if dot(w, e) == degree)
-            return {"kind": "disagreement", "degree": degree, "lhs": lhs_total, "rhs": rhs_total}
-    raise RuntimeError("series agree to high order although the functions differ")
+    # Over a shared denominator the series difference is D * prod 1/(1 - x^v)
+    # with D = lhs.numerator - rhs.numerator.  Every geometric factor is 1 plus
+    # terms of positive w-degree, so the lowest-degree part of D survives
+    # unchanged: the series first differ at the minimum w-degree of D.
+    degree = min(dot(w, e) for e in (lhs.numerator - rhs.numerator).terms)
+    lhs_total = sum(c for e, c in expand(lhs, w, degree).coeffs.items() if dot(w, e) == degree)
+    rhs_total = sum(c for e, c in expand(rhs, w, degree).coeffs.items() if dot(w, e) == degree)
+    return {"kind": "disagreement", "degree": degree, "lhs": lhs_total, "rhs": rhs_total}
 
 
 @dataclass
@@ -729,8 +667,10 @@ def verify_colon_identity(selection: FacetSelection, bound: int = 6, grading=Non
                 raise WitnessSearchExhausted(
                     f"no relative-interior point on facet {facet_index} up to degree {3 * bound}"
                 )
-            assert all(cone.facets[i](b) > 0 for i in selected)
+            if not all(cone.facets[i](b) > 0 for i in selected):
+                raise InvariantViolation(f"colon witness {b} lies on a selected facet")
             s = vadd(a, b)
-            assert cone.facets[facet_index](s) == 0  # the sum is not interior
+            if cone.facets[facet_index](s) != 0:
+                raise InvariantViolation(f"colon witness sum {s} leaves facet {facet_index}")
             witnesses[a] = {"facet": facet_index, "ideal_point": b, "sum": s}
     return ColonReport(bound, w, len(points), members, product_checks, witnesses, violations)

@@ -29,6 +29,10 @@ class NotFullDimensional(ValueError):
     """The rays do not span the ambient space."""
 
 
+class InvariantViolation(Exception):
+    """An internal invariant failed: a defect in recdom, not bad input."""
+
+
 def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
@@ -100,19 +104,12 @@ def rank_over_field(rows, field: FieldSpec = QQ) -> int:
         raise ValueError("ragged matrix")
     if field.characteristic:
         return _rank_mod_p(matrix, field.characteristic)
-    try:
-        return _rank_bareiss([list(r) for r in matrix])
-    except _InexactDivision:
-        return rational_rank(matrix)
-
-
-class _InexactDivision(ArithmeticError):
-    pass
+    return _rank_bareiss(matrix)
 
 
 def _rank_bareiss(m):
     # One-step Bareiss elimination; intermediate entries are minors of the
-    # original matrix, so the divisions stay exact.
+    # original matrix (Sylvester's identity), so the divisions stay exact.
     rows, cols = len(m), len(m[0])
     rank = 0
     prev = 1
@@ -129,7 +126,7 @@ def _rank_bareiss(m):
                 num = lead * row_i[j] - fi * row_r[j]
                 q, r = divmod(num, prev)
                 if r:
-                    raise _InexactDivision
+                    raise InvariantViolation("inexact Bareiss division")
                 row_i[j] = q
             row_i[col] = 0
         prev = lead
@@ -295,6 +292,34 @@ class Cone:
 
     def interior_contains(self, point) -> bool:
         return all(f(point) > 0 for f in self.facets)
+
+
+@dataclass(frozen=True)
+class FacetSelection:
+    """A nonempty proper subset of the facets of a cone."""
+
+    cone: Cone
+    selected: frozenset[int]
+
+    def __post_init__(self):
+        sel = frozenset(self.selected)
+        object.__setattr__(self, "selected", sel)
+        n = len(self.cone.facets)
+        if not sel or len(sel) >= n or not all(0 <= i < n for i in sel):
+            raise ValueError("selection must be a nonempty proper subset of facet indices")
+
+    @property
+    def complement(self) -> frozenset[int]:
+        return frozenset(range(len(self.cone.facets))) - self.selected
+
+
+def default_grading(cone: Cone) -> Vector:
+    """Componentwise sum of the facet covectors.
+
+    Strictly positive on every nonzero cone point because the cone is pointed,
+    so it always works as a grading; no user input needed.
+    """
+    return tuple(sum(f.coeffs[i] for f in cone.facets) for i in range(cone.dim))
 
 
 def _canonical_vectors(vectors) -> list[Vector]:

@@ -21,6 +21,7 @@ from itertools import combinations, product
 from math import ceil, floor
 
 from .geometry import dot, kernel_basis, primitive_rational, rational_rank, solve_exact
+from .separation import cross_section_vertices
 from .topology import Cell, PolyhedralComplex
 
 
@@ -383,8 +384,6 @@ def schlegel_of_selection(selection, avoid_facet: int, validate: bool = True) ->
     The cone's cross-section polytope plays the polytope role; the cells are
     the cross-sections of the selected facets, and ``avoid_facet`` is a cone
     facet index (translated to the matching cross-section facet)."""
-    from .separation import cross_section_vertices
-
     cone = selection.cone
     vertices = cross_section_vertices(cone)
     poly = _Polytope(vertices)
@@ -513,6 +512,21 @@ def lift_height(arrangement: Arrangement, point) -> Fraction:
     return sum(abs(Fraction(h.value(point))) for h in arrangement.hyperplanes)
 
 
+def _affine_piece(arrangement: Arrangement, points):
+    """The affine piece (coeffs, offset) of the height active on a cell.
+
+    The signs of the hyperplanes at the barycenter of the cell's points pick
+    the piece: height(x) = coeffs.x - offset on the cell."""
+    d = len(points[0])
+    barycenter = tuple(sum(p[i] for p in points) / len(points) for i in range(d))
+    signs = tuple(1 if h.value(barycenter) >= 0 else -1 for h in arrangement.hyperplanes)
+    coeffs = tuple(
+        sum(s * h.coeffs[i] for s, h in zip(signs, arrangement.hyperplanes)) for i in range(d)
+    )
+    offset = sum(s * h.rhs for s, h in zip(signs, arrangement.hyperplanes))
+    return coeffs, offset
+
+
 @dataclass(frozen=True)
 class LiftResult:
     """Outcome of lifting an embedded complex onto a lower hull.
@@ -551,19 +565,10 @@ def lift(pc: PolyhedralComplex) -> LiftResult:
     highs = [ceil(max(p[i] for p in pc.vertices)) + 1 for i in range(d)]
     box = _box_complex(lows, highs)
     ambient_pieces = induced_subdivision(box, arrangement, check_cover=False)
-    pieces = {}
-    for cell in ambient_pieces.maximal_cells():
-        pts = ambient_pieces.cell_points(cell)
-        barycenter = tuple(sum(p[i] for p in pts) / len(pts) for i in range(d))
-        signs = tuple(
-            1 if h.value(barycenter) >= 0 else -1 for h in arrangement.hyperplanes
-        )
-        coeffs = tuple(
-            sum(s * h.coeffs[i] for s, h in zip(signs, arrangement.hyperplanes))
-            for i in range(d)
-        )
-        offset = sum(s * h.rhs for s, h in zip(signs, arrangement.hyperplanes))
-        pieces[(coeffs, offset)] = None
+    pieces = {
+        _affine_piece(arrangement, ambient_pieces.cell_points(cell))
+        for cell in ambient_pieces.maximal_cells()
+    }
     affine_pieces = tuple(sorted(pieces))
     inequalities = []
     for coeffs, offset in affine_pieces:
@@ -596,18 +601,7 @@ def lift(pc: PolyhedralComplex) -> LiftResult:
 
 def cell_affine_piece(result: LiftResult, cell: Cell):
     """The affine piece of the height active on one subdivision cell."""
-    pts = result.subdivision.cell_points(cell)
-    d = result.subdivision.ambient_dim
-    barycenter = tuple(sum(p[i] for p in pts) / len(pts) for i in range(d))
-    signs = tuple(
-        1 if h.value(barycenter) >= 0 else -1 for h in result.arrangement.hyperplanes
-    )
-    coeffs = tuple(
-        sum(s * h.coeffs[i] for s, h in zip(signs, result.arrangement.hyperplanes))
-        for i in range(d)
-    )
-    offset = sum(s * h.rhs for s, h in zip(signs, result.arrangement.hyperplanes))
-    return coeffs, offset
+    return _affine_piece(result.arrangement, result.subdivision.cell_points(cell))
 
 
 def verify_lower_hull(result: LiftResult) -> bool:

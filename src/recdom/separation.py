@@ -11,8 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enumerator import FacetSelection, default_grading
-from .geometry import Cone, dot
+from .geometry import Cone, FacetSelection, default_grading, dot
 
 
 class DegeneratePoint(ValueError):

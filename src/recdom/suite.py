@@ -7,6 +7,7 @@ sweep.
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -281,8 +282,6 @@ def criterion_6(bound: int = 6) -> CriterionResult:
 
 
 def _convexity_probe(result, samples: int = 100, seed: int = 0) -> bool:
-    import random
-
     rng = random.Random(seed)
     cells = [c for c in result.subdivision.maximal_cells()]
     for _ in range(samples):

@@ -13,8 +13,15 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .enumerator import FacetSelection, default_grading
-from .geometry import QQ, FieldSpec, dot, faces_of, rank_over_field
+from .geometry import (
+    QQ,
+    FacetSelection,
+    FieldSpec,
+    default_grading,
+    dot,
+    faces_of,
+    rank_over_field,
+)
 
 
 class FaceNotPresent(KeyError):

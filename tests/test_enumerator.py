@@ -20,6 +20,8 @@ from recdom.enumerator import (
     LaurentPoly,
     RationalGF,
     WitnessSearchExhausted,
+    _first_disagreement,
+    _multiset_difference,
     default_grading,
     domain_gf,
     expand,
@@ -33,7 +35,7 @@ from recdom.enumerator import (
     triangulate,
     verify_colon_identity,
 )
-from recdom.geometry import Cone, dot
+from recdom.geometry import Cone, InvariantViolation, dot
 
 
 def quadrant_selection():
@@ -397,6 +399,47 @@ def test_reciprocity_soundness_on_corpus():
             report = reciprocity_check(sel)
             if report.cm_over["Q"] or report.cm_over["F2"]:
                 assert report.holds, (name, i)
+
+
+def test_first_disagreement_beyond_degree_64():
+    # 1/(1-x) against (1+x^70)/(1-x): the series first differ at degree 70
+    lhs = RationalGF(LaurentPoly({(0,): 1}), ((1,),))
+    rhs = RationalGF(LaurentPoly({(0,): 1, (70,): 1}), ((1,),))
+    witness = _first_disagreement(lhs, rhs, (1,))
+    assert witness == {"kind": "disagreement", "degree": 70, "lhs": 1, "rhs": 2}
+
+
+def test_first_disagreement_degree_is_minimal_on_corpus():
+    failing = 0
+    for name, cone in corpus_cones(0).items():
+        w = default_grading(cone)
+        n = len(cone.facets)
+        for size in range(1, n):
+            for subset in combinations(range(n), size):
+                sel = FacetSelection(cone, frozenset(subset))
+                report = reciprocity_check(sel, fields=())
+                if report.holds:
+                    continue
+                failing += 1
+                degree = report.witness["degree"]
+                lhs = invert_variables(domain_gf(DomainSpec(sel, COMPLEMENT)))
+                rhs = gf_scale(domain_gf(DomainSpec(sel, SELECTED)), (-1) ** cone.dim)
+                sa, sb = expand(lhs, w, degree), expand(rhs, w, degree)
+                differing = {
+                    dot(w, e)
+                    for e in set(sa.coeffs) | set(sb.coeffs)
+                    if sa.coefficient(e) != sb.coefficient(e)
+                }
+                assert min(differing) == degree, (name, subset)
+                totals = (sa.degree_counts().get(degree, 0), sb.degree_counts().get(degree, 0))
+                assert totals == (report.witness["lhs"], report.witness["rhs"]), (name, subset)
+    assert failing > 0
+
+
+def test_invariant_violation_is_not_an_input_error():
+    with pytest.raises(InvariantViolation):
+        _multiset_difference([(1,)], [(2,)])
+    assert not issubclass(InvariantViolation, (ValueError, KeyError, RuntimeError))
 
 
 # -- colon identity -------------------------------------------------------------
