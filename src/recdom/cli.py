@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success (identity holds, property verified), 1 on a
 verified-false outcome (reciprocity fails, complex not CM, selection not
-separable, scan found violations), 2 on input or usage errors.
+separable, scan found violations), 2 on input or usage errors, 3 when an
+internal invariant fails (a defect in recdom, not a verdict).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .enumerator import (
     reciprocity_check,
     verify_colon_identity,
 )
-from .geometry import GF2, QQ, FieldSpec
+from .geometry import GF2, QQ, FieldSpec, InvariantViolation
 from .lifting import lift, schlegel, schlegel_of_selection, verify_lower_hull
 from .separation import DegeneratePoint, line_shelling, separation_witness
 from .topology import barycentric, boundary_subcomplex, is_cohen_macaulay, reduced_homology
@@ -34,6 +35,7 @@ from .topology import barycentric, boundary_subcomplex, is_cohen_macaulay, reduc
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def _load_json(path):
@@ -339,6 +341,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
+    except InvariantViolation as err:
+        print(f"internal error: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -224,6 +224,88 @@ def solve_exact(rows, rhs):
     return tuple(x)
 
 
+def extreme_rays(equalities, inequalities, width):
+    """Lineality basis and extreme rays of {y : e.y == 0, g.y >= 0}.
+
+    Incremental double description (Fukuda-Prodon, "Double description method
+    revisited", 1996) on integer rows of length ``width``.  The cone starts as
+    the whole space, all lineality.  A row that is nonzero on the lineality
+    space splits one lineality vector off (it becomes a ray for an inequality
+    and is dropped for an equality); any other inequality keeps the rays on
+    its nonnegative side and combines each adjacent pair across it.  Two rays
+    are adjacent when no third ray is tight on every inequality both are tight
+    on, which is exact because the rays stay a minimal generating set.  Every
+    vector stays a primitive integer vector.  Returns ``(lineality, rays)``
+    with the rays sorted."""
+    lineality = [tuple(int(i == j) for i in range(width)) for j in range(width)]
+    for row in equalities:
+        split = _split_lineality(row, lineality)
+        if split is not None:
+            lineality = split[1]
+    space_dim = len(lineality)
+    rays: list[Vector] = []
+    masks: list[int] = []  # bit i set: the ray is tight on inequality i
+    for bit, row in enumerate(inequalities):
+        tight = 1 << bit
+        split = _split_lineality(row, lineality)
+        if split is not None:
+            # the cone is (new lineality) + ray(pivot) + cone(projected rays)
+            pivot, lineality, project = split
+            rays = [project(r) for r in rays] + [pivot]
+            masks = [m | tight for m in masks] + [tight - 1]
+            continue
+        values = [dot(row, r) for r in rays]
+        negative = [i for i, v in enumerate(values) if v < 0]
+        if not negative:
+            masks = [m | tight if v == 0 else m for m, v in zip(masks, values)]
+            continue
+        positive = [i for i, v in enumerate(values) if v > 0]
+        # a 2-face of the pointed part is cut out by at least this many rows
+        need = space_dim - len(lineality) - 2
+        new_rays = [r for r, v in zip(rays, values) if v >= 0]
+        new_masks = [m | tight if v == 0 else m for m, v in zip(masks, values) if v >= 0]
+        for p in positive:
+            for n in negative:
+                common = masks[p] & masks[n]
+                if common.bit_count() < need:
+                    continue
+                if any(
+                    m & common == common and k != p and k != n
+                    for k, m in enumerate(masks)
+                ):
+                    continue
+                vp, vn = values[p], -values[n]
+                new_rays.append(primitive(tuple(vp * b + vn * a for a, b in zip(rays[p], rays[n]))))
+                new_masks.append(common | tight)
+        rays, masks = new_rays, new_masks
+    return lineality, sorted(rays)
+
+
+def _split_lineality(row, lineality):
+    """Split ``lineality`` along one vector on which ``row`` is positive.
+
+    Returns None when ``row`` vanishes on the lineality space, else the pivot
+    vector, a basis of the lineality space inside ``row.y == 0``, and the
+    projection onto ``row.y == 0`` along the pivot (scaled to primitive)."""
+    k = next((i for i, v in enumerate(lineality) if dot(row, v)), None)
+    if k is None:
+        return None
+    pivot = lineality[k]
+    scale = dot(row, pivot)
+    if scale < 0:
+        pivot = tuple(-a for a in pivot)
+        scale = -scale
+
+    def project(v):
+        value = dot(row, v)
+        if not value:
+            return v
+        return primitive(tuple(scale * a - value * b for a, b in zip(v, pivot)))
+
+    rest = [project(v) for i, v in enumerate(lineality) if i != k]
+    return pivot, rest, project
+
+
 @dataclass(frozen=True)
 class FacetFunctional:
     """Primitive integer covector of one facet inequality, nonnegative on the cone."""

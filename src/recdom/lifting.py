@@ -20,7 +20,15 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor
 
-from .geometry import dot, kernel_basis, primitive_rational, rational_rank, solve_exact
+from .geometry import (
+    InvariantViolation,
+    dot,
+    extreme_rays,
+    kernel_basis,
+    primitive_rational,
+    rational_rank,
+    rref,
+)
 from .separation import cross_section_vertices
 from .topology import Cell, PolyhedralComplex
 
@@ -83,13 +91,18 @@ def _left_inverse(dirs):
     k = len(dirs)
     d = len(dirs[0])
     gram = [[dot(a, b) for b in dirs] for a in dirs]
-    rows = []
-    for unit in range(k):
-        rhs = [Fraction(1) if i == unit else Fraction(0) for i in range(k)]
-        col = solve_exact(gram, rhs)
-        assert col is not None
-        rows.append(tuple(sum(col[j] * dirs[j][i] for j in range(k)) for i in range(d)))
-    return tuple(rows)
+    m, pivots = rref([row + [int(i == j) for j in range(k)] for i, row in enumerate(gram)])
+    if len(pivots) != k or pivots[-1] >= k:
+        raise InvariantViolation("the Gram matrix of independent directions is singular")
+    return tuple(
+        tuple(sum(m[j][k + unit] * dirs[j][i] for j in range(k)) for i in range(d))
+        for unit in range(k)
+    )
+
+
+def _integer_rows(rows):
+    """Positive integer multiples of the nonzero rational rows, coprime entries."""
+    return [primitive_rational(r) for r in rows if any(r)]
 
 
 class _Polytope:
@@ -102,18 +115,13 @@ class _Polytope:
         base, dirs = _affine_basis(pts)
         self.base = base
         self.dirs = dirs
-        if dirs:
-            left = _left_inverse(dirs)
-            chart = tuple(
-                tuple(dot(row, tuple(a - b for a, b in zip(p, base))) for row in left)
-                for p in pts
-            )
-        else:
-            chart = tuple(() for _ in pts)
-        self.chart = chart
+        left = _left_inverse(dirs) if dirs else ()
+        self.chart = tuple(
+            tuple(dot(row, tuple(a - b for a, b in zip(p, base))) for row in left)
+            for p in pts
+        )
         self.vertices = pts
         self.inequalities = self._chart_facets()
-        left = _left_inverse(dirs) if dirs else ()
         ambient = []
         for normal, rhs in self.inequalities:
             coeffs = tuple(
@@ -128,47 +136,18 @@ class _Polytope:
         return len(self.dirs)
 
     def _chart_facets(self):
-        """Facet inequalities (n, b) with n.y <= b in chart coordinates."""
+        """Facet inequalities (n, b) with n.y <= b in chart coordinates.
+
+        They are the extreme rays of the polar cone {(n, b) : n.y <= b for
+        every chart point y}, apart from the ray n = 0."""
         k = self.dim
         if k == 0:
             return ()
-        chart = self.chart
-        found = {}
-        for subset in combinations(range(len(chart)), k):
-            pts = [chart[i] for i in subset]
-            diffs = [tuple(a - b for a, b in zip(p, pts[0])) for p in pts[1:]]
-            if rational_rank(diffs) != k - 1:
-                continue
-            kb = kernel_basis(diffs, k) if diffs else kernel_basis([], k)
-            if len(kb) != 1:
-                continue
-            normal = kb[0]
-            rhs = dot(normal, pts[0])
-            values = [dot(normal, p) - rhs for p in chart]
-            if all(v <= 0 for v in values):
-                pass
-            elif all(v >= 0 for v in values):
-                normal = tuple(-a for a in normal)
-                rhs = -rhs
-            else:
-                continue
-            scaled = primitive_rational(tuple(normal) + (rhs,))
-            found[(scaled[:-1], scaled[-1])] = None
-        return tuple(sorted(found))
-
-    def to_chart(self, point):
-        """Chart coordinates of an ambient point, or None when off the hull."""
-        shifted = tuple(Fraction(a) - b for a, b in zip(point, self.base))
-        if not self.dirs:
-            return () if not any(shifted) else None
-        rows = [[v[i] for v in self.dirs] for i in range(len(self.base))]
-        return solve_exact(rows, shifted)
-
-    def contains(self, point) -> bool:
-        y = self.to_chart(point)
-        if y is None:
-            return False
-        return all(dot(n, y) <= b for n, b in self.inequalities)
+        rows = _integer_rows(tuple(-a for a in y) + (1,) for y in self.chart)
+        lineality, rays = extreme_rays([], rows, k + 1)
+        if lineality:
+            raise InvariantViolation("chart points do not span their chart")
+        return tuple((ray[:-1], ray[-1]) for ray in rays if any(ray[:-1]))
 
     def hull_equations(self):
         """Independent integer hyperplanes cutting out the affine hull."""
@@ -192,16 +171,28 @@ class _Polytope:
         )
 
     def face_vertex_sets(self):
-        """Vertex index sets of all nonempty faces, with their dimensions."""
-        faces = {}
-        for mask_size in range(len(self.inequalities) + 1):
-            for active in combinations(self.inequalities, mask_size):
-                vs = self.exposed_vertices(active)
-                if not vs or vs in faces:
-                    continue
-                pts = [self.vertices[i] for i in vs]
-                faces[vs] = len(_affine_basis(pts)[1])
-        return faces
+        """Vertex index sets of all nonempty faces, with their dimensions.
+
+        Every proper face is the intersection of the facets containing it, so
+        the faces are the whole cell and the nonempty intersections of facet
+        vertex sets.  The face lattice is graded, so a face's dimension is the
+        length of the longest chain of faces below it."""
+        facets = [frozenset(t) for t in self.facet_vertex_sets()]
+        found = {frozenset(range(len(self.vertices)))} | set(facets)
+        frontier = list(facets)
+        while frontier:
+            grown = []
+            for face in frontier:
+                for facet in facets:
+                    meet = face & facet
+                    if meet and meet not in found:
+                        found.add(meet)
+                        grown.append(meet)
+            frontier = grown
+        dims: dict[frozenset, int] = {}
+        for face in sorted(found, key=len):
+            dims[face] = max((dims[g] + 1 for g in dims if g < face), default=0)
+        return {tuple(sorted(face)): dim for face, dim in dims.items()}
 
     def is_face(self, vertex_ids) -> bool:
         """Exposed-face test: the active inequalities of the candidate must
@@ -217,23 +208,17 @@ class _Polytope:
 
 
 def _vertices_from_constraints(equalities, inequalities, dim):
-    """Vertex enumeration of {x : eq.x == rhs, ineq.x <= rhs} by brute force."""
-    rows = [(tuple(c), r) for c, r in equalities] + [(tuple(c), r) for c, r in inequalities]
-    n_eq = len(equalities)
-    candidates = set()
-    for subset in combinations(range(len(rows)), dim):
-        mat = [list(rows[i][0]) for i in subset]
-        if rational_rank(mat) != dim:
-            continue
-        rhs = [rows[i][1] for i in subset]
-        pt = solve_exact(mat, rhs)
-        if pt is None:
-            continue
-        ok = all(dot(c, pt) == r for c, r in (rows[i] for i in range(n_eq)))
-        ok = ok and all(dot(c, pt) <= r for c, r in (rows[i] for i in range(n_eq, len(rows))))
-        if ok:
-            candidates.add(pt)
-    return sorted(candidates)
+    """Vertices of {x : eq.x == rhs, ineq.x <= rhs}, sorted.
+
+    The extreme rays (x, s) of the homogenized cone with s >= 0 and s > 0 are
+    the vertices (x / s); a polyhedron with a line has none."""
+    eqs = _integer_rows(tuple(c) + (-r,) for c, r in equalities)
+    ineqs = [(0,) * dim + (1,)]
+    ineqs += _integer_rows(tuple(-a for a in c) + (r,) for c, r in inequalities)
+    lineality, rays = extreme_rays(eqs, ineqs, dim + 1)
+    if lineality:
+        return []
+    return sorted(tuple(Fraction(a, ray[-1]) for a in ray[:-1]) for ray in rays if ray[-1])
 
 
 def _cell_polytopes(pc: PolyhedralComplex):
@@ -316,7 +301,8 @@ def _beyond_point(poly: _Polytope, facet_index):
             for idx, (n2, b2) in enumerate(poly.inequalities)
             if idx != facet_index
         ):
-            assert dot(normal, z) > rhs
+            if dot(normal, z) <= rhs:
+                raise InvariantViolation("the point beyond a facet is not beyond it")
             return z
         step /= 2
 
@@ -357,7 +343,8 @@ def schlegel(vertices, cells, avoid: int, validate: bool = True) -> PolyhedralCo
     for i in used:
         v = poly.chart[i]
         denom = dot(normal, v) - dot(normal, z)
-        assert denom != 0
+        if denom == 0:
+            raise InvariantViolation(f"vertex {i} is parallel to the avoided facet")
         s = Fraction(rhs - dot(normal, z), denom)
         images[i] = tuple(zc + s * (vc - zc) for zc, vc in zip(z, v))
     facet_pts = [poly.chart[i] for i in sorted(avoid_vertices)]
@@ -373,8 +360,8 @@ def schlegel(vertices, cells, avoid: int, validate: bool = True) -> PolyhedralCo
         Cell(tuple(sorted(relabel[i] for i in vs)), dim) for vs, dim in closure.items()
     )
     out = PolyhedralComplex(new_vertices, new_cells)
-    if validate:
-        assert verify_embedding(out)
+    if validate and not verify_embedding(out):
+        raise InvariantViolation("the Schlegel image is not an embedded complex")
     return out
 
 
@@ -385,14 +372,17 @@ def schlegel_of_selection(selection, avoid_facet: int, validate: bool = True) ->
     the cross-sections of the selected facets, and ``avoid_facet`` is a cone
     facet index (translated to the matching cross-section facet)."""
     cone = selection.cone
+    if not 0 <= avoid_facet < len(cone.facets):
+        raise ValueError(f"facet index {avoid_facet} out of range")
     vertices = cross_section_vertices(cone)
     poly = _Polytope(vertices)
     target = set(cone.facets[avoid_facet].incident_rays)
     avoid = next(
-        i
-        for i, tight in enumerate(poly.facet_vertex_sets())
-        if set(tight) == target
+        (i for i, tight in enumerate(poly.facet_vertex_sets()) if set(tight) == target),
+        None,
     )
+    if avoid is None:
+        raise InvariantViolation(f"cone facet {avoid_facet} has no cross-section facet")
     cells = [tuple(sorted(cone.facets[i].incident_rays)) for i in sorted(selection.selected)]
     return schlegel(vertices, cells, avoid, validate=validate)
 
@@ -419,7 +409,7 @@ def _cut_through(facet_points, cell_points) -> AffineHyperplane:
     for n in normals:
         if any(dot(n, p) != dot(n, base) for p in cell_points):
             return AffineHyperplane.through(primitive_rational(n), base)
-    raise AssertionError("facet hyperplane candidates all contain the cell")
+    raise InvariantViolation("facet hyperplane candidates all contain the cell")
 
 
 def _arrangement_covers(poly: _Polytope, arrangement: Arrangement) -> bool:
@@ -648,7 +638,8 @@ def _boundary_cycle(poly: _Polytope):
     """Vertex indices of a 2-cell in boundary order, walking its edges."""
     edges = []
     for tight in poly.facet_vertex_sets():
-        assert len(tight) == 2
+        if len(tight) != 2:
+            raise InvariantViolation(f"polygon edge with vertices {tight}")
         edges.append(tight)
     adjacency: dict[int, list[int]] = {}
     for a, b in edges:

@@ -177,11 +177,10 @@ def criterion_3(seed: int = 0, bound: int = 8) -> CriterionResult:
                 if direct.coeffs != series.coeffs:
                     failures.append((name, sorted(selection.selected), side))
     elapsed = time.monotonic() - start
-    ok = not failures and elapsed < 10.0
+    if elapsed >= 10.0:
+        failures.append(f"took {elapsed:.2f} s, limit 10 s")
     return CriterionResult(
-        "3 oracle equivalence",
-        ok,
-        {"checked": checked, "elapsed_s": round(elapsed, 2), "failures": failures},
+        "3 oracle equivalence", not failures, {"checked": checked, "failures": failures}
     )
 
 

@@ -5,9 +5,10 @@ import os
 
 import pytest
 
-from recdom import jsonio
+from recdom import cli, jsonio
 from recdom.cli import main
 from recdom.corpus import facet_pairs_sharing_a_ray, facet_pairs_sharing_no_ray, square_cone
+from recdom.geometry import InvariantViolation
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
@@ -152,6 +153,28 @@ def test_semantic_error_exit_code(capsys):
     assert main(["reciprocity", data_path("quadrant.json"), "--select", "0,1"]) == 2
     err = capsys.readouterr().err
     assert "proper subset" in err
+
+
+def test_schlegel_avoid_out_of_range_exit_code(capsys):
+    code = main(["schlegel", data_path("square_cone.json"), "--avoid", "4", "--select", "0"])
+    assert code == 2
+    assert "facet index 4 out of range" in capsys.readouterr().err
+
+
+def test_invariant_violation_exit_code(monkeypatch, capsys, adjacent):
+    def broken(*args, **kwargs):
+        raise InvariantViolation("planted defect")
+
+    monkeypatch.setattr(cli, "reciprocity_check", broken)
+    assert main(["reciprocity", data_path("square_cone.json"), "--select", adjacent]) == 3
+    assert "internal error: planted defect" in capsys.readouterr().err
+
+
+def test_corpus_json_is_byte_stable(capsys):
+    assert main(["corpus", "--json"]) == 0
+    first = capsys.readouterr().out
+    assert main(["corpus", "--json"]) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_report_determinism(capsys, opposite):

@@ -1,4 +1,5 @@
-"""Module structure guard: every import in the library sits at module level."""
+"""Module structure guards: every import in the library sits at module level,
+and the modules that raise InvariantViolation use no assert statement."""
 
 import ast
 from pathlib import Path
@@ -24,3 +25,12 @@ def test_no_imports_inside_functions():
         tree = ast.parse(path.read_text(), filename=str(path))
         offenders += [f"{path.name}:{line}" for line in _function_imports(tree)]
     assert offenders == [], f"imports inside function bodies: {offenders}"
+
+
+def test_no_asserts_in_checked_modules():
+    # python -O strips asserts; these modules raise InvariantViolation instead
+    offenders = []
+    for name in ("enumerator.py", "lifting.py"):
+        tree = ast.parse((SOURCE / name).read_text(), filename=name)
+        offenders += [f"{name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert offenders == [], f"assert statements: {offenders}"

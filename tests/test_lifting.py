@@ -234,6 +234,30 @@ def test_lift_two_triangles():
             assert dot(coeffs, x) - offset == result.lift_values[i]
 
 
+def _lift_3d(vertices, cells):
+    pc = embedded_complex(vertices, cells)
+    assert verify_embedding(pc)
+    result = lift(pc)
+    assert verify_lower_hull(result)
+    assert result.lifted_complex.cells == result.subdivision.cells
+    assert {c.dim for c in result.subdivision.maximal_cells()} == {3}
+    assert set(pc.vertices) <= set(result.subdivision.vertices)
+    return result
+
+
+def test_lift_tetrahedron_in_r3():
+    _lift_3d([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2, 3)])
+
+
+def test_lift_two_tetrahedra_sharing_a_face_in_r3():
+    vertices = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    result = _lift_3d(vertices, [(0, 1, 2, 3), (1, 2, 3, 4)])
+    # the height bends where the diagonal crosses the shared face x + y + z = 1
+    diagonal = [(Fraction(k, 5),) * 3 for k in (1, 2, 3)]
+    heights = [lift_height(result.arrangement, p) for p in diagonal]
+    assert heights[0] + heights[2] > 2 * heights[1]
+
+
 def test_lift_height_convexity_seeded():
     for source in (two_segments_1d(), two_triangles_2d()):
         result = lift(source)

@@ -1,0 +1,297 @@
+"""The double-description kernel against brute-force polytope oracles.
+
+The oracles try every k-subset of constraints (H to V) or of points (V to H)
+with exact Fraction row reduction, and every subset of facets (faces).  They
+share no code with :func:`recdom.geometry.extreme_rays`."""
+
+from fractions import Fraction
+from itertools import combinations
+from math import ceil, floor
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from recdom.geometry import (
+    Cone,
+    dot,
+    extreme_rays,
+    kernel_basis,
+    primitive_rational,
+    rational_rank,
+    solve_exact,
+)
+from recdom.lifting import (
+    _affine_basis,
+    _Polytope,
+    _vertices_from_constraints,
+    embedded_complex,
+    lift,
+    lift_height,
+    verify_embedding,
+    verify_lower_hull,
+)
+
+# -- oracles -------------------------------------------------------------------
+
+
+def brute_force_vertices(equalities, inequalities, dim):
+    """Vertices of {x : eq.x == rhs, ineq.x <= rhs}: solve every dim-subset
+    of constraint rows and keep the feasible solutions."""
+    rows = [(tuple(c), r) for c, r in equalities] + [(tuple(c), r) for c, r in inequalities]
+    n_eq = len(equalities)
+    candidates = set()
+    for subset in combinations(range(len(rows)), dim):
+        mat = [list(rows[i][0]) for i in subset]
+        if rational_rank(mat) != dim:
+            continue
+        pt = solve_exact(mat, [rows[i][1] for i in subset])
+        if pt is None:
+            continue
+        ok = all(dot(c, pt) == r for c, r in rows[:n_eq])
+        ok = ok and all(dot(c, pt) <= r for c, r in rows[n_eq:])
+        if ok:
+            candidates.add(pt)
+    return sorted(candidates)
+
+
+def brute_force_chart_facets(chart, k):
+    """Facets (n, b), n.y <= b, of full-dimensional points in R^k: every
+    hyperplane through k affinely independent points with all points on one
+    side."""
+    if k == 0:
+        return ()
+    found = set()
+    for subset in combinations(range(len(chart)), k):
+        pts = [chart[i] for i in subset]
+        diffs = [tuple(a - b for a, b in zip(p, pts[0])) for p in pts[1:]]
+        if rational_rank(diffs) != k - 1:
+            continue
+        kb = kernel_basis(diffs, k)
+        if len(kb) != 1:
+            continue
+        normal = kb[0]
+        rhs = dot(normal, pts[0])
+        values = [dot(normal, p) - rhs for p in chart]
+        if all(v >= 0 for v in values):
+            normal, rhs = tuple(-a for a in normal), -rhs
+        elif not all(v <= 0 for v in values):
+            continue
+        scaled = primitive_rational(tuple(normal) + (rhs,))
+        found.add((scaled[:-1], scaled[-1]))
+    return tuple(sorted(found))
+
+
+def brute_force_faces(poly):
+    """Vertex sets of the nonempty faces cut out by every subset of facet
+    inequalities, with the affine dimension of their points."""
+    faces = {}
+    for size in range(len(poly.inequalities) + 1):
+        for active in combinations(poly.inequalities, size):
+            vs = poly.exposed_vertices(active)
+            if vs and vs not in faces:
+                faces[vs] = len(_affine_basis([poly.vertices[i] for i in vs])[1])
+    return faces
+
+
+# -- strategies ----------------------------------------------------------------
+
+SMALL = st.integers(-3, 3)
+RHS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def h_systems(draw):
+    """A bounded system (equalities, inequalities, dim) in dimensions 1-3.
+
+    A box bounds it.  The case picks whether it has equalities, is cut down
+    to a lower dimension by a pair of opposite inequalities, or is made empty
+    by a contradictory pair."""
+    dim = draw(st.integers(1, 3))
+    case = draw(st.sampled_from(("plain", "equalities", "flat", "empty")))
+    vector = st.lists(SMALL, min_size=dim, max_size=dim)
+    inequalities = []
+    for axis in range(dim):
+        lo = draw(st.integers(-3, 1))
+        hi = draw(st.integers(lo, lo + 4))
+        unit = tuple(int(i == axis) for i in range(dim))
+        inequalities += [(unit, Fraction(hi)), (tuple(-u for u in unit), Fraction(-lo))]
+    inequalities += [(tuple(draw(vector)), draw(RHS)) for _ in range(draw(st.integers(0, 3)))]
+    equalities = []
+    if case == "equalities":
+        equalities = [(tuple(draw(vector)), draw(RHS)) for _ in range(draw(st.integers(1, 2)))]
+    elif case in ("flat", "empty"):
+        c, r = tuple(draw(vector)), draw(RHS)
+        gap = 1 if case == "empty" and any(c) else 0
+        inequalities += [(c, r), (tuple(-a for a in c), -r - gap)]
+    order = draw(st.permutations(range(len(inequalities))))
+    return equalities, [inequalities[i] for i in order], dim
+
+
+@st.composite
+def point_sets(draw):
+    """1-7 rational points in R^1..R^3 spanning an affine subspace of any
+    dimension up to the ambient one."""
+    ambient = draw(st.integers(1, 3))
+    k = draw(st.integers(0, ambient))
+    base = draw(st.lists(st.integers(-3, 3), min_size=ambient, max_size=ambient))
+    dirs = [
+        draw(st.lists(SMALL, min_size=ambient, max_size=ambient)) for _ in range(k)
+    ]
+    coeff = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    n = draw(st.integers(1, 7 if ambient == 3 else 6))
+    points = set()
+    for _ in range(n):
+        cs = [draw(coeff) for _ in dirs]
+        points.add(tuple(b + sum(c * d[i] for c, d in zip(cs, dirs)) for i, b in enumerate(base)))
+    return sorted(points)
+
+
+# -- H to V, V to H, faces -----------------------------------------------------
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(h_systems())
+def test_vertices_match_brute_force(system):
+    equalities, inequalities, dim = system
+    assert _vertices_from_constraints(equalities, inequalities, dim) == brute_force_vertices(
+        equalities, inequalities, dim
+    )
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(point_sets())
+def test_facets_and_faces_match_brute_force(points):
+    poly = _Polytope(points)
+    assert poly.inequalities == brute_force_chart_facets(poly.chart, poly.dim)
+    assert poly.face_vertex_sets() == brute_force_faces(poly)
+
+
+def test_empty_and_lower_dimensional_systems():
+    square = [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)]
+    assert _vertices_from_constraints([], square + [((1, 1), -1)], 2) == []
+    diagonal = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]
+    assert _vertices_from_constraints([((1, -1), 0)], square, 2) == diagonal
+    assert _vertices_from_constraints([], square + [((1, -1), 0), ((-1, 1), 0)], 2) == diagonal
+    # a strip has a line and so no vertex
+    assert _vertices_from_constraints([], square[:2], 2) == []
+
+
+@st.composite
+def pointed_cones(draw):
+    """Inward covectors of a pointed cone in R^2..R^4, which lies in the
+    orthant cut out by the unit rows; the extra rows may cut it down to a
+    lower dimension."""
+    d = draw(st.integers(2, 4))
+    rows = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    rows += [
+        tuple(draw(st.lists(st.integers(-2, 3), min_size=d, max_size=d)))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    rows = [r for r in rows if any(r)]
+    return [rows[i] for i in draw(st.permutations(range(len(rows))))]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(pointed_cones())
+def test_extreme_rays_match_cone_from_inequalities(covectors):
+    d = len(covectors[0])
+    lineality, rays = extreme_rays([], covectors, d)
+    assert lineality == []
+    try:
+        cone = Cone.from_inequalities(covectors)
+    except ValueError:  # not full-dimensional
+        assert rational_rank(rays) < d
+        return
+    assert rays == sorted(cone.rays)
+
+
+def test_extreme_rays_lineality_and_equalities():
+    assert extreme_rays([], [], 2) == ([(1, 0), (0, 1)], [])
+    lineality, rays = extreme_rays([], [(1, 0)], 2)
+    assert lineality == [(0, 1)] and rays == [(1, 0)]
+    lineality, rays = extreme_rays([(1, -1, 0)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+    assert lineality == [] and rays == [(0, 0, 1), (1, 1, 0)]
+    assert extreme_rays([], [(1, 0), (-1, 0), (0, 1), (0, -1)], 2) == ([], [])
+
+
+# -- lower hull on random embedded complexes -----------------------------------
+
+
+@st.composite
+def complexes_1d(draw):
+    """1-3 segments on a line; a zero gap glues a segment to the one before."""
+    x = draw(st.integers(0, 4))
+    vertices, cells = [(x,)], []
+    for _ in range(draw(st.integers(1, 3))):
+        gap = draw(st.integers(0, 3)) if cells else 0
+        if gap:
+            x += gap
+            vertices.append((x,))
+        x += draw(st.integers(1, 4))
+        vertices.append((x,))
+        cells.append((len(vertices) - 2, len(vertices) - 1))
+    return vertices, cells
+
+
+GRID_TRIANGLES = [
+    tri
+    for x in range(2)
+    for y in range(2)
+    for tri in (
+        ((x, y), (x + 1, y), (x, y + 1)),
+        ((x + 1, y), (x, y + 1), (x + 1, y + 1)),
+    )
+]
+
+
+@st.composite
+def complexes_2d(draw):
+    """One or two triangles of a triangulated 2x2 grid, translated."""
+    chosen = draw(st.sets(st.sampled_from(GRID_TRIANGLES), min_size=1, max_size=2))
+    dx, dy = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    tris = sorted(tuple((x + dx, y + dy) for x, y in t) for t in chosen)
+    vertices = sorted({p for t in tris for p in t})
+    index = {p: i for i, p in enumerate(vertices)}
+    return vertices, [tuple(index[p] for p in t) for t in tris]
+
+
+def lift_constraints(result, pc):
+    """The lifted polytope's inequalities, rebuilt from the lift's record."""
+    d = pc.ambient_dim
+    lows = [floor(min(p[i] for p in pc.vertices)) - result.margin for i in range(d)]
+    highs = [ceil(max(p[i] for p in pc.vertices)) + result.margin for i in range(d)]
+    rows = [(tuple(c) + (-1,), Fraction(b)) for c, b in result.affine_pieces]
+    for i in range(d):
+        unit = tuple(int(j == i) for j in range(d + 1))
+        rows += [(unit, Fraction(highs[i])), (tuple(-u for u in unit), Fraction(-lows[i]))]
+    rows.append((tuple(int(j == d) for j in range(d + 1)), result.max_value + result.margin))
+    return rows
+
+
+def check_lift(vertices, cells):
+    pc = embedded_complex(vertices, cells)
+    assert verify_embedding(pc)
+    result = lift(pc)
+    assert verify_lower_hull(result)
+    polytope = set(result.polytope_vertices)
+    for i, x in enumerate(result.subdivision.vertices):
+        assert x + (lift_height(result.arrangement, x),) in polytope
+    return pc, result
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(complexes_1d())
+def test_lower_hull_on_random_1d_complexes(complex_):
+    pc, result = check_lift(*complex_)
+    oracle = brute_force_vertices([], lift_constraints(result, pc), 2)
+    assert list(result.polytope_vertices) == oracle
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(complexes_2d())
+def test_lower_hull_on_random_2d_complexes(complex_):
+    check_lift(*complex_)
