@@ -11,14 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import gcd, lcm
 
 Vector = tuple[int, ...]
-
-# Dual descriptions are found by brute force over ray subsets; plenty for the
-# instance sizes this toolkit targets.
-MAX_RAYS = 12
 
 
 class NotPointed(ValueError):
@@ -348,23 +343,12 @@ class Cone:
     def from_inequalities(cls, covectors) -> "Cone":
         """Cone {x : a.x >= 0 for all rows a}; redundant rows are dropped."""
         covs = _canonical_vectors(covectors)
-        d = len(covs[0])
-        if len(covs) > MAX_RAYS:
-            raise ValueError(f"brute-force conversion is capped at {MAX_RAYS} inequalities")
-        rays = set()
-        for subset in combinations(range(len(covs)), d - 1):
-            kb = kernel_basis([covs[i] for i in subset], d)
-            if len(kb) != 1:
-                continue
-            candidate = primitive_rational(kb[0])
-            values = [dot(c, candidate) for c in covs]
-            if all(v >= 0 for v in values):
-                rays.add(candidate)
-            elif all(v <= 0 for v in values):
-                rays.add(tuple(-a for a in candidate))
+        lineality, rays = extreme_rays([], covs, len(covs[0]))
+        if lineality:
+            raise NotPointed("the inequalities cut out a cone containing a line")
         if not rays:
             raise NotFullDimensional("inequalities admit no extreme rays")
-        return dual_description(sorted(rays))
+        return dual_description(rays)
 
     def facet_values(self, point) -> tuple:
         return tuple(f(point) for f in self.facets)
@@ -415,62 +399,64 @@ def _canonical_vectors(vectors) -> list[Vector]:
 def dual_description(rays) -> Cone:
     """Pointed full-dimensional cone generated by ``rays``, facets recovered.
 
-    Facets are enumerated by testing every (d-1)-subset of rays spanning a
-    hyperplane and keeping the primitive normals that are nonnegative on all
-    rays.  Raises :class:`NotFullDimensional` / :class:`NotPointed`.
+    The facet normals are the extreme rays of the dual cone {y : r.y >= 0},
+    and the extreme input rays are the extreme rays of the cone the normals
+    cut out, both by :func:`extreme_rays`.  Raises
+    :class:`NotFullDimensional` / :class:`NotPointed`.
     """
-    ray_list = tuple(_canonical_vectors(rays))
+    ray_list = _canonical_vectors(rays)
     d = len(ray_list[0])
-    if len(ray_list) > MAX_RAYS:
-        raise ValueError(f"brute-force dual description is capped at {MAX_RAYS} rays")
-    if rank_over_field(ray_list) < d:
+    lineality, normals = extreme_rays([], ray_list, d)
+    if lineality:
         raise NotFullDimensional("rays do not span the ambient space")
-    found = {}
-    for subset in combinations(range(len(ray_list)), d - 1):
-        kb = kernel_basis([ray_list[i] for i in subset], d)
-        if len(kb) != 1:
-            continue
-        normal = primitive_rational(kb[0])
-        values = [dot(normal, r) for r in ray_list]
-        if all(v <= 0 for v in values):
-            normal = tuple(-a for a in normal)
-            values = [-v for v in values]
-        elif not all(v >= 0 for v in values):
-            continue
-        found[normal] = frozenset(i for i, v in enumerate(values) if v == 0)
-    if rank_over_field(sorted(found)) < d:
+    if rank_over_field(normals) < d:
         raise NotPointed("the given rays span a cone containing a line")
-    # keep only extreme rays: those tight on a rank-(d-1) set of facets
-    extreme = []
-    for i, r in enumerate(ray_list):
-        tight = [n for n, incident in found.items() if i in incident]
-        if rank_over_field(tight) == d - 1:
-            extreme.append(r)
-    rays = tuple(extreme)
+    rays = tuple(extreme_rays([], normals, d)[1])
     facets = []
-    for normal in sorted(found):
+    for normal in normals:
         incident = frozenset(i for i, r in enumerate(rays) if dot(normal, r) == 0)
         facets.append(FacetFunctional(normal, incident))
     return Cone(d, rays, tuple(facets))
+
+
+def graded_closure(whole, facets) -> dict[frozenset, int]:
+    """The sets ``whole``, the empty set and every intersection of
+    ``facets``, each ranked by its longest chain up from the empty set.
+
+    On the facet ray (or vertex) sets of a pointed cone (or polytope) these
+    are its faces, since every proper face is the intersection of the facets
+    containing it, and the rank is the face's dimension (plus one for a
+    polytope, whose empty face has dimension -1), since the face lattice is
+    graded."""
+    facets = [frozenset(f) for f in facets]
+    found = {frozenset(whole), frozenset()} | set(facets)
+    frontier = facets
+    while frontier:
+        grown = []
+        for face in frontier:
+            for facet in facets:
+                meet = face & facet
+                if meet not in found:
+                    found.add(meet)
+                    grown.append(meet)
+        frontier = grown
+    ranks: dict[frozenset, int] = {}
+    for face in sorted(found, key=len):
+        ranks[face] = max((ranks[g] + 1 for g in ranks if g < face), default=0)
+    return ranks
 
 
 @lru_cache(maxsize=None)
 def faces_of(cone: Cone) -> tuple[Face, ...]:
     """Every face of the cone exactly once, including the cone itself and the
     origin, represented by (tight facet set, spanning ray set, dimension)."""
-    nf = len(cone.facets)
-    all_rays = frozenset(range(len(cone.rays)))
-    by_rays = {}
-    for mask in range(1 << nf):
-        ray_set = all_rays
-        for j in range(nf):
-            if mask >> j & 1:
-                ray_set &= cone.facets[j].incident_rays
-        if ray_set in by_rays:
-            continue
-        tight = frozenset(
-            j for j in range(nf) if ray_set <= cone.facets[j].incident_rays
+    ranks = graded_closure(range(len(cone.rays)), (f.incident_rays for f in cone.facets))
+    faces = [
+        Face(
+            frozenset(j for j, f in enumerate(cone.facets) if ray_set <= f.incident_rays),
+            ray_set,
+            dim,
         )
-        dim = rank_over_field([cone.rays[i] for i in ray_set]) if ray_set else 0
-        by_rays[ray_set] = Face(tight, ray_set, dim)
-    return tuple(sorted(by_rays.values(), key=lambda f: (f.dim, sorted(f.rays))))
+        for ray_set, dim in ranks.items()
+    ]
+    return tuple(sorted(faces, key=lambda f: (f.dim, sorted(f.rays))))

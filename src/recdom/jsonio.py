@@ -31,13 +31,21 @@ def fraction_str(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
+def _integer_vectors(data: dict, key: str) -> list[tuple[int, ...]]:
+    rows = data[key]
+    if not isinstance(rows, list) or not rows:
+        raise ValueError(f'cone JSON "{key}" must be a nonempty list')
+    for row in rows:
+        if not isinstance(row, list) or any(type(a) is not int for a in row):
+            raise ValueError(f'cone JSON "{key}" entries must be lists of integers, got {row!r}')
+    return [tuple(row) for row in rows]
+
+
 def cone_from_dict(data: dict) -> Cone:
     if "rays" in data:
-        cone = Cone.from_rays([tuple(int(a) for a in r) for r in data["rays"]])
+        cone = Cone.from_rays(_integer_vectors(data, "rays"))
     elif "inequalities" in data:
-        cone = Cone.from_inequalities(
-            [tuple(int(a) for a in r) for r in data["inequalities"]]
-        )
+        cone = Cone.from_inequalities(_integer_vectors(data, "inequalities"))
     else:
         raise ValueError('cone JSON needs "rays" or "inequalities"')
     if "dim" in data and int(data["dim"]) != cone.dim:

@@ -18,12 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor
+from math import ceil, factorial, floor
 
 from .geometry import (
     InvariantViolation,
     dot,
     extreme_rays,
+    graded_closure,
     kernel_basis,
     primitive_rational,
     rational_rank,
@@ -171,28 +172,9 @@ class _Polytope:
         )
 
     def face_vertex_sets(self):
-        """Vertex index sets of all nonempty faces, with their dimensions.
-
-        Every proper face is the intersection of the facets containing it, so
-        the faces are the whole cell and the nonempty intersections of facet
-        vertex sets.  The face lattice is graded, so a face's dimension is the
-        length of the longest chain of faces below it."""
-        facets = [frozenset(t) for t in self.facet_vertex_sets()]
-        found = {frozenset(range(len(self.vertices)))} | set(facets)
-        frontier = list(facets)
-        while frontier:
-            grown = []
-            for face in frontier:
-                for facet in facets:
-                    meet = face & facet
-                    if meet and meet not in found:
-                        found.add(meet)
-                        grown.append(meet)
-            frontier = grown
-        dims: dict[frozenset, int] = {}
-        for face in sorted(found, key=len):
-            dims[face] = max((dims[g] + 1 for g in dims if g < face), default=0)
-        return {tuple(sorted(face)): dim for face, dim in dims.items()}
+        """Vertex index sets of all nonempty faces, with their dimensions."""
+        ranks = graded_closure(range(len(self.vertices)), self.facet_vertex_sets())
+        return {tuple(sorted(face)): rank - 1 for face, rank in ranks.items() if face}
 
     def is_face(self, vertex_ids) -> bool:
         """Exposed-face test: the active inequalities of the candidate must
@@ -612,50 +594,51 @@ def verify_lower_hull(result: LiftResult) -> bool:
 
 
 def cell_measure(points) -> Fraction:
-    """Exact Lebesgue volume of a full-dimensional convex cell, ambient dim <= 2."""
+    """Exact Lebesgue volume of a full-dimensional convex cell: the sum of
+    |det| / k! over the simplices of a pulling triangulation."""
     poly = _Polytope(points)
     k = poly.dim
-    d = len(poly.base)
     if k == 0:
         return Fraction(0)
-    if k != d:
+    if k != len(poly.base):
         raise NotImplementedError("only full-dimensional cells are measured")
-    if d == 1:
-        coords = sorted(p[0] for p in poly.vertices)
-        return coords[-1] - coords[0]
-    if d == 2:
-        ring = _boundary_cycle(poly)
-        area2 = Fraction(0)
-        for i in range(len(ring)):
-            x1, y1 = poly.vertices[ring[i]]
-            x2, y2 = poly.vertices[ring[(i + 1) % len(ring)]]
-            area2 += x1 * y2 - x2 * y1
-        return abs(area2) / 2
-    raise NotImplementedError("volumes implemented for ambient dimension <= 2")
+    total = Fraction(0)
+    for simplex in _pulling_simplices(poly.face_vertex_sets(), tuple(range(len(poly.vertices)))):
+        apex = poly.vertices[simplex[0]]
+        total += _abs_determinant(
+            [[a - b for a, b in zip(poly.vertices[i], apex)] for i in simplex[1:]]
+        )
+    return total / factorial(k)
 
 
-def _boundary_cycle(poly: _Polytope):
-    """Vertex indices of a 2-cell in boundary order, walking its edges."""
-    edges = []
-    for tight in poly.facet_vertex_sets():
-        if len(tight) != 2:
-            raise InvariantViolation(f"polygon edge with vertices {tight}")
-        edges.append(tight)
-    adjacency: dict[int, list[int]] = {}
-    for a, b in edges:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    start = min(adjacency)
-    ring = [start]
-    prev = None
-    while True:
-        options = [v for v in adjacency[ring[-1]] if v != prev]
-        nxt = options[0]
-        if nxt == start:
-            break
-        prev = ring[-1]
-        ring.append(nxt)
-    return ring
+def _pulling_simplices(faces, face):
+    """Simplices of a pulling triangulation of one face: its first vertex
+    joined to the simplices of every facet of the face that misses it."""
+    dim = faces[face]
+    if dim == 0:
+        return [face[:1]]
+    apex, members = face[0], set(face)
+    return [
+        (apex,) + simplex
+        for sub, sub_dim in faces.items()
+        if sub_dim == dim - 1 and apex not in sub and members.issuperset(sub)
+        for simplex in _pulling_simplices(faces, sub)
+    ]
+
+
+def _abs_determinant(rows) -> Fraction:
+    m = [list(r) for r in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        pivot = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        m[c], m[pivot] = m[pivot], m[c]
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return abs(det)
 
 
 def support_measure(pc: PolyhedralComplex) -> Fraction:

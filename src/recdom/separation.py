@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Cone, FacetSelection, default_grading, dot
+from .geometry import Cone, FacetSelection, InvariantViolation, default_grading, dot
 
 
 class DegeneratePoint(ValueError):
@@ -39,7 +39,8 @@ def separation_witness(selection: FacetSelection) -> SeparationResult:
         return SeparationResult(False)
     for i, facet in enumerate(cone.facets):
         value = facet(point)
-        assert value > 0 if i in selection.selected else value < 0
+        if not (value > 0 if i in selection.selected else value < 0):
+            raise InvariantViolation(f"the separation witness has the wrong sign on facet {i}")
     return SeparationResult(True, point)
 
 
@@ -191,6 +192,7 @@ def shelling_through_witness(selection: FacetSelection, witness, max_attempts: i
             shelling = line_shelling(cone, steer)
         except DegeneratePoint:
             continue
-        assert is_shelling_prefix(selection, shelling)
+        if not is_shelling_prefix(selection, shelling):
+            raise InvariantViolation("the witness shelling does not start with the selection")
         return shelling
     raise DegeneratePoint("no generic steering point found for the witness")

@@ -155,6 +155,26 @@ def test_semantic_error_exit_code(capsys):
     assert "proper subset" in err
 
 
+@pytest.mark.parametrize(
+    "cone, message",
+    [
+        ({"rays": [[0, 0, 1], [1.5, 0, 1], [0, 1, 1], [1, 1, 1]]}, "lists of integers"),
+        ({"rays": [[0, 0, 1], [True, 0, 1], [0, 1, 1], [1, 1, 1]]}, "lists of integers"),
+        ({"rays": [[0, 0, 1], ["2", 0, 1], [0, 1, 1], [1, 1, 1]]}, "lists of integers"),
+        ({"inequalities": [[1, 0], [0, 1.0]]}, "lists of integers"),
+        ({"rays": []}, '"rays" must be a nonempty list'),
+        ({"inequalities": []}, '"inequalities" must be a nonempty list'),
+        ({"inequalities": [[1, 0]]}, "containing a line"),
+    ],
+    ids=["float", "bool", "string", "float-inequality", "no-rays", "no-inequalities", "half-plane"],
+)
+def test_bad_cone_json_exit_code(tmp_path, capsys, cone, message):
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(cone))
+    assert main(["reciprocity", str(path), "--select", "0"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_schlegel_avoid_out_of_range_exit_code(capsys):
     code = main(["schlegel", data_path("square_cone.json"), "--avoid", "4", "--select", "0"])
     assert code == 2

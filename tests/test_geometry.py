@@ -169,9 +169,36 @@ def test_dual_description_not_full_dimensional():
         dual_description([(1, 0, 0), (0, 1, 0)])
 
 
-def test_dual_description_ray_cap():
-    with pytest.raises(ValueError):
-        dual_description([(i, 1) for i in range(13)])
+def test_dual_description_thirteen_rays():
+    cone = dual_description([(i, 1) for i in range(13)])
+    assert cone.rays == ((0, 1), (12, 1))
+    assert [f.coeffs for f in cone.facets] == [(-1, 12), (1, 0)]
+
+
+def lattice_16_gon():
+    """A convex lattice polygon with 16 vertices: the edge directions in
+    angular order, each used once."""
+    steps = [(1, 0), (3, 1), (2, 1), (1, 1), (1, 2), (1, 3), (0, 1), (-1, 3)]
+    steps += [(-a, -b) for a, b in steps]
+    point, polygon = (0, 0), []
+    for dx, dy in steps:
+        polygon.append(point)
+        point = (point[0] + dx, point[1] + dy)
+    assert point == (0, 0)
+    return polygon
+
+
+def test_dual_description_cone_over_16_gon():
+    rays = [(x, y, 1) for x, y in lattice_16_gon()]
+    cone = dual_description(rays)
+    assert sorted(cone.rays) == sorted(rays)
+    assert [f.coeffs for f in cone.facets] == oracle_hyperplane_scan(cone.rays)
+    assert len(faces_of(cone)) == 16 * 2 + 2
+
+
+def test_from_inequalities_half_plane_is_not_pointed():
+    with pytest.raises(NotPointed):
+        Cone.from_inequalities([(1, 0)])
 
 
 def test_dual_description_drops_redundant_rays():

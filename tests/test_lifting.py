@@ -20,6 +20,7 @@ from recdom.lifting import (
     ArrangementDoesNotCover,
     SubcomplexTouchesAvoidedFacet,
     cell_affine_piece,
+    cell_measure,
     covering_arrangement,
     embedded_complex,
     induced_subdivision,
@@ -167,6 +168,17 @@ def test_subdivision_square_with_diagonal():
     assert verify_embedding(sub)
 
 
+def test_cell_measure_in_every_dimension():
+    assert cell_measure([(3,), (1,), (Fraction(5, 2),)]) == 2
+    # a point inside the cell and one on an edge are not vertices
+    assert cell_measure([(1, 1), (0, 0), (2, 0), (1, 0), (0, 2), (2, 2)]) == 4
+    assert cell_measure([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]) == Fraction(1, 6)
+    box = [(x, y, z) for x in (0, 2) for y in (0, 3) for z in (0, 1)]
+    assert cell_measure([(1, 1, Fraction(1, 2))] + box) == 6
+    octahedron = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    assert cell_measure(octahedron) == Fraction(4, 3)
+
+
 def test_subdivision_compatible_arrangement_is_identity():
     square = unit_square_2d()
     arr = covering_arrangement(square)
@@ -242,6 +254,7 @@ def _lift_3d(vertices, cells):
     assert result.lifted_complex.cells == result.subdivision.cells
     assert {c.dim for c in result.subdivision.maximal_cells()} == {3}
     assert set(pc.vertices) <= set(result.subdivision.vertices)
+    assert support_measure(result.subdivision) == support_measure(pc)
     return result
 
 

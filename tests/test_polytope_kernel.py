@@ -1,8 +1,9 @@
-"""The double-description kernel against brute-force polytope oracles.
+"""The double-description kernel against brute-force polytope and cone oracles.
 
-The oracles try every k-subset of constraints (H to V) or of points (V to H)
-with exact Fraction row reduction, and every subset of facets (faces).  They
-share no code with :func:`recdom.geometry.extreme_rays`."""
+The oracles try every k-subset of constraints (H to V, cone rays from
+inequalities) or of points and rays (V to H, cone facets from rays) with
+exact Fraction row reduction, and every subset of facets (faces).  They share
+no code with :func:`recdom.geometry.extreme_rays`."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -15,12 +16,21 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recdom.corpus import corpus_cones
 from recdom.geometry import (
     Cone,
+    Face,
+    FacetFunctional,
+    NotFullDimensional,
+    NotPointed,
     dot,
+    dual_description,
     extreme_rays,
+    faces_of,
     kernel_basis,
+    primitive,
     primitive_rational,
+    rank_over_field,
     rational_rank,
     solve_exact,
 )
@@ -95,6 +105,93 @@ def brute_force_faces(poly):
             if vs and vs not in faces:
                 faces[vs] = len(_affine_basis([poly.vertices[i] for i in vs])[1])
     return faces
+
+
+def canonical(vectors):
+    return sorted({primitive(tuple(v)) for v in vectors})
+
+
+def brute_force_cone_rays(covectors):
+    """Extreme rays of {x : a.x >= 0} for a pointed cone: the line through
+    every (d-1)-subset of rows of rank d-1, in the direction on which every
+    row is nonnegative."""
+    covs = canonical(covectors)
+    d = len(covs[0])
+    rays = set()
+    for subset in combinations(range(len(covs)), d - 1):
+        kb = kernel_basis([covs[i] for i in subset], d)
+        if len(kb) != 1:
+            continue
+        candidate = primitive_rational(kb[0])
+        values = [dot(c, candidate) for c in covs]
+        if all(v >= 0 for v in values):
+            rays.add(candidate)
+        elif all(v <= 0 for v in values):
+            rays.add(tuple(-a for a in candidate))
+    return sorted(rays)
+
+
+def brute_force_dual_description(rays):
+    """The cone over ``rays`` with its facets: every (d-1)-subset of rays
+    spanning a hyperplane gives a normal, kept when it is nonnegative on
+    every ray; the extreme rays are those tight on facets of rank d-1."""
+    ray_list = canonical(rays)
+    d = len(ray_list[0])
+    if rank_over_field(ray_list) < d:
+        raise NotFullDimensional("rays do not span the ambient space")
+    found = {}
+    for subset in combinations(range(len(ray_list)), d - 1):
+        kb = kernel_basis([ray_list[i] for i in subset], d)
+        if len(kb) != 1:
+            continue
+        normal = primitive_rational(kb[0])
+        values = [dot(normal, r) for r in ray_list]
+        if all(v <= 0 for v in values):
+            normal = tuple(-a for a in normal)
+            values = [-v for v in values]
+        elif not all(v >= 0 for v in values):
+            continue
+        found[normal] = frozenset(i for i, v in enumerate(values) if v == 0)
+    if rank_over_field(sorted(found)) < d:
+        raise NotPointed("the given rays span a cone containing a line")
+    extreme = tuple(
+        r
+        for i, r in enumerate(ray_list)
+        if rank_over_field([n for n, incident in found.items() if i in incident]) == d - 1
+    )
+    facets = tuple(
+        FacetFunctional(n, frozenset(i for i, r in enumerate(extreme) if dot(n, r) == 0))
+        for n in sorted(found)
+    )
+    return Cone(d, extreme, facets)
+
+
+def brute_force_from_inequalities(covectors):
+    """Cone {x : a.x >= 0}, through :func:`brute_force_cone_rays`; rows of
+    rank below d leave a line in the cone."""
+    covs = canonical(covectors)
+    if rank_over_field(covs) < len(covs[0]):
+        raise NotPointed("the inequalities cut out a cone containing a line")
+    rays = brute_force_cone_rays(covs)
+    if not rays:
+        raise NotFullDimensional("inequalities admit no extreme rays")
+    return brute_force_dual_description(rays)
+
+
+def brute_force_cone_faces(cone):
+    """Faces of a cone from every subset of facets, deduplicated by the rays
+    they contain, with the rank of those rays as dimension."""
+    nf = len(cone.facets)
+    by_rays = {}
+    for mask in range(1 << nf):
+        ray_set = frozenset(range(len(cone.rays)))
+        for j in range(nf):
+            if mask >> j & 1:
+                ray_set &= cone.facets[j].incident_rays
+        tight = frozenset(j for j in range(nf) if ray_set <= cone.facets[j].incident_rays)
+        dim = rank_over_field([cone.rays[i] for i in ray_set]) if ray_set else 0
+        by_rays[ray_set] = Face(tight, ray_set, dim)
+    return tuple(sorted(by_rays.values(), key=lambda f: (f.dim, sorted(f.rays))))
 
 
 # -- strategies ----------------------------------------------------------------
@@ -198,15 +295,58 @@ def pointed_cones(draw):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(pointed_cones())
 def test_extreme_rays_match_cone_from_inequalities(covectors):
-    d = len(covectors[0])
-    lineality, rays = extreme_rays([], covectors, d)
+    lineality, rays = extreme_rays([], covectors, len(covectors[0]))
     assert lineality == []
+    assert rays == brute_force_cone_rays(covectors)
+
+
+def outcome(build, arg):
+    """What ``build(arg)`` returns, or the class of the cone error it raises."""
     try:
-        cone = Cone.from_inequalities(covectors)
-    except ValueError:  # not full-dimensional
-        assert rational_rank(rays) < d
-        return
-    assert rays == sorted(cone.rays)
+        return build(arg)
+    except (NotFullDimensional, NotPointed) as error:
+        return type(error)
+
+
+def check_cone_against_oracles(rays):
+    cone = outcome(dual_description, rays)
+    assert cone == outcome(brute_force_dual_description, rays)
+    if isinstance(cone, Cone):
+        covectors = [f.coeffs for f in cone.facets]
+        assert Cone.from_inequalities(covectors) == cone
+        assert brute_force_from_inequalities(covectors) == cone
+        assert faces_of(cone) == brute_force_cone_faces(cone)
+
+
+@st.composite
+def ray_sets(draw):
+    """1-8 nonzero rays in R^2..R^4 whose last entry is mostly positive, so
+    most sets span a pointed cone and some contain a line or span less."""
+    d = draw(st.integers(2, 4))
+    ray = st.tuples(*[st.integers(-3, 3)] * (d - 1), st.integers(-1, 3)).filter(any)
+    return draw(st.lists(ray, min_size=1, max_size=8))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(ray_sets())
+def test_cone_duals_and_faces_match_brute_force(rays):
+    check_cone_against_oracles(rays)
+
+
+def test_corpus_cone_duals_and_faces_match_brute_force():
+    for cone in corpus_cones().values():
+        assert dual_description(cone.rays) == cone
+        check_cone_against_oracles(cone.rays)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(2, 4).flatmap(
+    lambda d: st.lists(st.tuples(*[st.integers(-2, 2)] * d).filter(any), min_size=1, max_size=8)
+))
+def test_from_inequalities_matches_brute_force(covectors):
+    assert outcome(Cone.from_inequalities, covectors) == outcome(
+        brute_force_from_inequalities, covectors
+    )
 
 
 def test_extreme_rays_lineality_and_equalities():

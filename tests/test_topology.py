@@ -34,6 +34,7 @@ from recdom.topology import (
     NotAManifold,
     PolyhedralComplex,
     SimplicialComplex,
+    _boundary_matrix,
     barycentric,
     boundary_inequality_check,
     boundary_subcomplex,
@@ -121,12 +122,37 @@ def test_homology_matches_oracle_on_corpus():
 
 
 def test_euler_betti_consistency_runs_on_corpus():
-    # the engine asserts the alternating-sum identity internally; recheck here
+    # the engine checks the alternating-sum identity internally; recheck here
     for name, sc in corpus_complexes().items():
         for field in (QQ, GF2):
             profile = reduced_homology(sc, field)
             chi_reduced = sc.euler_characteristic() - 1
             assert sum((-1) ** k * b for k, b in enumerate(profile.betti)) == chi_reduced
+
+
+def test_boundary_squares_to_zero_on_corpus():
+    for name, sc in corpus_complexes().items():
+        levels = {}
+        for f in sorted(f for f in sc.faces() if f):
+            levels.setdefault(len(f) - 1, []).append(f)
+        # symbolically, one simplex at a time: removing two vertices in
+        # either order carries opposite signs
+        for k in range(1, len(levels)):
+            for f in levels[k]:
+                acc = {}
+                for i in range(len(f)):
+                    sub = f[:i] + f[i + 1 :]
+                    for j in range(len(sub)):
+                        subsub = sub[:j] + sub[j + 1 :]
+                        acc[subsub] = acc.get(subsub, 0) + (-1) ** (i + j)
+                assert set(acc.values()) == {0}, (name, f)
+        # and on the matrices the homology engine ranks
+        for k in range(2, len(levels)):
+            outer = _boundary_matrix(levels[k - 1], levels[k - 2])
+            inner = _boundary_matrix(levels[k], levels[k - 1])
+            for row in outer:
+                for j in range(len(levels[k])):
+                    assert sum(a * inner[m][j] for m, a in enumerate(row)) == 0, (name, k)
 
 
 def test_homology_rejects_empty_complex():
@@ -343,6 +369,14 @@ def test_barycentric_path():
     sd = barycentric(pc)
     assert recognize_ball_sphere(sd) == "ball"
     assert len(sd.facets) == 4
+
+
+def test_barycentric_rejects_complex_not_closed_under_faces():
+    segment_without_ends = PolyhedralComplex(
+        ((Fraction(0),), (Fraction(1),)), (Cell((0, 1), 1),)
+    )
+    with pytest.raises(ValueError, match="not closed under faces"):
+        barycentric(segment_without_ends)
 
 
 def test_barycentric_preserves_homology():
