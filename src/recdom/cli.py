@@ -225,8 +225,8 @@ def cmd_schlegel(args) -> int:
         cone = jsonio.cone_from_dict(data)
         out = schlegel_of_selection(_selection(args, cone), args.avoid)
     else:
-        vertices = [tuple(jsonio.parse_fraction(x) for x in p) for p in data["vertices"]]
-        cells = [tuple(int(v) for v in c) for c in data.get("cells", [])]
+        vertices = jsonio.vertex_points(data)
+        cells = jsonio.vertex_lists(data, "cells", len(vertices)) if "cells" in data else []
         if args.cells:
             cells = [tuple(int(v) for v in spec.split(",")) for spec in args.cells]
         if not cells:

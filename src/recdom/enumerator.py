@@ -29,7 +29,7 @@ from .geometry import (
     default_grading,
     dot,
     faces_of,
-    rank_over_field,
+    smith_normal_form,
     solve_exact,
     vadd,
 )
@@ -346,18 +346,30 @@ def _face_decomposition(cone: Cone, face: Face) -> tuple[HalfOpenCone, ...]:
 
 
 def _parallelepiped_points(generators):
-    """Integer points of {sum l_i v_i : 0 <= l_i < 1} with their coefficients."""
-    d = len(generators[0])
-    lows = [sum(min(0, v[i]) for v in generators) for i in range(d)]
-    highs = [sum(max(0, v[i]) for v in generators) for i in range(d)]
+    """Integer points of {sum l_i v_i : 0 <= l_i < 1} with their coefficients,
+    in lexicographic order of the points.
+
+    Let P V Q = D be the Smith normal form of the matrix V whose columns are
+    the k generators.  The lattice points in the span of V are P^-1 (Z^k x 0),
+    and the a with 0 <= a_i < d_i pick one from each coset of the generator
+    lattice among them (Beck-Robins, *Computing the Continuous Discretely*,
+    ch. 3): the coset of a has coefficients frac(Q D^-1 a), held as integer
+    numerators over the last diagonal entry, and its point is V times those.
+    That is |det| points, each found on integers."""
+    d, k = len(generators[0]), len(generators)
     rows = [[v[i] for v in generators] for i in range(d)]
+    _, diagonal, q = smith_normal_form(rows)
+    if k > d or not diagonal[-1]:
+        raise ValueError("generators must be linearly independent")
+    denom = diagonal[-1]
+    steps = [denom // di for di in diagonal]
     points = []
-    for z in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
-        lam = solve_exact(rows, z)
-        if lam is None:
-            continue
-        if all(0 <= l < 1 for l in lam):
-            points.append((z, lam))
+    for a in product(*(range(di) for di in diagonal)):
+        scaled = [ai * step for ai, step in zip(a, steps)]
+        nums = [dot(row, scaled) % denom for row in q]
+        z = tuple(dot(row, nums) // denom for row in rows)
+        points.append((z, tuple(Fraction(n, denom) for n in nums)))
+    points.sort()
     return points
 
 
@@ -368,9 +380,11 @@ def simplicial_gf(generators, open_walls=None) -> RationalGF:
     parallelepiped; a point sitting on an open wall is shifted off it by the
     omitted generator.  Denominator rays are the generators."""
     gens = tuple(tuple(v) for v in generators)
-    if rank_over_field(gens) != len(gens):
-        raise ValueError("generators must be linearly independent")
+    if len({len(v) for v in gens}) != 1:
+        raise ValueError("generators must be a nonempty list of vectors of one length")
     flags = tuple(open_walls) if open_walls is not None else (False,) * len(gens)
+    if len(flags) != len(gens):
+        raise ValueError(f"{len(flags)} wall flags for {len(gens)} generators")
     terms: dict[tuple, int] = {}
     for z, lam in _parallelepiped_points(gens):
         pt = z

@@ -53,6 +53,37 @@ def primitive_rational(vector) -> Vector:
     return primitive(tuple(int(f * scale) for f in fracs))
 
 
+# Miller-Rabin with the first twelve primes as bases is exact below this
+# bound (Sorenson-Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MILLER_RABIN_LIMIT = 318665857834031151167461
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality for n below ``MILLER_RABIN_LIMIT``."""
+    if n >= MILLER_RABIN_LIMIT:
+        raise ValueError(f"{n} is too large for a deterministic primality test")
+    if n < 2:
+        return False
+    for q in MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for base in MILLER_RABIN_BASES:
+        x = pow(base, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Coefficient field: characteristic 0 for the rationals, or a prime p."""
@@ -63,7 +94,7 @@ class FieldSpec:
         p = self.characteristic
         if p == 0:
             return
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if not is_prime(p):
             raise ValueError(f"characteristic must be 0 or prime, got {p}")
 
     @property
@@ -217,6 +248,80 @@ def solve_exact(rows, rhs):
     for r, pc in enumerate(pivots):
         x[pc] = m[r][-1]
     return tuple(x)
+
+
+def smith_normal_form(matrix):
+    """Smith normal form of an integer matrix, on integers only.
+
+    Returns ``(p_inv, diagonal, q)`` with ``p_inv`` (rows x rows) and ``q``
+    (cols x cols) unimodular and ``P matrix Q = D``, where ``D`` carries
+    ``diagonal`` on its main diagonal and zeros elsewhere.  The diagonal has
+    min(rows, cols) nonnegative entries, each dividing the next; its zeros
+    (trailing) count the rank defect.  Each step moves a least nonzero entry
+    to the pivot and reduces its row and column by division with remainder,
+    until the pivot divides everything left."""
+    a = [list(r) for r in matrix]
+    n_rows, n_cols = len(a), len(a[0]) if a else 0
+    p_inv = [[int(i == j) for j in range(n_rows)] for i in range(n_rows)]
+    q = [[int(i == j) for j in range(n_cols)] for i in range(n_cols)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        for row in p_inv:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, f):  # row dst += f * row src
+        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
+        for row in p_inv:
+            row[src] -= f * row[dst]
+
+    def swap_cols(i, j):
+        for m in (a, q):
+            for row in m:
+                row[i], row[j] = row[j], row[i]
+
+    def add_col(dst, src, f):  # column dst += f * column src
+        for m in (a, q):
+            for row in m:
+                row[dst] += f * row[src]
+
+    diagonal = []
+    for t in range(min(n_rows, n_cols)):
+        while True:
+            nonzero = [
+                (abs(a[i][j]), i, j)
+                for i in range(t, n_rows)
+                for j in range(t, n_cols)
+                if a[i][j]
+            ]
+            if not nonzero:
+                return p_inv, diagonal + [0] * (min(n_rows, n_cols) - t), q
+            _, i, j = min(nonzero)
+            swap_rows(t, i)
+            swap_cols(t, j)
+            pivot = a[t][t]
+            for i in range(t + 1, n_rows):
+                if a[i][t]:
+                    add_row(i, t, -(a[i][t] // pivot))
+            for j in range(t + 1, n_cols):
+                if a[t][j]:
+                    add_col(j, t, -(a[t][j] // pivot))
+            if any(a[i][t] for i in range(t + 1, n_rows)) or any(a[t][t + 1:]):
+                continue  # a remainder smaller than the pivot is left
+            # the pivot must divide the rest; else pull an offending row up
+            bad = next(
+                (i for i in range(t + 1, n_rows) if any(x % pivot for x in a[i][t + 1:])),
+                None,
+            )
+            if bad is None:
+                break
+            add_row(t, bad, 1)
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            for row in p_inv:
+                row[t] = -row[t]
+        diagonal.append(a[t][t])
+    return p_inv, diagonal, q
 
 
 def extreme_rays(equalities, inequalities, width):

@@ -31,14 +31,48 @@ def fraction_str(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def _integer_vectors(data: dict, key: str) -> list[tuple[int, ...]]:
+def _integer_vectors(data: dict, key: str, kind: str = "cone") -> list[tuple[int, ...]]:
     rows = data[key]
     if not isinstance(rows, list) or not rows:
-        raise ValueError(f'cone JSON "{key}" must be a nonempty list')
+        raise ValueError(f'{kind} JSON "{key}" must be a nonempty list')
     for row in rows:
         if not isinstance(row, list) or any(type(a) is not int for a in row):
-            raise ValueError(f'cone JSON "{key}" entries must be lists of integers, got {row!r}')
+            raise ValueError(f'{kind} JSON "{key}" entries must be lists of integers, got {row!r}')
     return [tuple(row) for row in rows]
+
+
+def vertex_lists(data: dict, key: str, n_vertices=None) -> list[tuple[int, ...]]:
+    """Nonempty lists of vertex indices, each below ``n_vertices`` if given."""
+    cells = _integer_vectors(data, key, "complex")
+    for cell in cells:
+        if not cell or any(v < 0 or (n_vertices is not None and v >= n_vertices) for v in cell):
+            raise ValueError(
+                f'complex JSON "{key}" entries must be nonempty lists of vertex indices, '
+                f"got {list(cell)!r}"
+            )
+    return cells
+
+
+def vertex_points(data: dict) -> list[tuple[Fraction, ...]]:
+    """The "vertices" list: rational points, all of one dimension."""
+    points = data["vertices"]
+    if (
+        not isinstance(points, list)
+        or not points
+        or not all(isinstance(p, list) for p in points)
+        or len({len(p) for p in points}) != 1
+    ):
+        raise ValueError('complex JSON "vertices" must be a nonempty list of points of one length')
+    return [tuple(parse_fraction(x) for x in p) for p in points]
+
+
+def _check_declared(data: dict, key: str, kind: str, computed: int) -> None:
+    if key not in data:
+        return
+    if type(data[key]) is not int:
+        raise ValueError(f'{kind} JSON "{key}" must be an integer, got {data[key]!r}')
+    if data[key] != computed:
+        raise ValueError(f"{kind} JSON says {key} {data[key]}, computed {computed}")
 
 
 def cone_from_dict(data: dict) -> Cone:
@@ -48,8 +82,7 @@ def cone_from_dict(data: dict) -> Cone:
         cone = Cone.from_inequalities(_integer_vectors(data, "inequalities"))
     else:
         raise ValueError('cone JSON needs "rays" or "inequalities"')
-    if "dim" in data and int(data["dim"]) != cone.dim:
-        raise ValueError(f'cone JSON says dim {data["dim"]}, computed {cone.dim}')
+    _check_declared(data, "dim", "cone", cone.dim)
     return cone
 
 
@@ -58,8 +91,8 @@ def cone_to_dict(cone: Cone) -> dict:
 
 
 def simplicial_from_dict(data: dict) -> SimplicialComplex:
-    facets = [tuple(int(v) for v in f) for f in data["facets"]]
-    n = 1 + max((v for f in facets for v in f), default=-1)
+    facets = vertex_lists(data, "facets")
+    n = 1 + max(v for f in facets for v in f)
     if "vertices" in data:
         n = max(n, len(data["vertices"]))
     return SimplicialComplex.from_faces(n, facets)
@@ -74,13 +107,9 @@ def simplicial_to_dict(sc: SimplicialComplex) -> dict:
 
 
 def embedded_from_dict(data: dict) -> PolyhedralComplex:
-    vertices = [tuple(parse_fraction(x) for x in p) for p in data["vertices"]]
-    cells = [tuple(int(v) for v in f) for f in data["facets"]]
-    pc = embedded_complex(vertices, cells)
-    if "ambient_dim" in data and int(data["ambient_dim"]) != pc.ambient_dim:
-        raise ValueError(
-            f'complex JSON says ambient_dim {data["ambient_dim"]}, got {pc.ambient_dim}'
-        )
+    vertices = vertex_points(data)
+    pc = embedded_complex(vertices, vertex_lists(data, "facets", len(vertices)))
+    _check_declared(data, "ambient_dim", "complex", pc.ambient_dim)
     return pc
 
 

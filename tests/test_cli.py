@@ -175,6 +175,54 @@ def test_bad_cone_json_exit_code(tmp_path, capsys, cone, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, data, message",
+    [
+        ("cm", {"facets": [[0, 1.7, 2], [True, 2, 3]]}, "lists of integers"),
+        ("cm", {"facets": []}, '"facets" must be a nonempty list'),
+        ("cm", {"facets": [[0, 1], []]}, "nonempty lists of vertex indices"),
+        ("cm", {"facets": [[0, -1]]}, "nonempty lists of vertex indices"),
+        ("cm", {"facets": [[0, "1"]]}, "lists of integers"),
+        ("lift", {"vertices": [["0"], ["1"]], "facets": [[0, 1.0]]}, "lists of integers"),
+        ("lift", {"vertices": [["0"], ["1"]], "facets": [[0, 2]]}, "vertex indices"),
+        ("lift", {"vertices": [["0"], ["1"]], "facets": [[0, -1]]}, "vertex indices"),
+        ("lift", {"vertices": ["01", "23"], "facets": [[0, 1]]}, "points of one length"),
+        ("lift", {"vertices": [["0"], ["1", "0"]], "facets": [[0, 1]]}, "points of one length"),
+        ("lift", {"vertices": [["0"], ["1"]], "facets": [[0, 1]], "ambient_dim": 1.0}, "integer"),
+        ("lift", {"vertices": [["0"], ["1"]], "facets": [[0, 1]], "ambient_dim": 2}, "ambient_dim 2"),
+        ("separate", {"dim": 3.9, "rays": [[0, 0, 1], [1, 0, 1], [0, 1, 1]]}, '"dim" must be an integer'),
+        ("separate", {"dim": True, "rays": [[0, 1], [1, 0]]}, '"dim" must be an integer'),
+    ],
+    ids=[
+        "float-and-bool-index", "no-facets", "empty-facet", "negative-index", "string-index",
+        "float-cell-index", "cell-index-out-of-range", "negative-cell-index",
+        "string-vertices", "ragged-vertices",
+        "float-ambient-dim", "wrong-ambient-dim", "float-dim", "bool-dim",
+    ],
+)
+def test_bad_complex_json_exit_code(tmp_path, capsys, command, data, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert main([command, str(path), "--select", "0"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_schlegel_cells_must_be_vertex_indices(tmp_path, capsys):
+    data = {"vertices": [["0", "0", "0"], ["1", "0", "0"]], "cells": [[0, 1.5]]}
+    path = tmp_path / "cells.json"
+    path.write_text(json.dumps(data))
+    assert main(["schlegel", str(path), "--avoid", "0"]) == 2
+    assert "lists of integers" in capsys.readouterr().err
+
+
+def test_large_prime_field_is_accepted_quickly(capsys):
+    # 2^61 - 1 is prime; trial division up to its square root never ended
+    assert main(["cm", data_path("rp2.json"), "--field", "F2305843009213693951"]) == 0
+    assert "F2305843009213693951: {'is_cm': True" in capsys.readouterr().out
+    assert main(["cm", data_path("rp2.json"), "--field", "F561"]) == 2
+    assert "prime" in capsys.readouterr().err
+
+
 def test_schlegel_avoid_out_of_range_exit_code(capsys):
     code = main(["schlegel", data_path("square_cone.json"), "--avoid", "4", "--select", "0"])
     assert code == 2

@@ -211,8 +211,16 @@ def test_simplicial_gf_expansion_matches_direct_count():
 
 
 def test_simplicial_gf_rejects_dependent_generators():
-    with pytest.raises(ValueError):
-        simplicial_gf(((1, 0), (2, 0)))
+    # a zero Smith pivot, more generators than coordinates, a dependent
+    # pair in 3-D, and the zero vector
+    for generators in (
+        ((1, 0), (2, 0)),
+        ((1, 0), (0, 1), (1, 1)),
+        ((1, 0, 1), (2, 0, 2)),
+        ((0, 0, 0),),
+    ):
+        with pytest.raises(ValueError, match="linearly independent"):
+            simplicial_gf(generators)
 
 
 # -- domain generating functions ----------------------------------------------

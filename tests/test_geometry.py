@@ -10,12 +10,14 @@ from recdom.corpus import corpus_cones, hexagon_cone, pentagon_cone, square_cone
 from recdom.geometry import (
     GF2,
     QQ,
+    MILLER_RABIN_LIMIT,
     Cone,
     FieldSpec,
     NotFullDimensional,
     NotPointed,
     dual_description,
     faces_of,
+    is_prime,
     kernel_basis,
     primitive,
     rank_over_field,
@@ -111,6 +113,20 @@ def test_field_spec_parse_and_validate():
     assert FieldSpec.parse("GF(5)").characteristic == 5
     with pytest.raises(ValueError):
         FieldSpec(4)
+
+
+def test_field_spec_primality_is_fast_and_exact():
+    assert FieldSpec(2**61 - 1).characteristic == 2**61 - 1
+    assert FieldSpec(1000003).label == "F1000003"
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to the
+    # bases 2, 3, 5 and 7, and 3825123056546413051 to every prime base below 37
+    for composite in (4, 561, 3215031751, 3825123056546413051, 1000003 * (2**31 - 1), 1, -7):
+        with pytest.raises(ValueError, match="prime"):
+            FieldSpec(composite)
+    trial = [n for n in range(3000) if n > 1 and all(n % q for q in range(2, int(n**0.5) + 1))]
+    assert [n for n in range(3000) if is_prime(n)] == trial
+    with pytest.raises(ValueError, match="too large"):
+        FieldSpec(MILLER_RABIN_LIMIT + 2)
 
 
 def test_primitive():
