@@ -28,7 +28,13 @@ from .enumerator import (
     verify_colon_identity,
 )
 from .geometry import GF2, QQ, FieldSpec, InvariantViolation
-from .lifting import lift, schlegel, schlegel_of_selection, verify_lower_hull
+from .lifting import (
+    lift,
+    schlegel,
+    schlegel_of_selection,
+    verify_embedding,
+    verify_lower_hull,
+)
 from .separation import DegeneratePoint, line_shelling, separation_witness
 from .topology import barycentric, boundary_subcomplex, is_cohen_macaulay, reduced_homology
 
@@ -197,6 +203,8 @@ def cmd_colon(args) -> int:
 
 def cmd_lift(args) -> int:
     pc = jsonio.embedded_from_dict(_load_json(args.input))
+    if not verify_embedding(pc):
+        raise ValueError("the complex is not embedded: two cells meet outside a common face")
     result = lift(pc)
     hull_ok = verify_lower_hull(result)
     payload = {

@@ -8,6 +8,15 @@ slices complexes along hyperplane arrangements, and lifts an embedded complex
 onto the lower hull of a polytope one dimension up via the convex height
 ``sum_i |a_i . x - b_i|``.
 
+Vertex and facet descriptions of a cell come from the integer
+double-description kernel :func:`~recdom.geometry.extreme_rays`, once per
+cell.  Slicing then needs no more of it: a region is carried as its vertex
+points and facet vertex sets, and a hyperplane cuts it along its edge graph
+(two vertices span an edge when no third vertex lies on every facet through
+both), so each half's vertices and facets follow from the parent's.  The
+faces of the final pieces come from :func:`~recdom.geometry.graded_closure`.
+The lift reads its affine pieces off the same cut of a bounding box.
+
 The Euclidean distance to a hyperplane is replaced throughout by the absolute
 functional value: it is piecewise linear and convex with the same domains of
 linearity, and it keeps every computation rational.
@@ -211,13 +220,17 @@ def embedded_complex(vertices, maximal_cells) -> PolyhedralComplex:
     """Build a polyhedral complex from maximal cells, closing under faces.
 
     Face structure comes from each cell's exact convex geometry; shared faces
-    are deduplicated by vertex set."""
+    are deduplicated by vertex set.  Raises ``ValueError`` when a cell's
+    listed points are not the distinct vertices of their hull."""
     pts = tuple(tuple(Fraction(x) for x in p) for p in vertices)
     cells = {}
     for cell in maximal_cells:
         ids = tuple(sorted(cell))
         poly = _Polytope([pts[i] for i in ids])
-        for local_vs, dim in poly.face_vertex_sets().items():
+        faces = poly.face_vertex_sets()
+        if {vs for vs, dim in faces.items() if dim == 0} != {(i,) for i in range(len(ids))}:
+            raise ValueError(f"cell {list(cell)} lists points that are not its hull's distinct vertices")
+        for local_vs, dim in faces.items():
             global_vs = tuple(sorted(ids[i] for i in local_vs))
             cells[global_vs] = dim
     return PolyhedralComplex(pts, tuple(Cell(vs, dim) for vs, dim in cells.items()))
@@ -414,69 +427,96 @@ def _arrangement_covers(poly: _Polytope, arrangement: Arrangement) -> bool:
     return True
 
 
-def induced_subdivision(pc: PolyhedralComplex, arrangement: Arrangement, check_cover: bool = True) -> PolyhedralComplex:
+def _region(poly: _Polytope):
+    """A polytope as a region: its vertex points and facet vertex sets."""
+    return poly.vertices, tuple(frozenset(f) for f in poly.facet_vertex_sets())
+
+
+def _cut(region, h: AffineHyperplane):
+    """The two halves, positive side first, of a region that ``h`` strictly
+    crosses, or None when every vertex lies on one closed side.
+
+    Two vertices span an edge when no third vertex lies on every facet
+    through both.  Each half keeps the vertices on its side and one new
+    vertex per edge that crosses ``h``; its facets are the parent facets with
+    a vertex strictly on its side, extended by the new vertices on their
+    edges, and the cut facet through every vertex on ``h``."""
+    points, facets = region
+    values = [h.value(p) for p in points]
+    if all(v >= 0 for v in values) or all(v <= 0 for v in values):
+        return None
+    whole = frozenset(range(len(points)))
+    new_points, new_edges = [], []
+    for u, vu in enumerate(values):
+        if vu <= 0:
+            continue
+        for v, vv in enumerate(values):
+            if vv >= 0:
+                continue
+            common = whole
+            for f in facets:
+                if u in f and v in f:
+                    common &= f
+            if len(common) == 2:
+                t = vu / (vu - vv)
+                new_points.append(tuple(a + t * (b - a) for a, b in zip(points[u], points[v])))
+                new_edges.append((u, v))
+    halves = []
+    for side in (1, -1):
+        keep = [i for i, x in enumerate(values) if side * x >= 0]
+        local = {i: j for j, i in enumerate(keep)}
+        added = range(len(keep), len(keep) + len(new_points))
+        half_facets = [
+            frozenset(local[i] for i in f if i in local)
+            | frozenset(j for j, (u, v) in zip(added, new_edges) if u in f and v in f)
+            for f in facets
+            if any(side * values[i] > 0 for i in f)
+        ]
+        half_facets.append(frozenset(local[i] for i in keep if values[i] == 0) | frozenset(added))
+        halves.append((tuple(points[i] for i in keep) + tuple(new_points), tuple(half_facets)))
+    return halves
+
+
+def _cut_regions(region, arrangement: Arrangement):
+    """The regions a region falls into when cut along every hyperplane."""
+    regions = [region]
+    for h in arrangement.hyperplanes:
+        nxt = []
+        for r in regions:
+            nxt.extend(_cut(r, h) or (r,))
+        regions = nxt
+    return regions
+
+
+def _region_faces(region):
+    """Point sets of a region's nonempty faces, with their dimensions."""
+    points, facets = region
+    ranks = graded_closure(range(len(points)), facets)
+    return {
+        tuple(sorted(points[i] for i in face)): rank - 1 for face, rank in ranks.items() if face
+    }
+
+
+def induced_subdivision(pc: PolyhedralComplex, arrangement: Arrangement) -> PolyhedralComplex:
     """Slice every cell of the complex along all hyperplanes of the arrangement.
 
-    The result is a subdivision with the same support; requires (and checks,
-    by default) that every cell is an intersection of halfspaces bounded by
-    arrangement hyperplanes."""
+    The result is a subdivision with the same support; requires (and checks)
+    that every cell is an intersection of halfspaces bounded by arrangement
+    hyperplanes."""
     polys = _cell_polytopes(pc)
-    if check_cover:
-        for cell in pc.cells:
-            if not _arrangement_covers(polys[cell], arrangement):
-                raise ArrangementDoesNotCover(f"cell {cell.vertices} is not covered")
-    pieces = []
-    for cell in pc.maximal_cells():
-        regions = [polys[cell]]
-        for h in arrangement.hyperplanes:
-            nxt = []
-            for region in regions:
-                values = [h.value(v) for v in region.vertices]
-                if all(v >= 0 for v in values) or all(v <= 0 for v in values):
-                    nxt.append(region)
-                    continue
-                eqs = [(e.coeffs, e.rhs) for e in region.hull_equations()]
-                base_ineqs = list(region.ambient_inequalities)
-                for sign in (1, -1):
-                    cut = (tuple(sign * -c for c in h.coeffs), sign * -h.rhs)
-                    verts = _vertices_from_constraints(eqs, base_ineqs + [cut], len(h.coeffs))
-                    if verts:
-                        half = _Polytope(verts)
-                        if half.dim == region.dim:
-                            nxt.append(half)
-            regions = nxt
-        pieces.extend(regions)
+    for cell in pc.cells:
+        if not _arrangement_covers(polys[cell], arrangement):
+            raise ArrangementDoesNotCover(f"cell {cell.vertices} is not covered")
     faces: dict[tuple[Point, ...], int] = {}
-    for piece in pieces:
-        for local_vs, dim in piece.face_vertex_sets().items():
-            key = tuple(sorted(piece.vertices[i] for i in local_vs))
-            faces[key] = dim
+    for cell in pc.maximal_cells():
+        for region in _cut_regions(_region(polys[cell]), arrangement):
+            faces.update(_region_faces(region))
     all_points = sorted({p for key in faces for p in key})
     index = {p: i for i, p in enumerate(all_points)}
     cells = tuple(
         Cell(tuple(sorted(index[p] for p in key)), dim) for key, dim in faces.items()
     )
     return PolyhedralComplex(tuple(all_points), cells)
-
-
-def _box_complex(lows, highs) -> PolyhedralComplex:
-    """The axis-aligned box [lows, highs] as a complex with all its faces."""
-    d = len(lows)
-    corners = sorted(product(*((Fraction(lo), Fraction(hi)) for lo, hi in zip(lows, highs))))
-    index = {c: i for i, c in enumerate(corners)}
-    cells = []
-    for state in product((0, 1, 2), repeat=d):  # 0 low, 1 high, 2 free
-        choices = []
-        for axis, s in enumerate(state):
-            if s == 0:
-                choices.append((Fraction(lows[axis]),))
-            elif s == 1:
-                choices.append((Fraction(highs[axis]),))
-            else:
-                choices.append((Fraction(lows[axis]), Fraction(highs[axis])))
-        vs = tuple(sorted(index[c] for c in product(*choices)))
-        cells.append(Cell(vs, sum(1 for s in state if s == 2)))
-    return PolyhedralComplex(tuple(corners), tuple(cells))
 
 
 def lift_height(arrangement: Arrangement, point) -> Fraction:
@@ -535,11 +575,10 @@ def lift(pc: PolyhedralComplex) -> LiftResult:
     d = pc.ambient_dim
     lows = [floor(min(p[i] for p in pc.vertices)) - 1 for i in range(d)]
     highs = [ceil(max(p[i] for p in pc.vertices)) + 1 for i in range(d)]
-    box = _box_complex(lows, highs)
-    ambient_pieces = induced_subdivision(box, arrangement, check_cover=False)
+    box = _Polytope(product(*zip(lows, highs)))
     pieces = {
-        _affine_piece(arrangement, ambient_pieces.cell_points(cell))
-        for cell in ambient_pieces.maximal_cells()
+        _affine_piece(arrangement, points)
+        for points, _ in _cut_regions(_region(box), arrangement)
     }
     affine_pieces = tuple(sorted(pieces))
     inequalities = []

@@ -190,6 +190,10 @@ def test_bad_cone_json_exit_code(tmp_path, capsys, cone, message):
         ("lift", {"vertices": [["0"], ["1", "0"]], "facets": [[0, 1]]}, "points of one length"),
         ("lift", {"vertices": [["0"], ["1"]], "facets": [[0, 1]], "ambient_dim": 1.0}, "integer"),
         ("lift", {"vertices": [["0"], ["1"]], "facets": [[0, 1]], "ambient_dim": 2}, "ambient_dim 2"),
+        ("lift", {"vertices": [[0, 0], [4, 0], [0, 4], [1, 1]], "facets": [[0, 1, 2, 3]]}, "distinct vertices"),
+        ("lift", {"vertices": [[0, 0], [4, 0], [0, 4], [1, 1]], "facets": [[0, 1, 1, 2]]}, "distinct vertices"),
+        ("lift", {"vertices": [[0, 0], [0, 0], [1, 0]], "facets": [[0, 1, 2]]}, "distinct vertices"),
+        ("lift", {"vertices": [[0, 0], [2, 2], [0, 2], [2, 0]], "facets": [[0, 1], [2, 3]]}, "not embedded"),
         ("separate", {"dim": 3.9, "rays": [[0, 0, 1], [1, 0, 1], [0, 1, 1]]}, '"dim" must be an integer'),
         ("separate", {"dim": True, "rays": [[0, 1], [1, 0]]}, '"dim" must be an integer'),
     ],
@@ -197,7 +201,9 @@ def test_bad_cone_json_exit_code(tmp_path, capsys, cone, message):
         "float-and-bool-index", "no-facets", "empty-facet", "negative-index", "string-index",
         "float-cell-index", "cell-index-out-of-range", "negative-cell-index",
         "string-vertices", "ragged-vertices",
-        "float-ambient-dim", "wrong-ambient-dim", "float-dim", "bool-dim",
+        "float-ambient-dim", "wrong-ambient-dim",
+        "point-inside-hull", "repeated-index", "repeated-coordinates", "crossing-segments",
+        "float-dim", "bool-dim",
     ],
 )
 def test_bad_complex_json_exit_code(tmp_path, capsys, command, data, message):

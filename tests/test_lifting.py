@@ -1,10 +1,13 @@
 """Embedding validation, Schlegel projection, subdivision, and lifting."""
 
+import json
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
+from recdom import jsonio, lifting
 from recdom.corpus import (
     cube_vertices,
     one_point_1d,
@@ -269,6 +272,41 @@ def test_lift_two_tetrahedra_sharing_a_face_in_r3():
     diagonal = [(Fraction(k, 5),) * 3 for k in (1, 2, 3)]
     heights = [lift_height(result.arrangement, p) for p in diagonal]
     assert heights[0] + heights[2] > 2 * heights[1]
+
+
+def _lift_work(monkeypatch, pc):
+    """Calls of ``extreme_rays`` and ``_Polytope`` constructions in one lift,
+    counted through the attributes the lifting module looks them up by."""
+    counts = {"extreme_rays": 0, "_Polytope": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(lifting, name, counting(name, getattr(lifting, name)))
+    result = lift(pc)
+    monkeypatch.undo()
+    assert verify_lower_hull(result)
+    return counts
+
+
+def test_lift_work_is_pinned(monkeypatch):
+    # One _Polytope per cell in covering_arrangement and again in
+    # induced_subdivision, one for the box and none in the cut loop; one
+    # extreme_rays call per polytope of dimension >= 1 (its facets) and one
+    # for the lifted polytope's vertices.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "data", "two_triangles.json")
+    with open(path) as handle:
+        triangles = jsonio.embedded_from_dict(json.load(handle))
+    assert len(triangles.cells) == 11  # 2 triangles, 5 edges, 4 vertices
+    assert _lift_work(monkeypatch, triangles) == {"extreme_rays": 2 * 7 + 1 + 1, "_Polytope": 2 * 11 + 1}
+    tetrahedron = embedded_complex([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2, 3)])
+    assert len(tetrahedron.cells) == 15  # 1 solid, 4 triangles, 6 edges, 4 vertices
+    assert _lift_work(monkeypatch, tetrahedron) == {"extreme_rays": 2 * 11 + 1 + 1, "_Polytope": 2 * 15 + 1}
 
 
 def test_lift_height_convexity_seeded():

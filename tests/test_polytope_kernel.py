@@ -3,7 +3,9 @@
 The oracles try every k-subset of constraints (H to V, cone rays from
 inequalities) or of points and rays (V to H, cone facets from rays) with
 exact Fraction row reduction, and every subset of facets (faces).  They share
-no code with :func:`recdom.geometry.extreme_rays`."""
+no code with :func:`recdom.geometry.extreme_rays`.  The region cutter of
+:mod:`recdom.lifting` is checked against the construction it replaced: an
+H-to-V pass on each half's constraints and a fresh polytope on its vertices."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -13,7 +15,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from recdom.corpus import corpus_cones
@@ -35,15 +37,23 @@ from recdom.geometry import (
     solve_exact,
 )
 from recdom.lifting import (
+    AffineHyperplane,
+    Arrangement,
     _affine_basis,
+    _cut,
     _Polytope,
+    _region,
+    _region_faces,
     _vertices_from_constraints,
+    covering_arrangement,
     embedded_complex,
+    induced_subdivision,
     lift,
     lift_height,
     verify_embedding,
     verify_lower_hull,
 )
+from recdom.topology import Cell, PolyhedralComplex
 
 # -- oracles -------------------------------------------------------------------
 
@@ -194,6 +204,45 @@ def brute_force_cone_faces(cone):
     return tuple(sorted(by_rays.values(), key=lambda f: (f.dim, sorted(f.rays))))
 
 
+def oracle_halves(poly, h):
+    """Both halves of a polytope strictly crossed by ``h``, positive side
+    first, each from an H-to-V pass on the polytope's hull equations, facet
+    inequalities and one side of ``h``, then a fresh polytope on those
+    vertices; None when ``h`` does not strictly cross it."""
+    values = [h.value(v) for v in poly.vertices]
+    if all(v >= 0 for v in values) or all(v <= 0 for v in values):
+        return None
+    eqs = [(e.coeffs, e.rhs) for e in poly.hull_equations()]
+    halves = []
+    for sign in (1, -1):
+        cut = (tuple(sign * -c for c in h.coeffs), sign * -h.rhs)
+        verts = _vertices_from_constraints(eqs, list(poly.ambient_inequalities) + [cut], len(h.coeffs))
+        halves.append(_Polytope(verts))
+    return halves
+
+
+def polytope_faces(poly):
+    """Point sets of a polytope's nonempty faces, with their dimensions."""
+    return {tuple(sorted(poly.vertices[i] for i in vs)): d for vs, d in poly.face_vertex_sets().items()}
+
+
+def oracle_induced_subdivision(pc, arrangement):
+    """Every maximal cell cut along the arrangement with :func:`oracle_halves`,
+    assembled as :func:`recdom.lifting.induced_subdivision` does."""
+    faces = {}
+    for cell in pc.maximal_cells():
+        regions = [_Polytope(pc.cell_points(cell))]
+        for h in arrangement.hyperplanes:
+            regions = [half for r in regions for half in (oracle_halves(r, h) or (r,))]
+        for piece in regions:
+            faces.update(polytope_faces(piece))
+    points = sorted({p for key in faces for p in key})
+    index = {p: i for i, p in enumerate(points)}
+    return PolyhedralComplex(
+        tuple(points), tuple(Cell(tuple(index[p] for p in key), dim) for key, dim in faces.items())
+    )
+
+
 # -- strategies ----------------------------------------------------------------
 
 SMALL = st.integers(-3, 3)
@@ -247,6 +296,32 @@ def point_sets(draw):
     return sorted(points)
 
 
+@st.composite
+def cut_cases(draw):
+    """Integer points of affine dimension 1-3 in R^1..R^3, lower-dimensional
+    ones in R^3 included, and a hyperplane through one of the points, through
+    the midpoint of two of them, or at a random offset."""
+    k = draw(st.integers(1, 3))
+    ambient = draw(st.integers(k, 3))
+    base = draw(st.lists(SMALL, min_size=ambient, max_size=ambient))
+    dirs = [draw(st.lists(SMALL, min_size=ambient, max_size=ambient)) for _ in range(k)]
+    points = set()
+    for _ in range(draw(st.integers(k + 1, 8))):
+        cs = [draw(st.integers(-2, 2)) for _ in dirs]
+        points.add(tuple(b + sum(c * d[i] for c, d in zip(cs, dirs)) for i, b in enumerate(base)))
+    points = sorted(points)
+    normal = tuple(draw(st.lists(SMALL, min_size=ambient, max_size=ambient).filter(any)))
+    where = draw(st.sampled_from(("point", "midpoint", "offset")))
+    if where == "point":
+        through = draw(st.sampled_from(points))
+    elif where == "midpoint":
+        a, b = draw(st.sampled_from(points)), draw(st.sampled_from(points))
+        through = [Fraction(x + y, 2) for x, y in zip(a, b)]
+    else:
+        through = [Fraction(draw(st.integers(-6, 6)), 2)] + [0] * (ambient - 1)
+    return points, AffineHyperplane.through(normal, through)
+
+
 # -- H to V, V to H, faces -----------------------------------------------------
 
 
@@ -265,6 +340,24 @@ def test_facets_and_faces_match_brute_force(points):
     poly = _Polytope(points)
     assert poly.inequalities == brute_force_chart_facets(poly.chart, poly.dim)
     assert poly.face_vertex_sets() == brute_force_faces(poly)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(cut_cases())
+def test_cut_matches_oracle_halves(case):
+    points, h = case
+    hull = _Polytope(points)
+    assume(hull.dim >= 1)
+    # the cutter takes a region by its vertices, as cells and the box are given
+    poly = _Polytope([hull.vertices[vs[0]] for vs, d in hull.face_vertex_sets().items() if d == 0])
+    expected = oracle_halves(poly, h)
+    halves = _cut(_region(poly), h)
+    if expected is None:
+        assert halves is None
+        return
+    assert [(sorted(r[0]), _region_faces(r)) for r in halves] == [
+        (sorted(half.vertices), polytope_faces(half)) for half in expected
+    ]
 
 
 def test_empty_and_lower_dimensional_systems():
@@ -435,3 +528,15 @@ def test_lower_hull_on_random_1d_complexes(complex_):
 @given(complexes_2d())
 def test_lower_hull_on_random_2d_complexes(complex_):
     check_lift(*complex_)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(complexes_2d(), st.lists(st.tuples(SMALL, SMALL).filter(any), max_size=2), st.integers(-4, 4))
+def test_induced_subdivision_matches_oracle(complex_, normals, offset):
+    pc = embedded_complex(*complex_)
+    extra = [AffineHyperplane.through(n, (Fraction(offset, 2), 0)) for n in normals]
+    arrangement = Arrangement(covering_arrangement(pc).hyperplanes + tuple(extra))
+    subdivision = induced_subdivision(pc, arrangement)
+    oracle = oracle_induced_subdivision(pc, arrangement)
+    assert subdivision.vertices == oracle.vertices
+    assert subdivision.cells == oracle.cells
