@@ -44,11 +44,6 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-def _load_json(path):
-    with open(path) as handle:
-        return json.load(handle)
-
-
 def _parse_select(text):
     return frozenset(int(t) for t in text.split(",") if t.strip() != "")
 
@@ -82,7 +77,7 @@ def _selection(args, cone) -> FacetSelection:
 
 
 def cmd_enumerate(args) -> int:
-    cone = jsonio.cone_from_dict(_load_json(args.input))
+    cone = jsonio.cone_from_dict(jsonio.read(args.input))
     selection = _selection(args, cone)
     side = SELECTED if args.side == "selected" else COMPLEMENT
     spec = DomainSpec(selection, side)
@@ -106,7 +101,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_reciprocity(args) -> int:
-    cone = jsonio.cone_from_dict(_load_json(args.input))
+    cone = jsonio.cone_from_dict(jsonio.read(args.input))
     selection = _selection(args, cone)
     grading = _parse_vector(args.grading) if args.grading else None
     report = reciprocity_check(selection, _fields(args), grading=grading)
@@ -119,7 +114,7 @@ def cmd_reciprocity(args) -> int:
 
 
 def cmd_cm(args) -> int:
-    data = _load_json(args.input)
+    data = jsonio.read(args.input)
     if "rays" in data or "inequalities" in data:
         cone = jsonio.cone_from_dict(data)
         selection = _selection(args, cone)
@@ -144,7 +139,7 @@ def cmd_cm(args) -> int:
 
 
 def cmd_separate(args) -> int:
-    cone = jsonio.cone_from_dict(_load_json(args.input))
+    cone = jsonio.cone_from_dict(jsonio.read(args.input))
     selection = _selection(args, cone)
     result = separation_witness(selection)
     payload = {
@@ -159,7 +154,7 @@ def cmd_separate(args) -> int:
 
 
 def cmd_shell(args) -> int:
-    cone = jsonio.cone_from_dict(_load_json(args.input))
+    cone = jsonio.cone_from_dict(jsonio.read(args.input))
     if args.point:
         base = _parse_point(args.point)
     else:
@@ -187,7 +182,7 @@ def cmd_shell(args) -> int:
 
 
 def cmd_colon(args) -> int:
-    cone = jsonio.cone_from_dict(_load_json(args.input))
+    cone = jsonio.cone_from_dict(jsonio.read(args.input))
     selection = _selection(args, cone)
     grading = _parse_vector(args.grading) if args.grading else None
     report = verify_colon_identity(selection, args.degree, grading=grading)
@@ -202,7 +197,7 @@ def cmd_colon(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    pc = jsonio.embedded_from_dict(_load_json(args.input))
+    pc = jsonio.embedded_from_dict(jsonio.read(args.input))
     if not verify_embedding(pc):
         raise ValueError("the complex is not embedded: two cells meet outside a common face")
     result = lift(pc)
@@ -228,7 +223,7 @@ def cmd_lift(args) -> int:
 
 
 def cmd_schlegel(args) -> int:
-    data = _load_json(args.input)
+    data = jsonio.read(args.input)
     if "rays" in data or "inequalities" in data:
         cone = jsonio.cone_from_dict(data)
         out = schlegel_of_selection(_selection(args, cone), args.avoid)
@@ -343,7 +338,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as err:
         print(f"error: line {err.lineno}, column {err.colno}: {err.msg}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as err:
+    except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, KeyError, RuntimeError) as err:

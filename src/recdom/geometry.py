@@ -208,12 +208,6 @@ def rref(rows):
     return m, pivots
 
 
-def rational_rank(rows) -> int:
-    if not rows:
-        return 0
-    return len(rref(rows)[1])
-
-
 def kernel_basis(rows, width) -> list[tuple[Fraction, ...]]:
     """Basis of the right kernel of a matrix with ``width`` columns."""
     if not rows:

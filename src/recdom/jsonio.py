@@ -140,5 +140,17 @@ def series_to_dict(series) -> dict:
     }
 
 
+def read(path) -> dict:
+    """The JSON object in the file at ``path``.
+
+    Raises ``ValueError`` when the file holds any other JSON value, and
+    ``OSError`` when it cannot be read."""
+    with open(path) as handle:
+        data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValueError(f"JSON input must be an object, got {type(data).__name__}")
+    return data
+
+
 def dumps(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"

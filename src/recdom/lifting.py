@@ -8,14 +8,25 @@ slices complexes along hyperplane arrangements, and lifts an embedded complex
 onto the lower hull of a polytope one dimension up via the convex height
 ``sum_i |a_i . x - b_i|``.
 
-Vertex and facet descriptions of a cell come from the integer
-double-description kernel :func:`~recdom.geometry.extreme_rays`, once per
-cell.  Slicing then needs no more of it: a region is carried as its vertex
-points and facet vertex sets, and a hyperplane cuts it along its edge graph
-(two vertices span an edge when no third vertex lies on every facet through
-both), so each half's vertices and facets follow from the parent's.  The
-faces of the final pieces come from :func:`~recdom.geometry.graded_closure`.
-The lift reads its affine pieces off the same cut of a bounding box.
+Each cell becomes one :class:`_Polytope`, per lift and per embedding check.
+Its facets come from the integer double-description kernel
+:func:`~recdom.geometry.extreme_rays`; their vertex sets, primitive integer
+inequalities and the hull equations are computed once and shared by the
+covering arrangement, the cover check, the cut and the pairwise intersection
+test.  Face tests are combinatorial: a vertex set is a face when the facets
+through it meet in exactly that set.
+
+Slicing works on homogeneous integer rows.  A region carries each vertex x as
+the primitive row (x.s, s) with s > 0, plus its facet vertex sets.  A
+hyperplane's value on a row is an integer with the sign of its value at x, so
+a cut needs no fractions: it follows the region's edge graph (two vertices
+span an edge when no third vertex lies on every facet through both), the
+crossing point of an edge uv is the primitive row of V_u.row_v - V_v.row_u,
+and each half's vertices and facets follow from the parent's.  Rational
+points reappear only when the faces of the final pieces are read off
+:func:`~recdom.geometry.graded_closure`.  The lift cuts a bounding box the
+same way and reads each piece's signs off the sum of its rows, a point
+inside it.
 
 The Euclidean distance to a hyperplane is replaced throughout by the absolute
 functional value: it is piecewise linear and convex with the same domains of
@@ -27,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, factorial, floor
+from math import ceil, factorial, floor, lcm
 
 from .geometry import (
     InvariantViolation,
@@ -35,8 +46,9 @@ from .geometry import (
     extreme_rays,
     graded_closure,
     kernel_basis,
+    primitive,
     primitive_rational,
-    rational_rank,
+    rank_over_field,
     rref,
 )
 from .separation import cross_section_vertices
@@ -64,6 +76,10 @@ class AffineHyperplane:
     def value(self, point):
         return dot(self.coeffs, point) - self.rhs
 
+    def row_value(self, row):
+        """s times the value at x, for the homogeneous row (x.s, s) of x."""
+        return dot(self.coeffs, row) - self.rhs * row[-1]
+
     @classmethod
     def through(cls, normal, base) -> "AffineHyperplane":
         offset = dot(normal, base)
@@ -85,14 +101,37 @@ class Arrangement:
         object.__setattr__(self, "hyperplanes", tuple(dedup))
 
 
+def _integer_row(vector):
+    """The primitive integer vector on the ray of a nonzero rational vector."""
+    scale = lcm(*(a.denominator for a in vector))
+    return primitive(tuple(a.numerator * (scale // a.denominator) for a in vector))
+
+
+def _homogeneous(point):
+    """The primitive integer row (x.s, s), s > 0, of a rational point x."""
+    return _integer_row(tuple(point) + (1,))
+
+
+def _point(row):
+    """The rational point x of a homogeneous row (x.s, s)."""
+    s = row[-1]
+    return tuple(Fraction(a, s) for a in row[:-1])
+
+
 def _affine_basis(points):
     """Base point plus independent direction vectors spanning the affine hull."""
     base = points[0]
     dirs: list[Point] = []
+    rows: list[tuple[int, ...]] = []
     for p in points[1:]:
+        if len(dirs) == len(base):
+            break
         d = tuple(a - b for a, b in zip(p, base))
-        if any(d) and rational_rank(dirs + [list(d)]) > len(dirs):
-            dirs.append(d)
+        if any(d):
+            row = _integer_row(d)
+            if rank_over_field(rows + [row]) > len(rows):
+                dirs.append(d)
+                rows.append(row)
     return base, tuple(dirs)
 
 
@@ -110,15 +149,18 @@ def _left_inverse(dirs):
     )
 
 
-def _integer_rows(rows):
-    """Positive integer multiples of the nonzero rational rows, coprime entries."""
-    return [primitive_rational(r) for r in rows if any(r)]
-
-
 class _Polytope:
-    """Exact V/H bookkeeping for one convex cell at desk scale."""
+    """Exact V/H bookkeeping for one convex cell at desk scale.
 
-    __slots__ = ("vertices", "base", "dirs", "chart", "inequalities", "ambient_inequalities")
+    ``inequalities`` are the facets (n, b), n.y <= b, in chart coordinates
+    y; ``facets`` their vertex index sets; ``ambient_inequalities`` the same
+    facets as primitive integer (coeffs, rhs) with coeffs.x <= rhs on the
+    affine hull."""
+
+    __slots__ = (
+        "vertices", "base", "dirs", "chart", "inequalities", "facets", "ambient_inequalities",
+        "_equations",
+    )
 
     def __init__(self, points):
         pts = tuple(tuple(Fraction(x) for x in p) for p in points)
@@ -131,85 +173,86 @@ class _Polytope:
             for p in pts
         )
         self.vertices = pts
-        self.inequalities = self._chart_facets()
+        self.inequalities, self.facets = self._chart_facets()
         ambient = []
         for normal, rhs in self.inequalities:
             coeffs = tuple(
                 sum(normal[j] * left[j][i] for j in range(len(normal)))
                 for i in range(len(base))
             )
-            ambient.append((coeffs, rhs + dot(coeffs, base)))
+            row = _integer_row(coeffs + (rhs + dot(coeffs, base),))
+            ambient.append((row[:-1], row[-1]))
         self.ambient_inequalities = tuple(ambient)
+        self._equations = None
 
     @property
     def dim(self):
         return len(self.dirs)
 
     def _chart_facets(self):
-        """Facet inequalities (n, b) with n.y <= b in chart coordinates.
+        """Facet inequalities (n, b) with n.y <= b in chart coordinates, and
+        the vertex index sets they are tight on.
 
         They are the extreme rays of the polar cone {(n, b) : n.y <= b for
-        every chart point y}, apart from the ray n = 0."""
+        every chart point y}, apart from the ray n = 0.  A chart point's row
+        is a positive multiple of (-y, 1), so it is tight exactly where its
+        integer product with the ray vanishes."""
         k = self.dim
         if k == 0:
-            return ()
-        rows = _integer_rows(tuple(-a for a in y) + (1,) for y in self.chart)
+            return (), ()
+        rows = [_integer_row(tuple(-a for a in y) + (1,)) for y in self.chart]
         lineality, rays = extreme_rays([], rows, k + 1)
         if lineality:
             raise InvariantViolation("chart points do not span their chart")
-        return tuple((ray[:-1], ray[-1]) for ray in rays if any(ray[:-1]))
+        rays = [ray for ray in rays if any(ray[:-1])]
+        facets = tuple(
+            tuple(i for i, row in enumerate(rows) if dot(row, ray) == 0) for ray in rays
+        )
+        return tuple((ray[:-1], ray[-1]) for ray in rays), facets
 
     def hull_equations(self):
         """Independent integer hyperplanes cutting out the affine hull."""
-        normals = kernel_basis([list(v) for v in self.dirs], len(self.base)) if self.dirs else kernel_basis([], len(self.base))
-        return tuple(AffineHyperplane.through(primitive_rational(n), self.base) for n in normals)
-
-    def facet_vertex_sets(self):
-        """For each facet inequality, the indices of vertices it is tight on."""
-        out = []
-        for n, b in self.inequalities:
-            tight = tuple(i for i, y in enumerate(self.chart) if dot(n, y) == b)
-            out.append(tight)
-        return tuple(out)
-
-    def exposed_vertices(self, active):
-        """Vertex indices tight on every inequality in ``active``."""
-        return tuple(
-            i
-            for i, y in enumerate(self.chart)
-            if all(dot(n, y) == b for n, b in active)
-        )
+        if self._equations is None:
+            normals = kernel_basis([list(v) for v in self.dirs], len(self.base))
+            self._equations = tuple(
+                AffineHyperplane.through(primitive_rational(n), self.base) for n in normals
+            )
+        return self._equations
 
     def face_vertex_sets(self):
         """Vertex index sets of all nonempty faces, with their dimensions."""
-        ranks = graded_closure(range(len(self.vertices)), self.facet_vertex_sets())
+        ranks = graded_closure(range(len(self.vertices)), self.facets)
         return {tuple(sorted(face)): rank - 1 for face, rank in ranks.items() if face}
 
     def is_face(self, vertex_ids) -> bool:
-        """Exposed-face test: the active inequalities of the candidate must
-        cut out exactly the candidate's vertices."""
+        """Face test: the facets through the candidate must meet in exactly
+        the candidate's vertices (a repeated index is never a face)."""
         target = tuple(sorted(vertex_ids))
-        chart_pts = [self.chart[i] for i in target]
-        active = [
-            (n, b)
-            for n, b in self.inequalities
-            if all(dot(n, y) == b for y in chart_pts)
-        ]
-        return tuple(sorted(self.exposed_vertices(active))) == target
+        members = set(target)
+        meet = set(range(len(self.vertices)))
+        for tight in self.facets:
+            if members.issubset(tight):
+                meet.intersection_update(tight)
+        return tuple(sorted(meet)) == target
 
 
-def _vertices_from_constraints(equalities, inequalities, dim):
-    """Vertices of {x : eq.x == rhs, ineq.x <= rhs}, sorted.
+def _cone_vertices(equalities, inequalities, dim):
+    """Vertices of {x : eq.(x, 1) == 0, ineq.(x, 1) >= 0}, sorted, from
+    integer rows.
 
     The extreme rays (x, s) of the homogenized cone with s >= 0 and s > 0 are
     the vertices (x / s); a polyhedron with a line has none."""
-    eqs = _integer_rows(tuple(c) + (-r,) for c, r in equalities)
-    ineqs = [(0,) * dim + (1,)]
-    ineqs += _integer_rows(tuple(-a for a in c) + (r,) for c, r in inequalities)
-    lineality, rays = extreme_rays(eqs, ineqs, dim + 1)
+    lineality, rays = extreme_rays(equalities, [(0,) * dim + (1,)] + inequalities, dim + 1)
     if lineality:
         return []
-    return sorted(tuple(Fraction(a, ray[-1]) for a in ray[:-1]) for ray in rays if ray[-1])
+    return sorted(_point(ray) for ray in rays if ray[-1])
+
+
+def _vertices_from_constraints(equalities, inequalities, dim):
+    """Vertices of {x : eq.x == rhs, ineq.x <= rhs}, sorted."""
+    eqs = [_integer_row(tuple(c) + (-r,)) for c, r in equalities if any(c) or r]
+    ineqs = [_integer_row(tuple(-a for a in c) + (r,)) for c, r in inequalities if any(c) or r]
+    return _cone_vertices(eqs, ineqs, dim)
 
 
 def _cell_polytopes(pc: PolyhedralComplex):
@@ -243,6 +286,7 @@ def verify_embedding(pc: PolyhedralComplex) -> bool:
     shared vertices and be an exposed face on both sides."""
     polys = _cell_polytopes(pc)
     order = list(pc.cells)
+    point_ids = {pt: i for i, pt in enumerate(pc.vertices)}
     boxes = {}
     for cell in order:
         pts = pc.cell_points(cell)
@@ -261,13 +305,15 @@ def verify_embedding(pc: PolyhedralComplex) -> bool:
             small, big = (a, b) if set_a <= set_b else (b, a)
             inter = [pc.point(i) for i in small.vertices]
         else:
-            eqs = [(h.coeffs, h.rhs) for h in pa.hull_equations() + pb.hull_equations()]
-            ineqs = list(pa.ambient_inequalities) + list(pb.ambient_inequalities)
-            inter = _vertices_from_constraints(eqs, ineqs, pc.ambient_dim)
+            eqs = [h.coeffs + (-h.rhs,) for h in pa.hull_equations() + pb.hull_equations()]
+            ineqs = [
+                tuple(-x for x in c) + (r,)
+                for c, r in pa.ambient_inequalities + pb.ambient_inequalities
+            ]
+            inter = _cone_vertices(eqs, ineqs, pc.ambient_dim)
             if not inter:
                 continue
-        point_ids = {pt: i for i, pt in enumerate(pc.vertices)}
-        ids = [point_ids.get(tuple(p)) for p in inter]
+        ids = [point_ids.get(p) for p in inter]
         if any(i is None for i in ids):
             return False
         id_set = set(ids)
@@ -283,7 +329,7 @@ def verify_embedding(pc: PolyhedralComplex) -> bool:
 def _beyond_point(poly: _Polytope, facet_index):
     """A point beyond one facet and strictly inside every other, chart coords."""
     normal, rhs = poly.inequalities[facet_index]
-    tight = poly.facet_vertex_sets()[facet_index]
+    tight = poly.facets[facet_index]
     k = poly.dim
     centroid = tuple(
         sum(poly.chart[i][j] for i in tight) / len(tight) for j in range(k)
@@ -316,7 +362,7 @@ def schlegel(vertices, cells, avoid: int, validate: bool = True) -> PolyhedralCo
     poly = _Polytope(pts)
     if not 0 <= avoid < len(poly.inequalities):
         raise ValueError(f"facet index {avoid} out of range")
-    avoid_vertices = set(poly.facet_vertex_sets()[avoid])
+    avoid_vertices = set(poly.facets[avoid])
     closure: dict[tuple[int, ...], int] = {}
     for cell in cells:
         ids = tuple(sorted(cell))
@@ -373,7 +419,7 @@ def schlegel_of_selection(selection, avoid_facet: int, validate: bool = True) ->
     poly = _Polytope(vertices)
     target = set(cone.facets[avoid_facet].incident_rays)
     avoid = next(
-        (i for i, tight in enumerate(poly.facet_vertex_sets()) if set(tight) == target),
+        (i for i, tight in enumerate(poly.facets) if set(tight) == target),
         None,
     )
     if avoid is None:
@@ -386,50 +432,49 @@ def covering_arrangement(pc: PolyhedralComplex) -> Arrangement:
     """Hyperplanes cutting out every cell: each cell's affine hull equations
     plus, for every facet of every cell, one hyperplane through the facet
     that misses the rest of the cell."""
+    return _covering_arrangement(_cell_polytopes(pc).values())
+
+
+def _covering_arrangement(polys) -> Arrangement:
     hyperplanes = set()
-    polys = _cell_polytopes(pc)
-    for cell in pc.cells:
-        poly = polys[cell]
+    for poly in polys:
         hyperplanes.update(poly.hull_equations())
-        for tight in poly.facet_vertex_sets():
-            facet_points = [poly.vertices[i] for i in tight]
-            hyperplanes.add(_cut_through(facet_points, poly.vertices))
+        for tight in poly.facets:
+            hyperplanes.add(_cut_through([poly.vertices[i] for i in tight], poly.vertices))
     return Arrangement(tuple(hyperplanes))
 
 
 def _cut_through(facet_points, cell_points) -> AffineHyperplane:
     """Canonical hyperplane containing the facet but not the whole cell."""
     base, dirs = _affine_basis(list(facet_points))
-    normals = kernel_basis([list(v) for v in dirs], len(base)) if dirs else kernel_basis([], len(base))
-    for n in normals:
-        if any(dot(n, p) != dot(n, base) for p in cell_points):
+    for n in kernel_basis([list(v) for v in dirs], len(base)):
+        offset = dot(n, base)
+        if any(dot(n, p) != offset for p in cell_points):
             return AffineHyperplane.through(primitive_rational(n), base)
     raise InvariantViolation("facet hyperplane candidates all contain the cell")
 
 
 def _arrangement_covers(poly: _Polytope, arrangement: Arrangement) -> bool:
-    containing = [
-        h
-        for h in arrangement.hyperplanes
-        if all(h.value(v) == 0 for v in poly.vertices)
-    ]
-    codim = len(poly.base) - poly.dim
-    if rational_rank([list(h.coeffs) for h in containing]) != codim:
+    """True when the hyperplanes through the whole cell cut out its affine
+    hull and every facet lies on a hyperplane that misses the cell."""
+    rows = [_homogeneous(v) for v in poly.vertices]
+    whole = frozenset(range(len(rows)))
+    containing, proper = [], []
+    for h in arrangement.hyperplanes:
+        zeros = frozenset(i for i, r in enumerate(rows) if h.row_value(r) == 0)
+        if zeros == whole:
+            containing.append(h.coeffs)
+        else:
+            proper.append(zeros)
+    if rank_over_field(containing) != len(poly.base) - poly.dim:
         return False
-    for tight in poly.facet_vertex_sets():
-        facet_points = [poly.vertices[i] for i in tight]
-        if not any(
-            all(h.value(p) == 0 for p in facet_points)
-            and any(h.value(v) != 0 for v in poly.vertices)
-            for h in arrangement.hyperplanes
-        ):
-            return False
-    return True
+    return all(any(zeros.issuperset(tight) for zeros in proper) for tight in poly.facets)
 
 
 def _region(poly: _Polytope):
-    """A polytope as a region: its vertex points and facet vertex sets."""
-    return poly.vertices, tuple(frozenset(f) for f in poly.facet_vertex_sets())
+    """A polytope as a region: its vertices as homogeneous integer rows, and
+    its facet vertex sets."""
+    return tuple(_homogeneous(v) for v in poly.vertices), tuple(frozenset(f) for f in poly.facets)
 
 
 def _cut(region, h: AffineHyperplane):
@@ -440,13 +485,15 @@ def _cut(region, h: AffineHyperplane):
     through both.  Each half keeps the vertices on its side and one new
     vertex per edge that crosses ``h``; its facets are the parent facets with
     a vertex strictly on its side, extended by the new vertices on their
-    edges, and the cut facet through every vertex on ``h``."""
-    points, facets = region
-    values = [h.value(p) for p in points]
+    edges, and the cut facet through every vertex on ``h``.  A row's value
+    s.h(x) has the sign of h(x), and the crossing point of an edge uv is the
+    row V_u.row_v - V_v.row_u, on which ``h`` vanishes."""
+    rows, facets = region
+    values = [h.row_value(r) for r in rows]
     if all(v >= 0 for v in values) or all(v <= 0 for v in values):
         return None
-    whole = frozenset(range(len(points)))
-    new_points, new_edges = [], []
+    whole = frozenset(range(len(rows)))
+    new_rows, new_edges = [], []
     for u, vu in enumerate(values):
         if vu <= 0:
             continue
@@ -458,14 +505,13 @@ def _cut(region, h: AffineHyperplane):
                 if u in f and v in f:
                     common &= f
             if len(common) == 2:
-                t = vu / (vu - vv)
-                new_points.append(tuple(a + t * (b - a) for a, b in zip(points[u], points[v])))
+                new_rows.append(primitive(tuple(vu * b - vv * a for a, b in zip(rows[u], rows[v]))))
                 new_edges.append((u, v))
     halves = []
     for side in (1, -1):
         keep = [i for i, x in enumerate(values) if side * x >= 0]
         local = {i: j for j, i in enumerate(keep)}
-        added = range(len(keep), len(keep) + len(new_points))
+        added = range(len(keep), len(keep) + len(new_rows))
         half_facets = [
             frozenset(local[i] for i in f if i in local)
             | frozenset(j for j, (u, v) in zip(added, new_edges) if u in f and v in f)
@@ -473,7 +519,7 @@ def _cut(region, h: AffineHyperplane):
             if any(side * values[i] > 0 for i in f)
         ]
         half_facets.append(frozenset(local[i] for i in keep if values[i] == 0) | frozenset(added))
-        halves.append((tuple(points[i] for i in keep) + tuple(new_points), tuple(half_facets)))
+        halves.append((tuple(rows[i] for i in keep) + tuple(new_rows), tuple(half_facets)))
     return halves
 
 
@@ -490,7 +536,8 @@ def _cut_regions(region, arrangement: Arrangement):
 
 def _region_faces(region):
     """Point sets of a region's nonempty faces, with their dimensions."""
-    points, facets = region
+    rows, facets = region
+    points = [_point(r) for r in rows]
     ranks = graded_closure(range(len(points)), facets)
     return {
         tuple(sorted(points[i] for i in face)): rank - 1 for face, rank in ranks.items() if face
@@ -503,7 +550,10 @@ def induced_subdivision(pc: PolyhedralComplex, arrangement: Arrangement) -> Poly
     The result is a subdivision with the same support; requires (and checks)
     that every cell is an intersection of halfspaces bounded by arrangement
     hyperplanes."""
-    polys = _cell_polytopes(pc)
+    return _induced_subdivision(pc, _cell_polytopes(pc), arrangement)
+
+
+def _induced_subdivision(pc: PolyhedralComplex, polys, arrangement: Arrangement) -> PolyhedralComplex:
     for cell in pc.cells:
         if not _arrangement_covers(polys[cell], arrangement):
             raise ArrangementDoesNotCover(f"cell {cell.vertices} is not covered")
@@ -531,7 +581,13 @@ def _affine_piece(arrangement: Arrangement, points):
     the piece: height(x) = coeffs.x - offset on the cell."""
     d = len(points[0])
     barycenter = tuple(sum(p[i] for p in points) / len(points) for i in range(d))
-    signs = tuple(1 if h.value(barycenter) >= 0 else -1 for h in arrangement.hyperplanes)
+    return _signed_piece(arrangement, [h.value(barycenter) for h in arrangement.hyperplanes], d)
+
+
+def _signed_piece(arrangement: Arrangement, values, d):
+    """The affine piece of the height with each hyperplane's sign taken from
+    its value in ``values`` (zero counts as positive)."""
+    signs = tuple(1 if v >= 0 else -1 for v in values)
     coeffs = tuple(
         sum(s * h.coeffs[i] for s, h in zip(signs, arrangement.hyperplanes)) for i in range(d)
     )
@@ -568,18 +624,20 @@ def lift(pc: PolyhedralComplex) -> LiftResult:
     the graph of the height over the subdivision sits on the lower hull of
     {(x, t) : height(x) <= t <= M + 1} truncated over the bounding box of the
     complex enlarged by 1."""
-    arrangement = covering_arrangement(pc)
-    subdivision = induced_subdivision(pc, arrangement)
+    polys = _cell_polytopes(pc)
+    arrangement = _covering_arrangement(polys.values())
+    subdivision = _induced_subdivision(pc, polys, arrangement)
     values = tuple(lift_height(arrangement, v) for v in subdivision.vertices)
     max_value = max(values)
     d = pc.ambient_dim
     lows = [floor(min(p[i] for p in pc.vertices)) - 1 for i in range(d)]
     highs = [ceil(max(p[i] for p in pc.vertices)) + 1 for i in range(d)]
     box = _Polytope(product(*zip(lows, highs)))
-    pieces = {
-        _affine_piece(arrangement, points)
-        for points, _ in _cut_regions(_region(box), arrangement)
-    }
+    pieces = set()
+    for rows, _ in _cut_regions(_region(box), arrangement):
+        # the sum of a full-dimensional region's rows is a point inside it
+        inside = tuple(map(sum, zip(*rows)))
+        pieces.add(_signed_piece(arrangement, [h.row_value(inside) for h in arrangement.hyperplanes], d))
     affine_pieces = tuple(sorted(pieces))
     inequalities = []
     for coeffs, offset in affine_pieces:

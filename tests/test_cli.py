@@ -148,6 +148,31 @@ def test_missing_file_exit_code(capsys):
     capsys.readouterr()
 
 
+INPUT_ARGS = {
+    "reciprocity": ["--select", "0"],
+    "cm": [],
+    "lift": [],
+    "schlegel": ["--avoid", "0"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(INPUT_ARGS))
+def test_unreadable_input_exit_code(capsys, command):
+    # a directory cannot be opened as a file: an input error, not a verdict
+    assert main([command, DATA] + INPUT_ARGS[command]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("data", [[1, 2], "x", 3, None], ids=["list", "string", "number", "null"])
+@pytest.mark.parametrize("command", sorted(INPUT_ARGS))
+def test_non_object_json_exit_code(tmp_path, capsys, command, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert main([command, str(path)] + INPUT_ARGS[command]) == 2
+    assert "JSON input must be an object" in capsys.readouterr().err
+
+
 def test_semantic_error_exit_code(capsys):
     # full facet set is not a proper selection
     assert main(["reciprocity", data_path("quadrant.json"), "--select", "0,1"]) == 2

@@ -102,6 +102,9 @@ def test_schlegel_rejects_non_face():
     cube = cube_vertices()
     with pytest.raises(ValueError):
         schlegel(cube, [(0, 3, 5)], 5)
+    # the square {0, 2, 4, 6} is a face, but not with a vertex listed twice
+    with pytest.raises(ValueError):
+        schlegel(cube, [(0, 0, 2, 4, 6)], 5)
 
 
 def test_schlegel_of_cone_selection():
@@ -195,6 +198,13 @@ def test_subdivision_cover_check():
     missing = Arrangement((AffineHyperplane((1,), 0),))  # no cut at x = 2
     with pytest.raises(ArrangementDoesNotCover):
         induced_subdivision(seg, missing)
+    # three planes through a point of R^3 that all contain the z-axis
+    point = embedded_complex([(0, 0, 0)], [(0,)])
+    pencil = Arrangement(
+        (AffineHyperplane((1, 0, 0), 0), AffineHyperplane((0, 1, 0), 0), AffineHyperplane((1, 1, 0), 0))
+    )
+    with pytest.raises(ArrangementDoesNotCover):
+        induced_subdivision(point, pencil)
 
 
 def test_covering_arrangement_covers_own_complex():
@@ -274,10 +284,11 @@ def test_lift_two_tetrahedra_sharing_a_face_in_r3():
     assert heights[0] + heights[2] > 2 * heights[1]
 
 
-def _lift_work(monkeypatch, pc):
-    """Calls of ``extreme_rays`` and ``_Polytope`` constructions in one lift,
-    counted through the attributes the lifting module looks them up by."""
-    counts = {"extreme_rays": 0, "_Polytope": 0}
+def _work(monkeypatch, run, pc, names=("extreme_rays", "_Polytope")):
+    """Calls of the lifting module's ``names`` (``extreme_rays`` and
+    ``_Polytope`` constructions by default) in ``run(pc)``, counted through
+    the attributes the module looks them up by."""
+    counts = dict.fromkeys(names, 0)
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -288,25 +299,48 @@ def _lift_work(monkeypatch, pc):
 
     for name in counts:
         monkeypatch.setattr(lifting, name, counting(name, getattr(lifting, name)))
-    result = lift(pc)
+    outcome = run(pc)
     monkeypatch.undo()
-    assert verify_lower_hull(result)
-    return counts
+    return counts, outcome
 
 
-def test_lift_work_is_pinned(monkeypatch):
-    # One _Polytope per cell in covering_arrangement and again in
-    # induced_subdivision, one for the box and none in the cut loop; one
-    # extreme_rays call per polytope of dimension >= 1 (its facets) and one
-    # for the lifted polytope's vertices.
+def _pinned_inputs():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "data", "two_triangles.json")
     with open(path) as handle:
         triangles = jsonio.embedded_from_dict(json.load(handle))
     assert len(triangles.cells) == 11  # 2 triangles, 5 edges, 4 vertices
-    assert _lift_work(monkeypatch, triangles) == {"extreme_rays": 2 * 7 + 1 + 1, "_Polytope": 2 * 11 + 1}
     tetrahedron = embedded_complex([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2, 3)])
     assert len(tetrahedron.cells) == 15  # 1 solid, 4 triangles, 6 edges, 4 vertices
-    assert _lift_work(monkeypatch, tetrahedron) == {"extreme_rays": 2 * 11 + 1 + 1, "_Polytope": 2 * 15 + 1}
+    return triangles, tetrahedron
+
+
+def test_lift_work_is_pinned(monkeypatch):
+    # One _Polytope per cell, shared by the covering arrangement and the
+    # subdivision, one for the box and none in the cut loop; one extreme_rays
+    # call per polytope of dimension >= 1 (its facets) and one for the lifted
+    # polytope's vertices.
+    triangles, tetrahedron = _pinned_inputs()
+    counts, result = _work(monkeypatch, lift, triangles)
+    assert verify_lower_hull(result)
+    assert counts == {"extreme_rays": 7 + 1 + 1, "_Polytope": 11 + 1}
+    counts, result = _work(monkeypatch, lift, tetrahedron)
+    assert verify_lower_hull(result)
+    assert counts == {"extreme_rays": 11 + 1 + 1, "_Polytope": 15 + 1}
+
+
+def test_verify_embedding_work_is_pinned(monkeypatch):
+    # One _Polytope per cell, whose facets and hull equations every pair
+    # reuses: one extreme_rays call per polytope of dimension >= 1, one H-to-V
+    # pass per pair of cells that are not nested and whose bounding boxes
+    # meet (17 of the 55 pairs of the triangles, 37 of the 105 of the
+    # tetrahedron), and one kernel_basis call per cell in such a pair (9 of
+    # 11 cells, 11 of 15).
+    names = ("extreme_rays", "_Polytope", "kernel_basis")
+    triangles, tetrahedron = _pinned_inputs()
+    counts, embedded = _work(monkeypatch, verify_embedding, triangles, names)
+    assert embedded and counts == {"extreme_rays": 7 + 17, "_Polytope": 11, "kernel_basis": 9}
+    counts, embedded = _work(monkeypatch, verify_embedding, tetrahedron, names)
+    assert embedded and counts == {"extreme_rays": 11 + 37, "_Polytope": 15, "kernel_basis": 11}
 
 
 def test_lift_height_convexity_seeded():
@@ -364,7 +398,7 @@ def test_lift_then_schlegel_round_trip():
     poly = _Polytope(verts)
     top = next(
         i
-        for i, tight in enumerate(poly.facet_vertex_sets())
+        for i, tight in enumerate(poly.facets)
         if all(verts[j][-1] == result.max_value + 1 for j in tight)
     )
     out = schlegel(verts, lifted_cells, top)

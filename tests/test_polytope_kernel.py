@@ -5,7 +5,8 @@ inequalities) or of points and rays (V to H, cone facets from rays) with
 exact Fraction row reduction, and every subset of facets (faces).  They share
 no code with :func:`recdom.geometry.extreme_rays`.  The region cutter of
 :mod:`recdom.lifting` is checked against the construction it replaced: an
-H-to-V pass on each half's constraints and a fresh polytope on its vertices."""
+H-to-V pass on each half's constraints and a fresh polytope on its vertices.
+Its integer cover check is checked against the same check in Fractions."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -33,14 +34,16 @@ from recdom.geometry import (
     primitive,
     primitive_rational,
     rank_over_field,
-    rational_rank,
+    rref,
     solve_exact,
 )
 from recdom.lifting import (
     AffineHyperplane,
     Arrangement,
     _affine_basis,
+    _arrangement_covers,
     _cut,
+    _point,
     _Polytope,
     _region,
     _region_faces,
@@ -56,6 +59,13 @@ from recdom.lifting import (
 from recdom.topology import Cell, PolyhedralComplex
 
 # -- oracles -------------------------------------------------------------------
+
+
+def rational_rank(rows) -> int:
+    """Rank over Q by Fraction row reduction."""
+    if not rows:
+        return 0
+    return len(rref(rows)[1])
 
 
 def brute_force_vertices(equalities, inequalities, dim):
@@ -105,13 +115,19 @@ def brute_force_chart_facets(chart, k):
     return tuple(sorted(found))
 
 
+def exposed_vertices(poly, active):
+    """Vertex indices of a polytope tight on every chart inequality in
+    ``active``, by Fraction arithmetic on its chart."""
+    return tuple(i for i, y in enumerate(poly.chart) if all(dot(n, y) == b for n, b in active))
+
+
 def brute_force_faces(poly):
     """Vertex sets of the nonempty faces cut out by every subset of facet
     inequalities, with the affine dimension of their points."""
     faces = {}
     for size in range(len(poly.inequalities) + 1):
         for active in combinations(poly.inequalities, size):
-            vs = poly.exposed_vertices(active)
+            vs = exposed_vertices(poly, active)
             if vs and vs not in faces:
                 faces[vs] = len(_affine_basis([poly.vertices[i] for i in vs])[1])
     return faces
@@ -243,6 +259,27 @@ def oracle_induced_subdivision(pc, arrangement):
     )
 
 
+def oracle_covers(poly, arrangement):
+    """The cover check in Fractions: the hyperplanes through every vertex
+    have rank the codimension of the cell, and each facet, found from its
+    chart inequality, lies on a hyperplane through not every vertex."""
+    containing = [
+        h for h in arrangement.hyperplanes if all(h.value(v) == 0 for v in poly.vertices)
+    ]
+    codim = len(poly.base) - poly.dim
+    if rational_rank([list(h.coeffs) for h in containing]) != codim:
+        return False
+    for inequality in poly.inequalities:
+        facet_points = [poly.vertices[i] for i in exposed_vertices(poly, [inequality])]
+        if not any(
+            all(h.value(p) == 0 for p in facet_points)
+            and any(h.value(v) != 0 for v in poly.vertices)
+            for h in arrangement.hyperplanes
+        ):
+            return False
+    return True
+
+
 # -- strategies ----------------------------------------------------------------
 
 SMALL = st.integers(-3, 3)
@@ -355,7 +392,7 @@ def test_cut_matches_oracle_halves(case):
     if expected is None:
         assert halves is None
         return
-    assert [(sorted(r[0]), _region_faces(r)) for r in halves] == [
+    assert [(sorted(_point(row) for row in r[0]), _region_faces(r)) for r in halves] == [
         (sorted(half.vertices), polytope_faces(half)) for half in expected
     ]
 
@@ -540,3 +577,38 @@ def test_induced_subdivision_matches_oracle(complex_, normals, offset):
     oracle = oracle_induced_subdivision(pc, arrangement)
     assert subdivision.vertices == oracle.vertices
     assert subdivision.cells == oracle.cells
+
+
+@st.composite
+def cover_cases(draw):
+    """An embedded complex (segments on a line, grid triangles, or one
+    polytope of affine dimension 1-3 in R^1..R^3 with its faces) and its
+    covering arrangement, whole, with one hyperplane dropped, or with a
+    random hyperplane added."""
+    kind = draw(st.sampled_from(("1d", "2d", "polytope")))
+    if kind == "1d":
+        pc = embedded_complex(*draw(complexes_1d()))
+    elif kind == "2d":
+        pc = embedded_complex(*draw(complexes_2d()))
+    else:
+        points, _ = draw(cut_cases())
+        hull = _Polytope(points)
+        vertices = [hull.vertices[vs[0]] for vs, d in hull.face_vertex_sets().items() if d == 0]
+        pc = embedded_complex(vertices, [tuple(range(len(vertices)))])
+    hyperplanes = list(covering_arrangement(pc).hyperplanes)
+    change = draw(st.sampled_from(("whole", "drop", "add")))
+    if change == "drop":
+        del hyperplanes[draw(st.integers(0, len(hyperplanes) - 1))]
+    elif change == "add":
+        normal = draw(st.lists(SMALL, min_size=pc.ambient_dim, max_size=pc.ambient_dim).filter(any))
+        hyperplanes.append(AffineHyperplane.through(normal, draw(st.sampled_from(pc.vertices))))
+    return pc, Arrangement(tuple(hyperplanes))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(cover_cases())
+def test_arrangement_covers_matches_fraction_oracle(case):
+    pc, arrangement = case
+    for cell in pc.cells:
+        poly = _Polytope(pc.cell_points(cell))
+        assert _arrangement_covers(poly, arrangement) == oracle_covers(poly, arrangement)
