@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, count, product
+from itertools import count, product
 from math import ceil, floor
 
 from .geometry import (
@@ -408,13 +408,22 @@ def _multiset_difference(big, small):
 
 @lru_cache(maxsize=None)
 def _face_gf(cone: Cone, face: Face) -> RationalGF:
-    """Closed generating function of all lattice points of one face."""
+    """Closed generating function of all lattice points of one face, written
+    over the cone's canonical denominator (all rays of the cone).
+
+    Each half-open piece's numerator is multiplied by (1 - x^v) for the rays
+    missing from its denominator; the origin's numerator is the whole product
+    of (1 - x^v)."""
+    denom = tuple(sorted(cone.rays))
     if face.dim == 0:
-        return RationalGF(LaurentPoly.monomial((0,) * cone.dim), ())
-    denom = tuple(sorted(cone.rays[i] for i in face.rays))
+        parts = [RationalGF(LaurentPoly.monomial((0,) * cone.dim), ())]
+    else:
+        parts = [
+            simplicial_gf(piece.generators, piece.open_walls)
+            for piece in _face_decomposition(cone, face)
+        ]
     total = LaurentPoly.zero()
-    for piece in _face_decomposition(cone, face):
-        part = simplicial_gf(piece.generators, piece.open_walls)
+    for part in parts:
         num = part.numerator
         for v in _multiset_difference(denom, part.denom_rays):
             num = num.times_one_minus(v)
@@ -425,27 +434,22 @@ def _face_gf(cone: Cone, face: Face) -> RationalGF:
 def domain_gf(spec: DomainSpec) -> RationalGF:
     """Exact rational generating function of a reciprocal domain.
 
-    Strictness on each facet of the strict group is unfolded by
-    inclusion-exclusion over the faces where subsets of those facets are
-    tight; every face contributes its closed generating function, and the sum
-    is written over the canonical denominator (all rays of the cone)."""
+    A cone point lies in the domain exactly when the smallest face holding it
+    lies on no strict facet, so the domain is the disjoint union of the
+    relative interiors of those open faces G.  By Moebius inversion on the
+    face lattice, whose Moebius function is (-1)^(dim G - dim H), the closed
+    face H enters with coefficient the sum of (-1)^(dim G - dim H) over the
+    open faces G containing it (Stanley, "Combinatorial reciprocity
+    theorems", 1974).  The sum is written over the canonical denominator."""
     cone = spec.cone
-    strict = sorted(spec.strict_facets)
-    faces_by_rays = {f.rays: f for f in faces_of(cone)}
-    denom = tuple(sorted(cone.rays))
-    all_rays = frozenset(range(len(cone.rays)))
+    faces = faces_of(cone)
+    open_faces = [g for g in faces if not g.tight_facets & spec.strict_facets]
     total = LaurentPoly.zero()
-    for size in range(len(strict) + 1):
-        for subset in combinations(strict, size):
-            tight_rays = all_rays
-            for j in subset:
-                tight_rays &= cone.facets[j].incident_rays
-            gf = _face_gf(cone, faces_by_rays[tight_rays])
-            num = gf.numerator
-            for v in _multiset_difference(denom, gf.denom_rays):
-                num = num.times_one_minus(v)
-            total = total + num if size % 2 == 0 else total - num
-    return RationalGF(total, denom)
+    for face in faces:
+        coeff = sum((-1) ** (g.dim - face.dim) for g in open_faces if face.rays <= g.rays)
+        if coeff:
+            total = total + _face_gf(cone, face).numerator.scale(coeff)
+    return RationalGF(total, tuple(sorted(cone.rays)))
 
 
 def expand(gf: RationalGF, grading, bound: int) -> TruncatedSeries:

@@ -348,7 +348,7 @@ def _beyond_point(poly: _Polytope, facet_index):
         step /= 2
 
 
-def schlegel(vertices, cells, avoid: int, validate: bool = True) -> PolyhedralComplex:
+def schlegel(vertices, cells, avoid: int) -> PolyhedralComplex:
     """Project boundary cells of a polytope into the avoided facet's hyperplane.
 
     ``vertices`` spans the polytope, ``cells`` lists vertex index tuples of
@@ -357,7 +357,7 @@ def schlegel(vertices, cells, avoid: int, validate: bool = True) -> PolyhedralCo
     facet's relative interior, i.e. that facet may not itself be a kept cell;
     central projection happens from an exactly computed point just beyond it,
     and the image is returned in affine coordinates of the facet hyperplane
-    (one dimension down)."""
+    (one dimension down), checked to be an embedded complex."""
     pts = tuple(tuple(Fraction(x) for x in v) for v in vertices)
     poly = _Polytope(pts)
     if not 0 <= avoid < len(poly.inequalities):
@@ -401,12 +401,12 @@ def schlegel(vertices, cells, avoid: int, validate: bool = True) -> PolyhedralCo
         Cell(tuple(sorted(relabel[i] for i in vs)), dim) for vs, dim in closure.items()
     )
     out = PolyhedralComplex(new_vertices, new_cells)
-    if validate and not verify_embedding(out):
+    if not verify_embedding(out):
         raise InvariantViolation("the Schlegel image is not an embedded complex")
     return out
 
 
-def schlegel_of_selection(selection, avoid_facet: int, validate: bool = True) -> PolyhedralComplex:
+def schlegel_of_selection(selection, avoid_facet: int) -> PolyhedralComplex:
     """Schlegel projection of a cone's boundary cross-section part.
 
     The cone's cross-section polytope plays the polytope role; the cells are
@@ -425,7 +425,7 @@ def schlegel_of_selection(selection, avoid_facet: int, validate: bool = True) ->
     if avoid is None:
         raise InvariantViolation(f"cone facet {avoid_facet} has no cross-section facet")
     cells = [tuple(sorted(cone.facets[i].incident_rays)) for i in sorted(selection.selected)]
-    return schlegel(vertices, cells, avoid, validate=validate)
+    return schlegel(vertices, cells, avoid)
 
 
 def covering_arrangement(pc: PolyhedralComplex) -> Arrangement:

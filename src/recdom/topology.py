@@ -246,20 +246,18 @@ def reduced_homology(sc: SimplicialComplex, field: FieldSpec = QQ) -> HomologyPr
 
 
 def link(sc: SimplicialComplex, face) -> SimplicialComplex:
-    """Faces disjoint from ``face`` whose union with it is again a face."""
+    """Faces disjoint from ``face`` whose union with it is again a face: the
+    complex generated by F minus ``face`` over the facets F containing it."""
     face = tuple(sorted(face))
-    faces = sc.faces()
-    if face not in faces:
-        raise FaceNotPresent(face)
     if not face:
         return sc
     fs = set(face)
-    members = [
-        t
-        for t in faces
-        if t and not fs & set(t) and tuple(sorted(t + face)) in faces
-    ]
-    return SimplicialComplex.from_faces(sc.n_vertices, members)
+    star = [f for f in sc.facets if fs <= set(f)]
+    if not star or len(fs) != len(face):
+        raise FaceNotPresent(face)
+    return SimplicialComplex.from_faces(
+        sc.n_vertices, [tuple(v for v in f if v not in fs) for f in star]
+    )
 
 
 @dataclass(frozen=True)
@@ -307,23 +305,12 @@ def _graph_shape(sc: SimplicialComplex) -> str:
         return "path" if len(verts) == 1 else "other"
     if any(len(f) == 1 for f in sc.facets):
         return "other"  # isolated vertex next to edges
+    if not _is_connected(sc):
+        return "other"
     degree = {v: 0 for v in verts}
-    adjacency = {v: [] for v in verts}
     for a, b in edges:
         degree[a] += 1
         degree[b] += 1
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    seen = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        v = stack.pop()
-        for u in adjacency[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    if len(seen) != len(verts):
-        return "other"
     degs = sorted(degree.values())
     if all(g == 2 for g in degs) and len(edges) == len(verts):
         return "cycle"

@@ -3,7 +3,10 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from recdom import enumerator
 from recdom.corpus import (
     corpus_cones,
     facet_pairs_sharing_a_ray,
@@ -35,7 +38,13 @@ from recdom.enumerator import (
     triangulate,
     verify_colon_identity,
 )
-from recdom.geometry import Cone, InvariantViolation, dot
+from recdom.geometry import (
+    Cone,
+    InvariantViolation,
+    NotFullDimensional,
+    dot,
+    faces_of,
+)
 
 
 def quadrant_selection():
@@ -275,6 +284,82 @@ def test_oracle_equivalence_custom_grading():
                 expand(domain_gf(spec), w, 9).coeffs
                 == lattice_points(spec, w, 9).coeffs
             )
+
+
+# -- the face-lattice sum against the subset walk ------------------------------
+
+def oracle_domain_gf(spec):
+    """Inclusion-exclusion over all 2^|strict| subsets of the strict facets:
+    the face where a subset is tight enters with sign (-1)^|subset|."""
+    cone = spec.cone
+    strict = sorted(spec.strict_facets)
+    faces_by_rays = {f.rays: f for f in faces_of(cone)}
+    denom = tuple(sorted(cone.rays))
+    all_rays = frozenset(range(len(cone.rays)))
+    total = LaurentPoly.zero()
+    for size in range(len(strict) + 1):
+        for subset in combinations(strict, size):
+            tight_rays = all_rays
+            for j in subset:
+                tight_rays &= cone.facets[j].incident_rays
+            gf = enumerator._face_gf(cone, faces_by_rays[tight_rays])
+            num = gf.numerator
+            for v in _multiset_difference(denom, gf.denom_rays):
+                num = num.times_one_minus(v)
+            total = total + num if size % 2 == 0 else total - num
+    return RationalGF(total, denom)
+
+
+@st.composite
+def domain_specs(draw):
+    """A random pointed cone, d = 2..4 and at most 8 generators, each with a
+    positive last coordinate, and a random proper selection and side."""
+    d = draw(st.integers(2, 4))
+    ray = st.tuples(*[st.integers(-2, 2)] * (d - 1), st.integers(1, 2))
+    rays = draw(st.lists(ray, min_size=d, max_size=8, unique=True))
+    try:
+        cone = Cone.from_rays(rays)
+    except NotFullDimensional:
+        assume(False)
+    n = len(cone.facets)
+    selected = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    side = draw(st.sampled_from((SELECTED, COMPLEMENT)))
+    return DomainSpec(FacetSelection(cone, frozenset(selected)), side)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(domain_specs())
+def test_domain_gf_matches_subset_walk(spec):
+    got, want = domain_gf(spec), oracle_domain_gf(spec)
+    assert got.numerator.terms == want.numerator.terms
+    assert got.denom_rays == want.denom_rays
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(domain_specs(), st.integers(0, 3))
+def test_domain_gf_expands_to_lattice_points(spec, bound):
+    w = default_grading(spec.cone)
+    assert expand(domain_gf(spec), w, bound).coeffs == lattice_points(spec, w, bound).coeffs
+
+
+def test_domain_gf_lifts_each_face_at_most_once(monkeypatch):
+    # The cone over (x, x^2, 1), x = -5..5, has 11 rays, 11 facets and 24
+    # faces; a subset walk over 10 strict facets would ask for 2^10 faces.
+    cone = Cone.from_rays([(x, x * x, 1) for x in range(-5, 6)])
+    assert len(cone.rays) == 11 and len(faces_of(cone)) == 24
+    selection = FacetSelection(cone, frozenset(range(10)))
+    calls = []
+    face_gf = enumerator._face_gf
+
+    def counted(cone, face):
+        calls.append(face)
+        return face_gf(cone, face)
+
+    monkeypatch.setattr(enumerator, "_face_gf", counted)
+    for side in (SELECTED, COMPLEMENT):
+        calls.clear()
+        domain_gf(DomainSpec(selection, side))
+        assert 0 < len(calls) <= len(faces_of(cone)), side
 
 
 def test_triangulation_independence_under_ray_reordering():

@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recdom.corpus import (
     annulus,
@@ -175,18 +177,68 @@ def test_link_vertex_of_hollow_triangle():
 
 
 def test_link_empty_face_is_whole_complex():
-    sc = two_triangles()
-    assert link(sc, ()) is sc
+    for sc in (two_triangles(), SimplicialComplex(3, ())):
+        assert link(sc, ()) is sc
 
 
 def test_link_missing_face():
-    with pytest.raises(FaceNotPresent):
-        link(hollow_triangle(), (0, 1, 2))
+    absent = (
+        (hollow_triangle(), (0, 1, 2)),
+        (two_triangles(), (1, 1)),  # a repeated vertex
+        (SimplicialComplex(3, ()), (0,)),
+    )
+    for sc, face in absent:
+        with pytest.raises(FaceNotPresent):
+            link(sc, face)
 
 
 def test_link_of_facet_is_empty_complex():
     lk = link(two_triangles(), (0, 1, 2))
     assert lk.facets == () and lk.dim == -1
+
+
+def oracle_link(sc, face):
+    """The link by its definition: rescan every face against every face."""
+    face = tuple(sorted(face))
+    faces = sc.faces()
+    if face not in faces:
+        raise FaceNotPresent(face)
+    if not face:
+        return sc
+    fs = set(face)
+    members = [
+        t
+        for t in faces
+        if t and not fs & set(t) and tuple(sorted(t + face)) in faces
+    ]
+    return SimplicialComplex.from_faces(sc.n_vertices, members)
+
+
+def _link_or_absent(link_fn, sc, face):
+    try:
+        return link_fn(sc, face)
+    except FaceNotPresent:
+        return FaceNotPresent
+
+
+@st.composite
+def complexes_and_faces(draw):
+    """A random complex on up to 7 vertices (possibly only the empty face) and
+    a face to link: one of its faces, or any vertex tuple, repeats allowed."""
+    n = draw(st.integers(1, 7))
+    vertex = st.integers(0, n - 1)
+    sets = st.lists(st.sets(vertex, min_size=1, max_size=4), max_size=6)
+    sc = SimplicialComplex.from_faces(n, draw(sets))
+    faces = sorted(sc.faces())
+    face = draw(st.one_of(st.sampled_from(faces), st.lists(vertex, max_size=3)))
+    return sc, tuple(draw(st.permutations(face)))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(complexes_and_faces())
+def test_link_matches_oracle(case):
+    sc, face = case
+    assert _link_or_absent(link, sc, face) == _link_or_absent(oracle_link, sc, face)
 
 
 # -- Cohen-Macaulay certificates -------------------------------------------------
