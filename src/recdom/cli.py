@@ -53,7 +53,7 @@ def _parse_vector(text):
 
 
 def _parse_point(text):
-    return tuple(Fraction(t) for t in text.split(","))
+    return tuple(jsonio.parse_fraction(t) for t in text.split(","))
 
 
 def _fields(args):

@@ -559,6 +559,8 @@ def reciprocity_check(selection: FacetSelection, fields=(QQ, GF2), grading=None)
     both sides; otherwise it is the smallest grading degree where the
     expansions disagree, with both per-degree totals."""
     cone = selection.cone
+    w = tuple(grading) if grading is not None else default_grading(cone)
+    _check_grading(cone, w)
     g_selected = domain_gf(DomainSpec(selection, SELECTED))
     g_complement = domain_gf(DomainSpec(selection, COMPLEMENT))
     lhs = invert_variables(g_complement)
@@ -582,7 +584,6 @@ def reciprocity_check(selection: FacetSelection, fields=(QQ, GF2), grading=None)
             "numerator": sorted((list(e), c) for e, c in rhs.numerator.terms.items()),
         }
     else:
-        w = tuple(grading) if grading is not None else default_grading(cone)
         witness = _first_disagreement(lhs, rhs, w)
     return ReciprocityReport(holds, cm_over, witness)
 

@@ -487,6 +487,12 @@ def default_grading(cone: Cone) -> Vector:
     return tuple(sum(f.coeffs[i] for f in cone.facets) for i in range(cone.dim))
 
 
+def cross_section_vertices(cone: Cone) -> tuple[tuple[Fraction, ...], ...]:
+    """Rays scaled onto the hyperplane {w.x = 1} for the default grading w."""
+    w = default_grading(cone)
+    return tuple(tuple(Fraction(a, dot(w, r)) for a in r) for r in cone.rays)
+
+
 def _canonical_vectors(vectors) -> list[Vector]:
     prims = sorted({primitive(tuple(int(a) for a in v)) for v in vectors})
     widths = {len(v) for v in prims}

@@ -22,7 +22,10 @@ def parse_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {value!r}") from None
     raise ValueError(f"not a rational: {value!r}")
 
 
@@ -94,6 +97,8 @@ def simplicial_from_dict(data: dict) -> SimplicialComplex:
     facets = vertex_lists(data, "facets")
     n = 1 + max(v for f in facets for v in f)
     if "vertices" in data:
+        if not isinstance(data["vertices"], list):
+            raise ValueError(f'complex JSON "vertices" must be a list, got {data["vertices"]!r}')
         n = max(n, len(data["vertices"]))
     return SimplicialComplex.from_faces(n, facets)
 

@@ -42,6 +42,7 @@ from math import ceil, factorial, floor, lcm
 
 from .geometry import (
     InvariantViolation,
+    cross_section_vertices,
     dot,
     extreme_rays,
     graded_closure,
@@ -51,7 +52,6 @@ from .geometry import (
     rank_over_field,
     rref,
 )
-from .separation import cross_section_vertices
 from .topology import Cell, PolyhedralComplex
 
 

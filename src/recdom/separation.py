@@ -1,8 +1,11 @@
 """Strict linear separation and line shellings of cross-section polytopes.
 
-Separation witnesses come from exact Fourier-Motzkin elimination on the
-homogeneous strict system; shellings order the facets of the cross-section
-polytope by crossing times of an oriented generic line.
+Separation is decided on the integer double-description kernel: the selected
+facet covectors, with the others negated, cut out a cone that is
+full-dimensional exactly when the strict system is feasible, and the sum of
+its extreme rays is then a primitive lattice witness.  Shellings order the
+facets of the cross-section polytope by crossing times of an oriented generic
+line.
 """
 
 from __future__ import annotations
@@ -11,7 +14,18 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Cone, FacetSelection, InvariantViolation, default_grading, dot
+from .geometry import (
+    Cone,
+    FacetSelection,
+    InvariantViolation,
+    Vector,
+    cross_section_vertices,
+    default_grading,
+    dot,
+    extreme_rays,
+    primitive,
+    rank_over_field,
+)
 
 
 class DegeneratePoint(ValueError):
@@ -21,76 +35,31 @@ class DegeneratePoint(ValueError):
 @dataclass(frozen=True)
 class SeparationResult:
     separable: bool
-    witness: tuple[Fraction, ...] | None = None
+    witness: Vector | None = None
 
 
 def separation_witness(selection: FacetSelection) -> SeparationResult:
     """Strict feasibility of: positive on selected facets, negative on the rest.
 
-    Decided by Fourier-Motzkin elimination over exact rationals; a returned
-    witness is re-verified against every facet covector."""
+    The signed covectors cut out a cone C that has a strictly feasible point
+    exactly when it is full-dimensional.  Its extreme rays then span the
+    space, so every row, nonnegative on each ray and zero on not all of them,
+    is positive on their sum: that sum, made primitive, is the witness.  It is
+    re-verified against every facet covector."""
     cone = selection.cone
-    rows = []
-    for i, facet in enumerate(cone.facets):
-        coeffs = facet.coeffs if i in selection.selected else tuple(-a for a in facet.coeffs)
-        rows.append(tuple(Fraction(a) for a in coeffs))
-    point = _strict_feasible_point(rows, cone.dim)
-    if point is None:
+    rows = [
+        f.coeffs if i in selection.selected else tuple(-a for a in f.coeffs)
+        for i, f in enumerate(cone.facets)
+    ]
+    lineality, rays = extreme_rays([], rows, cone.dim)
+    if rank_over_field(lineality + rays) < cone.dim:
         return SeparationResult(False)
+    point = primitive(tuple(map(sum, zip(*rays))))
     for i, facet in enumerate(cone.facets):
         value = facet(point)
         if not (value > 0 if i in selection.selected else value < 0):
             raise InvariantViolation(f"the separation witness has the wrong sign on facet {i}")
     return SeparationResult(True, point)
-
-
-def _strict_feasible_point(rows, dim):
-    """A point with r.x > 0 for every row, or None if there is none.
-
-    Variables are eliminated from the last coordinate down.  Every inequality
-    here is strict, and positive-negative combinations of strict inequalities
-    stay strict, so a derived all-zero row reads 0 > 0 and kills the system.
-    Back substitution walks the stages in reverse, picking interval midpoints
-    (or a unit step off a one-sided bound)."""
-    stages = [list(rows)]
-    system = list(rows)
-    for var in range(dim - 1, 0, -1):
-        positive = [r for r in system if r[var] > 0]
-        negative = [r for r in system if r[var] < 0]
-        new = [r for r in system if r[var] == 0]
-        for p in positive:
-            for n in negative:
-                combo = tuple(p[j] * -n[var] + n[j] * p[var] for j in range(dim))
-                if all(a == 0 for a in combo):
-                    return None
-                new.append(combo)
-        system = new
-        stages.append(system)
-    point = [Fraction(0)] * dim
-    for var in range(dim):
-        lower = None
-        upper = None
-        for r in stages[dim - 1 - var]:
-            c = r[var]
-            if c == 0:
-                continue
-            partial = sum(r[j] * point[j] for j in range(var))
-            bound = -partial / c
-            if c > 0:
-                lower = bound if lower is None else max(lower, bound)
-            else:
-                upper = bound if upper is None else min(upper, bound)
-        if lower is None and upper is None:
-            point[var] = Fraction(0)
-        elif lower is None:
-            point[var] = upper - 1
-        elif upper is None:
-            point[var] = lower + 1
-        elif lower < upper:
-            point[var] = (lower + upper) / 2
-        else:
-            return None  # only reachable while fixing the first variable
-    return tuple(point)
 
 
 @dataclass(frozen=True)
@@ -101,12 +70,6 @@ class ShellingOrder:
     source_point: tuple[Fraction, ...]
 
 
-def cross_section_vertices(cone: Cone) -> tuple[tuple[Fraction, ...], ...]:
-    """Rays scaled onto the hyperplane {w.x = 1} for the default grading w."""
-    w = default_grading(cone)
-    return tuple(tuple(Fraction(a, dot(w, r)) for a in r) for r in cone.rays)
-
-
 def line_shelling(cone: Cone, point) -> ShellingOrder:
     """Order the facets by oriented crossing times of the line from the
     cross-section centroid toward ``point``.
@@ -115,8 +78,11 @@ def line_shelling(cone: Cone, point) -> ShellingOrder:
     crossing order; the rest follow in the order the returning half meets
     them.  Raises DegeneratePoint for a steering point on a facet hyperplane,
     a vanishing direction, a line parallel to some facet, or tied crossings;
-    callers are expected to retry with a perturbed point."""
+    callers are expected to retry with a perturbed point.  A point of the
+    wrong length raises a plain ValueError."""
     pt = tuple(Fraction(a) for a in point)
+    if len(pt) != cone.dim:
+        raise ValueError(f"point has {len(pt)} coordinates, the cone has dimension {cone.dim}")
     for facet in cone.facets:
         if dot(facet.coeffs, pt) == 0:
             raise DegeneratePoint("point lies on a facet hyperplane")

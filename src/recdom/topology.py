@@ -18,8 +18,7 @@ from .geometry import (
     FacetSelection,
     FieldSpec,
     InvariantViolation,
-    default_grading,
-    dot,
+    cross_section_vertices,
     faces_of,
     rank_over_field,
 )
@@ -445,7 +444,6 @@ def boundary_subcomplex(selection: FacetSelection) -> PolyhedralComplex:
     selected facet become rational points, and every positive-dimensional
     cone face inside a selected facet becomes a cell one dimension down."""
     cone = selection.cone
-    w = default_grading(cone)
     used_faces = [
         f
         for f in faces_of(cone)
@@ -453,11 +451,8 @@ def boundary_subcomplex(selection: FacetSelection) -> PolyhedralComplex:
     ]
     ray_ids = sorted({i for f in used_faces for i in f.rays})
     relabel = {ray: k for k, ray in enumerate(ray_ids)}
-    vertices = []
-    for i in ray_ids:
-        r = cone.rays[i]
-        scale = Fraction(1, dot(w, r))
-        vertices.append(tuple(scale * a for a in r))
+    scaled = cross_section_vertices(cone)
+    vertices = [scaled[i] for i in ray_ids]
     cells = [
         Cell(tuple(sorted(relabel[i] for i in f.rays)), f.dim - 1) for f in used_faces
     ]

@@ -208,11 +208,13 @@ def test_bad_cone_json_exit_code(tmp_path, capsys, cone, message):
         ("cm", {"facets": [[0, 1], []]}, "nonempty lists of vertex indices"),
         ("cm", {"facets": [[0, -1]]}, "nonempty lists of vertex indices"),
         ("cm", {"facets": [[0, "1"]]}, "lists of integers"),
+        ("cm", {"facets": [[0, 1]], "vertices": 5}, '"vertices" must be a list'),
         ("lift", {"vertices": [["0"], ["1"]], "facets": [[0, 1.0]]}, "lists of integers"),
         ("lift", {"vertices": [["0"], ["1"]], "facets": [[0, 2]]}, "vertex indices"),
         ("lift", {"vertices": [["0"], ["1"]], "facets": [[0, -1]]}, "vertex indices"),
         ("lift", {"vertices": ["01", "23"], "facets": [[0, 1]]}, "points of one length"),
         ("lift", {"vertices": [["0"], ["1", "0"]], "facets": [[0, 1]]}, "points of one length"),
+        ("lift", {"vertices": [["1/0"], ["1"]], "facets": [[0, 1]]}, "zero denominator"),
         ("lift", {"vertices": [["0"], ["1"]], "facets": [[0, 1]], "ambient_dim": 1.0}, "integer"),
         ("lift", {"vertices": [["0"], ["1"]], "facets": [[0, 1]], "ambient_dim": 2}, "ambient_dim 2"),
         ("lift", {"vertices": [[0, 0], [4, 0], [0, 4], [1, 1]], "facets": [[0, 1, 2, 3]]}, "distinct vertices"),
@@ -224,8 +226,9 @@ def test_bad_cone_json_exit_code(tmp_path, capsys, cone, message):
     ],
     ids=[
         "float-and-bool-index", "no-facets", "empty-facet", "negative-index", "string-index",
+        "integer-vertices",
         "float-cell-index", "cell-index-out-of-range", "negative-cell-index",
-        "string-vertices", "ragged-vertices",
+        "string-vertices", "ragged-vertices", "zero-denominator",
         "float-ambient-dim", "wrong-ambient-dim",
         "point-inside-hull", "repeated-index", "repeated-coordinates", "crossing-segments",
         "float-dim", "bool-dim",
@@ -235,6 +238,22 @@ def test_bad_complex_json_exit_code(tmp_path, capsys, command, data, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))
     assert main([command, str(path), "--select", "0"]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["reciprocity", "--select", "0", "--grading", "1,1"], "grading length 2"),
+        (["reciprocity", "--select", "0", "--grading=-1,0,0"], "not strictly positive"),
+        (["shell", "--point", "1/0,1,1"], "zero denominator"),
+        (["shell", "--point", "1,1"], "point has 2 coordinates"),
+    ],
+    ids=["short-grading", "negative-grading", "zero-denominator-point", "short-point"],
+)
+def test_bad_argument_exit_code(capsys, args, message):
+    command, *options = args
+    assert main([command, data_path("square_cone.json")] + options) == 2
     assert message in capsys.readouterr().err
 
 

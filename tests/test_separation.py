@@ -1,19 +1,27 @@
-"""Fourier-Motzkin witnesses and line shellings."""
+"""Separation witnesses on the double-description kernel, checked against a
+Fourier-Motzkin oracle, and line shellings."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from recdom import separation
 from recdom.corpus import (
     corpus_cones,
     facet_pairs_sharing_a_ray,
     facet_pairs_sharing_no_ray,
     pentagon_cone,
     quadrant,
+    random_polygon_cone,
     square_cone,
 )
 from recdom.enumerator import FacetSelection, default_grading, reciprocity_check
-from recdom.geometry import GF2, QQ
+from recdom.geometry import GF2, QQ, Cone, rank_over_field
 from recdom.separation import (
     DegeneratePoint,
     cross_section_vertices,
@@ -29,6 +37,92 @@ from recdom.topology import (
     is_cohen_macaulay,
     recognize_ball_sphere,
 )
+
+
+def oracle_strict_feasible_point(rows, dim):
+    """A point with r.x > 0 for every row, or None if there is none.
+
+    Fourier-Motzkin elimination over exact rationals, from the last coordinate
+    down.  Every inequality here is strict, and positive-negative combinations
+    of strict inequalities stay strict, so a derived all-zero row reads 0 > 0
+    and kills the system.  Back substitution walks the stages in reverse,
+    picking interval midpoints (or a unit step off a one-sided bound)."""
+    rows = [tuple(Fraction(a) for a in r) for r in rows]
+    stages = [list(rows)]
+    system = list(rows)
+    for var in range(dim - 1, 0, -1):
+        positive = [r for r in system if r[var] > 0]
+        negative = [r for r in system if r[var] < 0]
+        new = [r for r in system if r[var] == 0]
+        for p in positive:
+            for n in negative:
+                combo = tuple(p[j] * -n[var] + n[j] * p[var] for j in range(dim))
+                if all(a == 0 for a in combo):
+                    return None
+                new.append(combo)
+        system = new
+        stages.append(system)
+    point = [Fraction(0)] * dim
+    for var in range(dim):
+        lower = None
+        upper = None
+        for r in stages[dim - 1 - var]:
+            c = r[var]
+            if c == 0:
+                continue
+            partial = sum(r[j] * point[j] for j in range(var))
+            bound = -partial / c
+            if c > 0:
+                lower = bound if lower is None else max(lower, bound)
+            else:
+                upper = bound if upper is None else min(upper, bound)
+        if lower is None and upper is None:
+            point[var] = Fraction(0)
+        elif lower is None:
+            point[var] = upper - 1
+        elif upper is None:
+            point[var] = lower + 1
+        elif lower < upper:
+            point[var] = (lower + upper) / 2
+        else:
+            return None  # only reachable while fixing the first variable
+    return tuple(point)
+
+
+def signed_rows(selection):
+    return [
+        f.coeffs if i in selection.selected else tuple(-a for a in f.coeffs)
+        for i, f in enumerate(selection.cone.facets)
+    ]
+
+
+def check_against_oracle(selection):
+    """The verdict matches the oracle's; a witness is a primitive lattice
+    point with the required strict sign on every facet."""
+    cone = selection.cone
+    result = separation_witness(selection)
+    oracle = oracle_strict_feasible_point(signed_rows(selection), cone.dim)
+    assert result.separable == (oracle is not None), sorted(selection.selected)
+    if result.separable:
+        assert all(type(a) is int for a in result.witness)
+        assert gcd(*result.witness) == 1
+        for i, facet in enumerate(cone.facets):
+            value = facet(result.witness)
+            assert value > 0 if i in selection.selected else value < 0
+    else:
+        assert result.witness is None
+
+
+def all_selections(cone):
+    n = len(cone.facets)
+    for size in range(1, n):
+        for subset in combinations(range(n), size):
+            yield FacetSelection(cone, frozenset(subset))
+
+
+def cyclic_cone():
+    """The 4-D cone over the cyclic polytope (t, t^2, t^3), t = -5..4: 16 facets."""
+    return Cone.from_rays([(t, t * t, t**3, 1) for t in range(-5, 5)])
 
 
 def test_witness_quadrant():
@@ -55,18 +149,57 @@ def test_witness_square_opposite_infeasible():
 
 
 def test_witness_verified_on_all_corpus_selections():
-    from itertools import combinations
+    cones = list(corpus_cones().values()) + [random_polygon_cone(s) for s in range(1, 40, 6)]
+    for cone in cones:
+        for selection in all_selections(cone):
+            check_against_oracle(selection)
 
-    for name, cone in corpus_cones().items():
-        n = len(cone.facets)
-        for size in range(1, n):
-            for subset in combinations(range(n), size):
-                sel = FacetSelection(cone, frozenset(subset))
-                result = separation_witness(sel)
-                if result.separable:
-                    for i, facet in enumerate(cone.facets):
-                        v = facet(result.witness)
-                        assert v > 0 if i in subset else v < 0
+
+def test_verdicts_match_oracle_on_cyclic_cone():
+    # Fourier-Motzkin squares its row count per eliminated variable here
+    cone = cyclic_cone()
+    assert len(cone.facets) == 16
+    rng = random.Random(16)
+    for _ in range(20):
+        size = rng.randint(1, 15)
+        check_against_oracle(FacetSelection(cone, frozenset(rng.sample(range(16), size))))
+
+
+@st.composite
+def pointed_selections(draw):
+    """A facet selection of a pointed full-dimensional cone in R^2..R^4
+    spanned by at most 8 integer rays, each with a positive last coordinate."""
+    dim = draw(st.integers(2, 4))
+    ray = st.tuples(*[st.integers(-3, 3)] * (dim - 1), st.integers(1, 3))
+    rays = draw(st.lists(ray, min_size=dim, max_size=8, unique=True))
+    assume(rank_over_field(rays) == dim)
+    cone = Cone.from_rays(rays)
+    n = len(cone.facets)
+    selected = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    return FacetSelection(cone, frozenset(selected))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(pointed_selections())
+def test_verdicts_match_oracle_on_random_cones(selection):
+    check_against_oracle(selection)
+
+
+def test_one_kernel_call_per_witness(monkeypatch):
+    calls = []
+    kernel = separation.extreme_rays
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(separation, "extreme_rays", counting)
+    selections = list(all_selections(pentagon_cone())) + [
+        FacetSelection(cyclic_cone(), frozenset({0, 3, 7}))
+    ]
+    for selection in selections:
+        separation_witness(selection)
+    assert len(calls) == len(selections)
 
 
 def test_separable_iff_contiguous_arc_on_polygon_cones():
@@ -93,8 +226,6 @@ def test_separable_iff_contiguous_arc_on_polygon_cones():
         if sorted(degree.values()).count(1) != 2:
             return False
         return len(edges) == len(subset) - 1
-
-    from itertools import combinations
 
     for size in range(1, n):
         for subset in combinations(range(n), size):
@@ -218,8 +349,6 @@ def test_every_shelling_prefix_is_cm_ball():
 
 
 def test_witness_chain_end_to_end():
-    from itertools import combinations
-
     for name, cone in corpus_cones().items():
         n = len(cone.facets)
         for size in range(1, n):
