@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 Vector = tuple[int, ...]
 
@@ -29,7 +30,8 @@ class InvariantViolation(Exception):
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    """Sum of the products of matching entries, up to the shorter length."""
+    return sum(map(mul, u, v))
 
 
 def vadd(u, v):
@@ -208,25 +210,63 @@ def rref(rows):
     return m, pivots
 
 
-def kernel_basis(rows, width) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel of a matrix with ``width`` columns."""
-    if not rows:
-        basis = []
-        for i in range(width):
-            v = [Fraction(0)] * width
-            v[i] = Fraction(1)
-            basis.append(tuple(v))
-        return basis
-    m, pivots = rref(rows)
-    free = [c for c in range(width) if c not in pivots]
-    out = []
-    for fc in free:
-        v = [Fraction(0)] * width
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        out.append(tuple(v))
-    return out
+def fraction_free_rref(rows, width):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of an integer matrix,
+    pivoting on its first ``width`` columns.
+
+    Returns ``(m, pivots, scale)``: the pivot columns are those of the reduced
+    row echelon form, and each of the first ``len(pivots)`` rows of ``m`` is
+    ``scale`` times the matching row of that form, ``scale`` being the minor
+    on the pivot rows and columns (zero rows follow).  Every entry stays a
+    minor of the input, so each division is exact (Sylvester's identity).
+    On a matrix ``[A | I]`` with ``A`` positive definite no row is swapped,
+    and the result is ``[det(A) I | adj(A)]``."""
+    m = [list(r) for r in rows]
+    pivots = []
+    prev = 1
+    for col in range(width):
+        rank = len(pivots)
+        if rank == len(m):
+            break
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        row_r = m[rank]
+        lead = row_r[col]
+        for i, row_i in enumerate(m):
+            if i == rank:
+                continue
+            fi = row_i[col]
+            reduced = []
+            for a, b in zip(row_i, row_r):
+                q, r = divmod(lead * a - fi * b, prev)
+                if r:
+                    raise InvariantViolation("inexact Bareiss division")
+                reduced.append(q)
+            m[i] = reduced
+        prev = lead
+        pivots.append(col)
+    return m, pivots, prev
+
+
+def integer_kernel(rows, width) -> list[Vector]:
+    """Basis of the right kernel of an integer matrix with ``width`` columns.
+
+    One vector per free column of the reduced row echelon form, in column
+    order: positive on its free column, zero on the other free columns.  Up
+    to a positive factor each is the kernel vector that has 1 on its free
+    column, read off the reduced form."""
+    m, pivots, scale = fraction_free_rref(rows, width)
+    sign = 1 if scale > 0 else -1
+    basis = []
+    for free in (c for c in range(width) if c not in pivots):
+        v = [0] * width
+        v[free] = sign * scale
+        for row, col in zip(m, pivots):
+            v[col] = -sign * row[free]
+        basis.append(tuple(v))
+    return basis
 
 
 def solve_exact(rows, rhs):

@@ -34,8 +34,14 @@ def fraction_str(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
+def _required(data: dict, key: str, kind: str):
+    if key not in data:
+        raise ValueError(f'{kind} JSON needs "{key}"')
+    return data[key]
+
+
 def _integer_vectors(data: dict, key: str, kind: str = "cone") -> list[tuple[int, ...]]:
-    rows = data[key]
+    rows = _required(data, key, kind)
     if not isinstance(rows, list) or not rows:
         raise ValueError(f'{kind} JSON "{key}" must be a nonempty list')
     for row in rows:
@@ -58,7 +64,7 @@ def vertex_lists(data: dict, key: str, n_vertices=None) -> list[tuple[int, ...]]
 
 def vertex_points(data: dict) -> list[tuple[Fraction, ...]]:
     """The "vertices" list: rational points, all of one dimension."""
-    points = data["vertices"]
+    points = _required(data, "vertices", "complex")
     if (
         not isinstance(points, list)
         or not points
@@ -94,13 +100,20 @@ def cone_to_dict(cone: Cone) -> dict:
 
 
 def simplicial_from_dict(data: dict) -> SimplicialComplex:
-    facets = vertex_lists(data, "facets")
-    n = 1 + max(v for f in facets for v in f)
+    """A simplicial complex from its facets; "vertices", when given, lists
+    one (placeholder) entry per vertex and bounds the vertex indices."""
+    n_vertices = None
     if "vertices" in data:
         if not isinstance(data["vertices"], list):
             raise ValueError(f'complex JSON "vertices" must be a list, got {data["vertices"]!r}')
-        n = max(n, len(data["vertices"]))
-    return SimplicialComplex.from_faces(n, facets)
+        n_vertices = len(data["vertices"])
+    facets = vertex_lists(data, "facets", n_vertices)
+    for facet in facets:
+        if len(set(facet)) != len(facet):
+            raise ValueError(f'complex JSON "facets" entry {list(facet)!r} repeats a vertex')
+    if n_vertices is None:
+        n_vertices = 1 + max(v for f in facets for v in f)
+    return SimplicialComplex.from_faces(n_vertices, facets)
 
 
 def simplicial_to_dict(sc: SimplicialComplex) -> dict:

@@ -8,25 +8,35 @@ slices complexes along hyperplane arrangements, and lifts an embedded complex
 onto the lower hull of a polytope one dimension up via the convex height
 ``sum_i |a_i . x - b_i|``.
 
+The work is integer arithmetic from the input points to the output points.
 Each cell becomes one :class:`_Polytope`, per lift and per embedding check.
-Its facets come from the integer double-description kernel
-:func:`~recdom.geometry.extreme_rays`; their vertex sets, primitive integer
-inequalities and the hull equations are computed once and shared by the
-covering arrangement, the cover check, the cut and the pairwise intersection
-test.  Face tests are combinatorial: a vertex set is a face when the facets
-through it meet in exactly that set.
+It puts the cell's points over one common denominator S as integer rows P
+and takes the differences D = P_i - P_0 independent of those before them as
+the basis of its chart.  The Gram matrix G = D.D^T is positive definite, so
+one fraction-free Gauss-Jordan pass (Bareiss) needs no pivoting and gives
+det(G) > 0 and adj(G); det(G) times a point's chart coordinates is the
+integer vector adj(G).D.(P - P_0).  The facets come from the integer
+double-description kernel :func:`~recdom.geometry.extreme_rays` on those
+vectors, and the hull equations and facet cuts from the fraction-free
+:func:`~recdom.geometry.integer_kernel`.  Facet vertex sets, primitive
+integer inequalities and hull equations are computed once and shared by the
+covering arrangement, the cover check, the cut and the pairwise
+intersection test.  Face tests are combinatorial: a vertex set is a face
+when the facets through it meet in exactly that set.
 
 Slicing works on homogeneous integer rows.  A region carries each vertex x as
-the primitive row (x.s, s) with s > 0, plus its facet vertex sets.  A
-hyperplane's value on a row is an integer with the sign of its value at x, so
-a cut needs no fractions: it follows the region's edge graph (two vertices
-span an edge when no third vertex lies on every facet through both), the
-crossing point of an edge uv is the primitive row of V_u.row_v - V_v.row_u,
-and each half's vertices and facets follow from the parent's.  Rational
-points reappear only when the faces of the final pieces are read off
+a row (x.s, s) with s > 0, plus its facet vertex sets.  A hyperplane's value
+on a row is an integer with the sign of its value at x, so a cut needs no
+fractions: it follows the region's edge graph (two vertices span an edge
+when no third vertex lies on every facet through both), the crossing point
+of an edge uv is the primitive row of V_u.row_v - V_v.row_u, and each half's
+vertices and facets follow from the parent's.  Rational points reappear only
+when the faces of the final pieces are read off
 :func:`~recdom.geometry.graded_closure`.  The lift cuts a bounding box the
 same way and reads each piece's signs off the sum of its rows, a point
-inside it.
+inside it; the lower-hull check reads each cell's piece off the same sum,
+and the height at x is the sum of |h(row)| over the hyperplanes, divided by
+s.
 
 The Euclidean distance to a hyperplane is replaced throughout by the absolute
 functional value: it is piecewise linear and convex with the same domains of
@@ -45,12 +55,12 @@ from .geometry import (
     cross_section_vertices,
     dot,
     extreme_rays,
+    fraction_free_rref,
     graded_closure,
-    kernel_basis,
+    integer_kernel,
     primitive,
     primitive_rational,
     rank_over_field,
-    rref,
 )
 from .topology import Cell, PolyhedralComplex
 
@@ -82,8 +92,15 @@ class AffineHyperplane:
 
     @classmethod
     def through(cls, normal, base) -> "AffineHyperplane":
-        offset = dot(normal, base)
-        extended = primitive_rational(tuple(normal) + (-offset,))
+        """The hyperplane with the nonzero rational ``normal`` through the
+        rational point ``base``."""
+        return cls.through_row(primitive_rational(normal), _homogeneous(base))
+
+    @classmethod
+    def through_row(cls, normal, row) -> "AffineHyperplane":
+        """The hyperplane with the nonzero integer ``normal`` through the
+        point x of the homogeneous row (x.s, s), s > 0."""
+        extended = primitive(tuple(row[-1] * a for a in normal) + (-dot(normal, row),))
         lead = next(a for a in extended if a)
         if lead < 0:
             extended = tuple(-a for a in extended)
@@ -101,15 +118,10 @@ class Arrangement:
         object.__setattr__(self, "hyperplanes", tuple(dedup))
 
 
-def _integer_row(vector):
-    """The primitive integer vector on the ray of a nonzero rational vector."""
-    scale = lcm(*(a.denominator for a in vector))
-    return primitive(tuple(a.numerator * (scale // a.denominator) for a in vector))
-
-
 def _homogeneous(point):
     """The primitive integer row (x.s, s), s > 0, of a rational point x."""
-    return _integer_row(tuple(point) + (1,))
+    s, (row,) = _common_denominator([point])
+    return primitive(row + (s,))
 
 
 def _point(row):
@@ -118,89 +130,103 @@ def _point(row):
     return tuple(Fraction(a, s) for a in row[:-1])
 
 
-def _affine_basis(points):
-    """Base point plus independent direction vectors spanning the affine hull."""
-    base = points[0]
-    dirs: list[Point] = []
-    rows: list[tuple[int, ...]] = []
-    for p in points[1:]:
+def _common_denominator(points):
+    """The least s > 0 that clears every denominator of the rational points
+    x, and the integer rows x.s."""
+    s = lcm(*(a.denominator for p in points for a in p))
+    return s, [tuple(a.numerator * (s // a.denominator) for a in p) for p in points]
+
+
+def _chart_map(rows):
+    """Independent directions of integer points P_i and the integer map onto
+    coordinates in their basis.
+
+    The directions D are the differences P_i - P_0 independent of those
+    before them.  Their Gram matrix G = D.D^T is positive definite, so one
+    fraction-free Gauss-Jordan pass on [G | I] needs no pivoting and gives
+    det(G) > 0 and adj(G).  Returns ``(D, det(G), adj(G).D)``: a point P in
+    the span has coordinates adj(G).D.(P - P_0) / det(G) in the basis D,
+    those the left inverse G^-1.D of D gives."""
+    base = rows[0]
+    dirs = []
+    for p in rows[1:]:
         if len(dirs) == len(base):
             break
         d = tuple(a - b for a, b in zip(p, base))
-        if any(d):
-            row = _integer_row(d)
-            if rank_over_field(rows + [row]) > len(rows):
-                dirs.append(d)
-                rows.append(row)
-    return base, tuple(dirs)
-
-
-def _left_inverse(dirs):
-    """Rows L with L . (x in span(dirs)) giving coordinates in the dirs basis."""
+        if any(d) and rank_over_field(dirs + [d]) > len(dirs):
+            dirs.append(d)
     k = len(dirs)
-    d = len(dirs[0])
-    gram = [[dot(a, b) for b in dirs] for a in dirs]
-    m, pivots = rref([row + [int(i == j) for j in range(k)] for i, row in enumerate(gram)])
-    if len(pivots) != k or pivots[-1] >= k:
+    gram = [[dot(a, b) for b in dirs] + [int(i == j) for j in range(k)] for i, a in enumerate(dirs)]
+    m, pivots, det = fraction_free_rref(gram, k)
+    if pivots != list(range(k)) or det <= 0:
         raise InvariantViolation("the Gram matrix of independent directions is singular")
-    return tuple(
-        tuple(sum(m[j][k + unit] * dirs[j][i] for j in range(k)) for i in range(d))
-        for unit in range(k)
-    )
+    columns = list(zip(*dirs))
+    return dirs, det, [tuple(dot(row[k:], col) for col in columns) for row in m]
 
 
 class _Polytope:
     """Exact V/H bookkeeping for one convex cell at desk scale.
 
+    ``rows`` are the vertices x as integer rows (x.S, S) over one common
+    denominator S; ``directions`` the independent integer directions from
+    the first vertex that span the affine hull, the basis of the chart.
     ``inequalities`` are the facets (n, b), n.y <= b, in chart coordinates
     y; ``facets`` their vertex index sets; ``ambient_inequalities`` the same
     facets as primitive integer (coeffs, rhs) with coeffs.x <= rhs on the
     affine hull."""
 
     __slots__ = (
-        "vertices", "base", "dirs", "chart", "inequalities", "facets", "ambient_inequalities",
-        "_equations",
+        "vertices", "base", "rows", "directions", "inequalities", "facets",
+        "ambient_inequalities", "_det", "_numerators", "_equations",
     )
 
     def __init__(self, points):
         pts = tuple(tuple(Fraction(x) for x in p) for p in points)
-        base, dirs = _affine_basis(pts)
-        self.base = base
-        self.dirs = dirs
-        left = _left_inverse(dirs) if dirs else ()
-        self.chart = tuple(
-            tuple(dot(row, tuple(a - b for a, b in zip(p, base))) for row in left)
-            for p in pts
-        )
+        s, scaled = _common_denominator(pts)
         self.vertices = pts
+        self.base = pts[0]
+        self.rows = tuple(p + (s,) for p in scaled)
+        self.directions, det, chart_map = _chart_map(scaled)
+        # det(G) times the chart coordinates of every vertex
+        offsets = [dot(row, scaled[0]) for row in chart_map]
+        self._det = det
+        self._numerators = tuple(
+            tuple(dot(row, p) - c for row, c in zip(chart_map, offsets)) for p in scaled
+        )
         self.inequalities, self.facets = self._chart_facets()
+        columns = list(zip(*chart_map))
         ambient = []
         for normal, rhs in self.inequalities:
-            coeffs = tuple(
-                sum(normal[j] * left[j][i] for j in range(len(normal)))
-                for i in range(len(base))
-            )
-            row = _integer_row(coeffs + (rhs + dot(coeffs, base),))
+            # n.y <= b is c.(x.S - P_0) <= det(G).b with c = n.adj(G).D
+            c = tuple(dot(normal, col) for col in columns)
+            row = primitive(tuple(s * a for a in c) + (det * rhs + dot(c, scaled[0]),))
             ambient.append((row[:-1], row[-1]))
         self.ambient_inequalities = tuple(ambient)
         self._equations = None
 
     @property
     def dim(self):
-        return len(self.dirs)
+        return len(self.directions)
+
+    @property
+    def chart(self):
+        """The vertices' coordinates in the basis ``directions``, from the
+        first vertex."""
+        return tuple(tuple(Fraction(a, self._det) for a in u) for u in self._numerators)
 
     def _chart_facets(self):
         """Facet inequalities (n, b) with n.y <= b in chart coordinates, and
         the vertex index sets they are tight on.
 
         They are the extreme rays of the polar cone {(n, b) : n.y <= b for
-        every chart point y}, apart from the ray n = 0.  A chart point's row
-        is a positive multiple of (-y, 1), so it is tight exactly where its
-        integer product with the ray vanishes."""
+        every chart point y}, apart from the ray n = 0.  A chart point
+        y = u / det(G) has the row (-u, det(G)), a positive multiple of
+        (-y, 1), so it is tight exactly where its integer product with the
+        ray vanishes."""
         k = self.dim
         if k == 0:
             return (), ()
-        rows = [_integer_row(tuple(-a for a in y) + (1,)) for y in self.chart]
+        rows = [primitive(tuple(-a for a in u) + (self._det,)) for u in self._numerators]
         lineality, rays = extreme_rays([], rows, k + 1)
         if lineality:
             raise InvariantViolation("chart points do not span their chart")
@@ -213,10 +239,8 @@ class _Polytope:
     def hull_equations(self):
         """Independent integer hyperplanes cutting out the affine hull."""
         if self._equations is None:
-            normals = kernel_basis([list(v) for v in self.dirs], len(self.base))
-            self._equations = tuple(
-                AffineHyperplane.through(primitive_rational(n), self.base) for n in normals
-            )
+            normals = integer_kernel(self.directions, len(self.base))
+            self._equations = tuple(AffineHyperplane.through_row(n, self.rows[0]) for n in normals)
         return self._equations
 
     def face_vertex_sets(self):
@@ -246,13 +270,6 @@ def _cone_vertices(equalities, inequalities, dim):
     if lineality:
         return []
     return sorted(_point(ray) for ray in rays if ray[-1])
-
-
-def _vertices_from_constraints(equalities, inequalities, dim):
-    """Vertices of {x : eq.x == rhs, ineq.x <= rhs}, sorted."""
-    eqs = [_integer_row(tuple(c) + (-r,)) for c, r in equalities if any(c) or r]
-    ineqs = [_integer_row(tuple(-a for a in c) + (r,)) for c, r in inequalities if any(c) or r]
-    return _cone_vertices(eqs, ineqs, dim)
 
 
 def _cell_polytopes(pc: PolyhedralComplex):
@@ -379,22 +396,26 @@ def schlegel(vertices, cells, avoid: int) -> PolyhedralComplex:
             closure[tuple(sorted(ids[i] for i in local_vs))] = dim
     normal, rhs = poly.inequalities[avoid]
     z = _beyond_point(poly, avoid)
+    chart = poly.chart
     used = sorted({i for vs in closure for i in vs})
     images = {}
     for i in used:
-        v = poly.chart[i]
+        v = chart[i]
         denom = dot(normal, v) - dot(normal, z)
         if denom == 0:
             raise InvariantViolation(f"vertex {i} is parallel to the avoided facet")
         s = Fraction(rhs - dot(normal, z), denom)
         images[i] = tuple(zc + s * (vc - zc) for zc, vc in zip(z, v))
-    facet_pts = [poly.chart[i] for i in sorted(avoid_vertices)]
-    base, dirs = _affine_basis(facet_pts)
-    left = _left_inverse(dirs) if dirs else ()
+    # coordinates in the chart of the avoided facet's points P_i = x_i.S
+    scale, facet_rows = _common_denominator([chart[i] for i in sorted(avoid_vertices)])
+    _, det, chart_map = _chart_map(facet_rows)
     new_coords = {}
     for i, img in images.items():
-        shifted = tuple(a - b for a, b in zip(img, base))
-        new_coords[i] = tuple(dot(row, shifted) for row in left)
+        # an image x with row (X, t) has S.x - P_0 = (S.X - t.P_0) / t
+        row = _homogeneous(img)
+        t = row[-1]
+        shifted = tuple(scale * a - t * b for a, b in zip(row, facet_rows[0]))
+        new_coords[i] = tuple(Fraction(dot(r, shifted), det * t) for r in chart_map)
     relabel = {i: k for k, i in enumerate(used)}
     new_vertices = tuple(new_coords[i] for i in used)
     new_cells = tuple(
@@ -440,24 +461,27 @@ def _covering_arrangement(polys) -> Arrangement:
     for poly in polys:
         hyperplanes.update(poly.hull_equations())
         for tight in poly.facets:
-            hyperplanes.add(_cut_through([poly.vertices[i] for i in tight], poly.vertices))
+            hyperplanes.add(_cut_through(poly, tight))
     return Arrangement(tuple(hyperplanes))
 
 
-def _cut_through(facet_points, cell_points) -> AffineHyperplane:
-    """Canonical hyperplane containing the facet but not the whole cell."""
-    base, dirs = _affine_basis(list(facet_points))
-    for n in kernel_basis([list(v) for v in dirs], len(base)):
+def _cut_through(poly: _Polytope, tight) -> AffineHyperplane:
+    """Canonical hyperplane containing the facet on the vertices ``tight``
+    but not the whole cell: the first normal of the integer kernel of the
+    facet's directions that is not constant on the cell."""
+    base = poly.rows[tight[0]]
+    diffs = [tuple(a - b for a, b in zip(poly.rows[i][:-1], base)) for i in tight[1:]]
+    for n in integer_kernel(diffs, len(poly.base)):
         offset = dot(n, base)
-        if any(dot(n, p) != offset for p in cell_points):
-            return AffineHyperplane.through(primitive_rational(n), base)
+        if any(dot(n, row) != offset for row in poly.rows):
+            return AffineHyperplane.through_row(n, base)
     raise InvariantViolation("facet hyperplane candidates all contain the cell")
 
 
 def _arrangement_covers(poly: _Polytope, arrangement: Arrangement) -> bool:
     """True when the hyperplanes through the whole cell cut out its affine
     hull and every facet lies on a hyperplane that misses the cell."""
-    rows = [_homogeneous(v) for v in poly.vertices]
+    rows = poly.rows
     whole = frozenset(range(len(rows)))
     containing, proper = [], []
     for h in arrangement.hyperplanes:
@@ -474,7 +498,7 @@ def _arrangement_covers(poly: _Polytope, arrangement: Arrangement) -> bool:
 def _region(poly: _Polytope):
     """A polytope as a region: its vertices as homogeneous integer rows, and
     its facet vertex sets."""
-    return tuple(_homogeneous(v) for v in poly.vertices), tuple(frozenset(f) for f in poly.facets)
+    return poly.rows, tuple(frozenset(f) for f in poly.facets)
 
 
 def _cut(region, h: AffineHyperplane):
@@ -571,25 +595,22 @@ def _induced_subdivision(pc: PolyhedralComplex, polys, arrangement: Arrangement)
 
 def lift_height(arrangement: Arrangement, point) -> Fraction:
     """The convex piecewise-linear height: sum of absolute functional values."""
-    return sum(abs(Fraction(h.value(point))) for h in arrangement.hyperplanes)
+    row = _homogeneous(point)
+    return Fraction(sum(abs(h.row_value(row)) for h in arrangement.hyperplanes), row[-1])
 
 
-def _affine_piece(arrangement: Arrangement, points):
-    """The affine piece (coeffs, offset) of the height active on a cell.
+def _piece_inside(arrangement: Arrangement, rows):
+    """The affine piece (coeffs, offset), height(x) = coeffs.x - offset, on a
+    cell that no hyperplane of the arrangement crosses, from the homogeneous
+    rows of its vertices.
 
-    The signs of the hyperplanes at the barycenter of the cell's points pick
-    the piece: height(x) = coeffs.x - offset on the cell."""
-    d = len(points[0])
-    barycenter = tuple(sum(p[i] for p in points) / len(points) for i in range(d))
-    return _signed_piece(arrangement, [h.value(barycenter) for h in arrangement.hyperplanes], d)
-
-
-def _signed_piece(arrangement: Arrangement, values, d):
-    """The affine piece of the height with each hyperplane's sign taken from
-    its value in ``values`` (zero counts as positive)."""
-    signs = tuple(1 if v >= 0 else -1 for v in values)
+    The sum of the rows is a point in the cell's relative interior, so each
+    hyperplane has there its sign on the cell (zero counts as positive)."""
+    inside = tuple(map(sum, zip(*rows)))
+    signs = [1 if h.row_value(inside) >= 0 else -1 for h in arrangement.hyperplanes]
     coeffs = tuple(
-        sum(s * h.coeffs[i] for s, h in zip(signs, arrangement.hyperplanes)) for i in range(d)
+        sum(s * h.coeffs[i] for s, h in zip(signs, arrangement.hyperplanes))
+        for i in range(len(inside) - 1)
     )
     offset = sum(s * h.rhs for s, h in zip(signs, arrangement.hyperplanes))
     return coeffs, offset
@@ -633,25 +654,18 @@ def lift(pc: PolyhedralComplex) -> LiftResult:
     lows = [floor(min(p[i] for p in pc.vertices)) - 1 for i in range(d)]
     highs = [ceil(max(p[i] for p in pc.vertices)) + 1 for i in range(d)]
     box = _Polytope(product(*zip(lows, highs)))
-    pieces = set()
-    for rows, _ in _cut_regions(_region(box), arrangement):
-        # the sum of a full-dimensional region's rows is a point inside it
-        inside = tuple(map(sum, zip(*rows)))
-        pieces.add(_signed_piece(arrangement, [h.row_value(inside) for h in arrangement.hyperplanes], d))
-    affine_pieces = tuple(sorted(pieces))
-    inequalities = []
-    for coeffs, offset in affine_pieces:
-        # t >= coeffs.x - offset written as coeffs.x - t <= offset
-        inequalities.append((tuple(coeffs) + (-1,), Fraction(offset)))
+    affine_pieces = tuple(sorted(
+        {_piece_inside(arrangement, rows) for rows, _ in _cut_regions(_region(box), arrangement)}
+    ))
+    # rows r >= 0 on (x, t, 1): t >= coeffs.x - offset, the box, t <= M + 1
+    inequalities = [tuple(-a for a in coeffs) + (1, offset) for coeffs, offset in affine_pieces]
     for i in range(d):
-        unit = [0] * (d + 1)
-        unit[i] = 1
-        inequalities.append((tuple(unit), Fraction(highs[i])))
-        inequalities.append((tuple(-u for u in unit), Fraction(-lows[i])))
-    top = [0] * (d + 1)
-    top[d] = 1
-    inequalities.append((tuple(top), max_value + 1))
-    polytope_vertices = tuple(_vertices_from_constraints([], inequalities, d + 1))
+        unit = tuple(int(j == i) for j in range(d + 1))
+        inequalities.append(tuple(-u for u in unit) + (highs[i],))
+        inequalities.append(unit + (-lows[i],))
+    top = max_value + 1
+    inequalities.append((0,) * d + (-top.denominator, top.numerator))
+    polytope_vertices = tuple(_cone_vertices([], inequalities, d + 1))
     lifted_vertices = tuple(
         v + (values[i],) for i, v in enumerate(subdivision.vertices)
     )
@@ -670,22 +684,26 @@ def lift(pc: PolyhedralComplex) -> LiftResult:
 
 def cell_affine_piece(result: LiftResult, cell: Cell):
     """The affine piece of the height active on one subdivision cell."""
-    return _affine_piece(result.arrangement, result.subdivision.cell_points(cell))
+    rows = [_homogeneous(p) for p in result.subdivision.cell_points(cell)]
+    return _piece_inside(result.arrangement, rows)
 
 
 def verify_lower_hull(result: LiftResult) -> bool:
     """Every lifted cell must be supported from below by its affine piece.
 
     Checks that the piece interpolates the lift values on the cell and that
-    t >= piece(x) is valid on every polytope vertex."""
+    t >= piece(x) is valid on every polytope vertex, on homogeneous rows."""
+    rows = [_homogeneous(v) for v in result.subdivision.vertices]
+    tops = [_homogeneous(v) for v in result.polytope_vertices]
     for cell in result.subdivision.maximal_cells():
-        coeffs, offset = cell_affine_piece(result, cell)
+        coeffs, offset = _piece_inside(result.arrangement, [rows[i] for i in cell.vertices])
         for i in cell.vertices:
-            x = result.subdivision.point(i)
-            if dot(coeffs, x) - offset != result.lift_values[i]:
+            row, value = rows[i], result.lift_values[i]
+            if (dot(coeffs, row) - offset * row[-1]) * value.denominator != value.numerator * row[-1]:
                 return False
-        for v in result.polytope_vertices:
-            if dot(coeffs, v[:-1]) - offset > v[-1]:
+        for top in tops:
+            # (x, t) = (X, T) / w: coeffs.X - offset.w > T means piece(x) > t
+            if dot(coeffs, top) - offset * top[-1] > top[-2]:
                 return False
     return True
 

@@ -52,6 +52,12 @@ def separation_witness(selection: FacetSelection) -> SeparationResult:
         for i, f in enumerate(cone.facets)
     ]
     lineality, rays = extreme_rays([], rows, cone.dim)
+    # C is never (d - 1)-dimensional.  The rows vanishing on such a C would
+    # all be multiples of one covector a.  Were they all positive multiples,
+    # a small step from a relative-interior point of C along some v with
+    # a.v > 0 would stay in C and make them positive.  So two of them would
+    # be opposite primitive rows, f_i = +-f_j, and no two facets of a
+    # full-dimensional pointed cone are.  The rank is d, or at most d - 2.
     if rank_over_field(lineality + rays) < cone.dim:
         return SeparationResult(False)
     point = primitive(tuple(map(sum, zip(*rays))))

@@ -209,6 +209,11 @@ def test_bad_cone_json_exit_code(tmp_path, capsys, cone, message):
         ("cm", {"facets": [[0, -1]]}, "nonempty lists of vertex indices"),
         ("cm", {"facets": [[0, "1"]]}, "lists of integers"),
         ("cm", {"facets": [[0, 1]], "vertices": 5}, '"vertices" must be a list'),
+        ("cm", {"vertices": [[0], [1]], "facets": [[0, 5]]}, "nonempty lists of vertex indices"),
+        ("cm", {"vertices": [[0], [1]], "facets": [[0, 0]]}, "repeats a vertex"),
+        ("cm", {"vertices": [[0], [1]]}, 'complex JSON needs "facets"'),
+        ("lift", {"facets": [[0, 1]]}, 'complex JSON needs "vertices"'),
+        ("lift", {"vertices": [["0"], ["1"]]}, 'complex JSON needs "facets"'),
         ("lift", {"vertices": [["0"], ["1"]], "facets": [[0, 1.0]]}, "lists of integers"),
         ("lift", {"vertices": [["0"], ["1"]], "facets": [[0, 2]]}, "vertex indices"),
         ("lift", {"vertices": [["0"], ["1"]], "facets": [[0, -1]]}, "vertex indices"),
@@ -226,7 +231,8 @@ def test_bad_cone_json_exit_code(tmp_path, capsys, cone, message):
     ],
     ids=[
         "float-and-bool-index", "no-facets", "empty-facet", "negative-index", "string-index",
-        "integer-vertices",
+        "integer-vertices", "index-past-vertices", "repeated-facet-index",
+        "cm-missing-facets", "missing-vertices", "lift-missing-facets",
         "float-cell-index", "cell-index-out-of-range", "negative-cell-index",
         "string-vertices", "ragged-vertices", "zero-denominator",
         "float-ambient-dim", "wrong-ambient-dim",

@@ -3,11 +3,13 @@
 import json
 import os
 import random
+import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from recdom import jsonio, lifting
+from recdom import geometry, jsonio, lifting
 from recdom.corpus import (
     cube_vertices,
     one_point_1d,
@@ -233,6 +235,21 @@ def test_lift_two_segments_breakpoints():
     assert lower <= set(result.polytope_vertices)
 
 
+def test_lower_hull_check_on_rational_heights_and_altered_lifts():
+    # half-integer vertices give heights 4, 5/2, 7/2, which the check
+    # compares by cross-multiplying; a changed height, or a lifted vertex
+    # sunk below its cell's piece, must fail it
+    result = lift(embedded_complex([(0,), (Fraction(1, 2),), (Fraction(3, 2),)], [(0, 1), (1, 2)]))
+    assert result.lift_values == (4, Fraction(5, 2), Fraction(7, 2))
+    assert verify_lower_hull(result)
+    raised = (result.lift_values[0], result.lift_values[1] + Fraction(1, 3), result.lift_values[2])
+    assert not verify_lower_hull(replace(result, lift_values=raised))
+    lifted = result.subdivision.vertices[1] + (result.lift_values[1],)
+    assert lifted in result.polytope_vertices
+    sunk = tuple(v[:-1] + (v[-1] - 1,) if v == lifted else v for v in result.polytope_vertices)
+    assert not verify_lower_hull(replace(result, polytope_vertices=sunk))
+
+
 def test_lift_single_point():
     result = lift(one_point_1d())
     assert result.max_value == 0
@@ -284,11 +301,13 @@ def test_lift_two_tetrahedra_sharing_a_face_in_r3():
     assert heights[0] + heights[2] > 2 * heights[1]
 
 
-def _work(monkeypatch, run, pc, names=("extreme_rays", "_Polytope")):
+def _work(monkeypatch, run, *args, names=("extreme_rays", "_Polytope")):
     """Calls of the lifting module's ``names`` (``extreme_rays`` and
-    ``_Polytope`` constructions by default) in ``run(pc)``, counted through
-    the attributes the module looks them up by."""
-    counts = dict.fromkeys(names, 0)
+    ``_Polytope`` constructions by default) in ``run(*args)``, counted
+    through the attributes the module looks them up by, and calls of the
+    Fraction ``geometry.rref``, which lifting has no use for, through every
+    recdom module that binds it."""
+    counts = dict.fromkeys(names + ("rref",), 0)
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -297,9 +316,13 @@ def _work(monkeypatch, run, pc, names=("extreme_rays", "_Polytope")):
 
         return wrapper
 
-    for name in counts:
+    for name in names:
         monkeypatch.setattr(lifting, name, counting(name, getattr(lifting, name)))
-    outcome = run(pc)
+    rref = geometry.rref
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("recdom") and getattr(module, "rref", None) is rref:
+            monkeypatch.setattr(module, "rref", counting("rref", rref))
+    outcome = run(*args)
     monkeypatch.undo()
     return counts, outcome
 
@@ -314,18 +337,25 @@ def _pinned_inputs():
     return triangles, tetrahedron
 
 
+def _lift_and_check(pc):
+    result = lift(pc)
+    return verify_lower_hull(result)
+
+
 def test_lift_work_is_pinned(monkeypatch):
     # One _Polytope per cell, shared by the covering arrangement and the
     # subdivision, one for the box and none in the cut loop; one extreme_rays
     # call per polytope of dimension >= 1 (its facets) and one for the lifted
-    # polytope's vertices.
-    triangles, tetrahedron = _pinned_inputs()
-    counts, result = _work(monkeypatch, lift, triangles)
-    assert verify_lower_hull(result)
-    assert counts == {"extreme_rays": 7 + 1 + 1, "_Polytope": 11 + 1}
-    counts, result = _work(monkeypatch, lift, tetrahedron)
-    assert verify_lower_hull(result)
-    assert counts == {"extreme_rays": 11 + 1 + 1, "_Polytope": 15 + 1}
+    # polytope's vertices.  Neither building the inputs, nor the lift and its
+    # check, nor a Schlegel projection makes a Fraction row reduction.
+    counts, (triangles, tetrahedron) = _work(monkeypatch, _pinned_inputs, names=())
+    assert counts == {"rref": 0}
+    counts, verified = _work(monkeypatch, _lift_and_check, triangles)
+    assert verified and counts == {"extreme_rays": 7 + 1 + 1, "_Polytope": 11 + 1, "rref": 0}
+    counts, verified = _work(monkeypatch, _lift_and_check, tetrahedron)
+    assert verified and counts == {"extreme_rays": 11 + 1 + 1, "_Polytope": 15 + 1, "rref": 0}
+    counts, out = _work(monkeypatch, schlegel, cube_vertices(), [(0, 2, 4, 6), (0, 1, 4, 5)], 5, names=())
+    assert len(out.maximal_cells()) == 2 and counts == {"rref": 0}
 
 
 def test_verify_embedding_work_is_pinned(monkeypatch):
@@ -333,14 +363,18 @@ def test_verify_embedding_work_is_pinned(monkeypatch):
     # reuses: one extreme_rays call per polytope of dimension >= 1, one H-to-V
     # pass per pair of cells that are not nested and whose bounding boxes
     # meet (17 of the 55 pairs of the triangles, 37 of the 105 of the
-    # tetrahedron), and one kernel_basis call per cell in such a pair (9 of
-    # 11 cells, 11 of 15).
-    names = ("extreme_rays", "_Polytope", "kernel_basis")
+    # tetrahedron), one integer_kernel call per cell in such a pair (9 of
+    # 11 cells, 11 of 15), and no Fraction row reduction.
+    names = ("extreme_rays", "_Polytope", "integer_kernel")
     triangles, tetrahedron = _pinned_inputs()
-    counts, embedded = _work(monkeypatch, verify_embedding, triangles, names)
-    assert embedded and counts == {"extreme_rays": 7 + 17, "_Polytope": 11, "kernel_basis": 9}
-    counts, embedded = _work(monkeypatch, verify_embedding, tetrahedron, names)
-    assert embedded and counts == {"extreme_rays": 11 + 37, "_Polytope": 15, "kernel_basis": 11}
+    counts, embedded = _work(monkeypatch, verify_embedding, triangles, names=names)
+    assert embedded and counts == {
+        "extreme_rays": 7 + 17, "_Polytope": 11, "integer_kernel": 9, "rref": 0
+    }
+    counts, embedded = _work(monkeypatch, verify_embedding, tetrahedron, names=names)
+    assert embedded and counts == {
+        "extreme_rays": 11 + 37, "_Polytope": 15, "integer_kernel": 11, "rref": 0
+    }
 
 
 def test_lift_height_convexity_seeded():

@@ -6,7 +6,9 @@ exact Fraction row reduction, and every subset of facets (faces).  They share
 no code with :func:`recdom.geometry.extreme_rays`.  The region cutter of
 :mod:`recdom.lifting` is checked against the construction it replaced: an
 H-to-V pass on each half's constraints and a fresh polytope on its vertices.
-Its integer cover check is checked against the same check in Fractions."""
+Its integer cover check is checked against the same check in Fractions, and
+the integer charts, kernels and hull equations of its polytopes against the
+Fraction row reduction they replaced."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -30,7 +32,8 @@ from recdom.geometry import (
     dual_description,
     extreme_rays,
     faces_of,
-    kernel_basis,
+    fraction_free_rref,
+    integer_kernel,
     primitive,
     primitive_rational,
     rank_over_field,
@@ -40,14 +43,14 @@ from recdom.geometry import (
 from recdom.lifting import (
     AffineHyperplane,
     Arrangement,
-    _affine_basis,
     _arrangement_covers,
+    _cone_vertices,
     _cut,
+    _cut_through,
     _point,
     _Polytope,
     _region,
     _region_faces,
-    _vertices_from_constraints,
     covering_arrangement,
     embedded_complex,
     induced_subdivision,
@@ -66,6 +69,74 @@ def rational_rank(rows) -> int:
     if not rows:
         return 0
     return len(rref(rows)[1])
+
+
+def kernel_basis(rows, width):
+    """Basis of the right kernel of a matrix with ``width`` columns, read
+    off its Fraction reduced row echelon form: one vector per free column,
+    1 there and 0 on the other free columns."""
+    if not rows:
+        return [tuple(Fraction(int(i == j)) for i in range(width)) for j in range(width)]
+    m, pivots = rref(rows)
+    out = []
+    for fc in (c for c in range(width) if c not in pivots):
+        v = [Fraction(0)] * width
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc]
+        out.append(tuple(v))
+    return out
+
+
+def oracle_polytope(points):
+    """Chart, facet inequalities, facet vertex sets, ambient inequalities
+    and hull equations of a polytope by the Fraction construction the
+    integer one replaced: independent directions from the first point, the
+    left inverse G^-1.D of the directions D from a Fraction reduction of
+    [G | I] with G = D.D^T, and hull normals from :func:`kernel_basis`."""
+    pts = [tuple(Fraction(x) for x in p) for p in points]
+    base = pts[0]
+    dirs = []
+    for p in pts[1:]:
+        d = tuple(a - b for a, b in zip(p, base))
+        if len(dirs) < len(base) and any(d) and rational_rank(dirs + [d]) > len(dirs):
+            dirs.append(d)
+    k = len(dirs)
+    left = ()
+    if k:
+        gram = [[dot(a, b) for b in dirs] + [int(i == j) for j in range(k)] for i, a in enumerate(dirs)]
+        m, _ = rref(gram)
+        left = [
+            tuple(sum(m[j][k + unit] * dirs[j][i] for j in range(k)) for i in range(len(base)))
+            for unit in range(k)
+        ]
+    chart = tuple(tuple(dot(row, tuple(a - b for a, b in zip(p, base))) for row in left) for p in pts)
+    inequalities, facets = (), ()
+    if k:
+        rows = [primitive_rational(tuple(-a for a in y) + (1,)) for y in chart]
+        rays = [ray for ray in extreme_rays([], rows, k + 1)[1] if any(ray[:-1])]
+        inequalities = tuple((ray[:-1], ray[-1]) for ray in rays)
+        facets = tuple(tuple(i for i, row in enumerate(rows) if dot(row, ray) == 0) for ray in rays)
+    ambient = []
+    for normal, rhs in inequalities:
+        coeffs = tuple(sum(normal[j] * left[j][i] for j in range(k)) for i in range(len(base)))
+        row = primitive_rational(coeffs + (rhs + dot(coeffs, base),))
+        ambient.append((row[:-1], row[-1]))
+    equations = []
+    for n in kernel_basis([list(d) for d in dirs], len(base)):
+        extended = primitive_rational(tuple(n) + (-dot(n, base),))
+        if next(a for a in extended if a) < 0:
+            extended = tuple(-a for a in extended)
+        equations.append(AffineHyperplane(extended[:-1], -extended[-1]))
+    return chart, inequalities, facets, tuple(ambient), tuple(equations)
+
+
+def vertices_from_constraints(equalities, inequalities, dim):
+    """Vertices of {x : eq.x == rhs, ineq.x <= rhs}, sorted, by the
+    library's H-to-V pass on the primitive integer rows of the constraints."""
+    eqs = [primitive_rational(tuple(c) + (-r,)) for c, r in equalities if any(c) or r]
+    ineqs = [primitive_rational(tuple(-a for a in c) + (r,)) for c, r in inequalities if any(c) or r]
+    return _cone_vertices(eqs, ineqs, dim)
 
 
 def brute_force_vertices(equalities, inequalities, dim):
@@ -129,7 +200,8 @@ def brute_force_faces(poly):
         for active in combinations(poly.inequalities, size):
             vs = exposed_vertices(poly, active)
             if vs and vs not in faces:
-                faces[vs] = len(_affine_basis([poly.vertices[i] for i in vs])[1])
+                pts = [poly.vertices[i] for i in vs]
+                faces[vs] = rational_rank([[a - b for a, b in zip(p, pts[0])] for p in pts])
     return faces
 
 
@@ -232,7 +304,7 @@ def oracle_halves(poly, h):
     halves = []
     for sign in (1, -1):
         cut = (tuple(sign * -c for c in h.coeffs), sign * -h.rhs)
-        verts = _vertices_from_constraints(eqs, list(poly.ambient_inequalities) + [cut], len(h.coeffs))
+        verts = vertices_from_constraints(eqs, list(poly.ambient_inequalities) + [cut], len(h.coeffs))
         halves.append(_Polytope(verts))
     return halves
 
@@ -366,7 +438,7 @@ def cut_cases(draw):
 @given(h_systems())
 def test_vertices_match_brute_force(system):
     equalities, inequalities, dim = system
-    assert _vertices_from_constraints(equalities, inequalities, dim) == brute_force_vertices(
+    assert vertices_from_constraints(equalities, inequalities, dim) == brute_force_vertices(
         equalities, inequalities, dim
     )
 
@@ -377,6 +449,68 @@ def test_facets_and_faces_match_brute_force(points):
     poly = _Polytope(points)
     assert poly.inequalities == brute_force_chart_facets(poly.chart, poly.dim)
     assert poly.face_vertex_sets() == brute_force_faces(poly)
+
+
+@st.composite
+def rational_point_sets(draw):
+    """1-7 points, repeats allowed, in R^1..R^3 with coordinates of
+    denominators up to 6, spanning an affine subspace of any dimension up to
+    the ambient one."""
+    ambient = draw(st.integers(1, 3))
+    k = draw(st.integers(0, ambient))
+    coordinate = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    base = draw(st.lists(coordinate, min_size=ambient, max_size=ambient))
+    dirs = [draw(st.lists(SMALL, min_size=ambient, max_size=ambient)) for _ in range(k)]
+    coeff = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    points = []
+    for _ in range(draw(st.integers(1, 7))):
+        cs = [draw(coeff) for _ in dirs]
+        points.append(tuple(b + sum(c * d[i] for c, d in zip(cs, dirs)) for i, b in enumerate(base)))
+    return points
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rational_point_sets())
+def test_polytope_matches_fraction_construction(points):
+    poly = _Polytope(points)
+    assert (
+        poly.chart, poly.inequalities, poly.facets, poly.ambient_inequalities, poly.hull_equations()
+    ) == oracle_polytope(points)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices of 0-5 rows and 1-5 columns, some rows combinations
+    of others, so that every rank deficiency occurs."""
+    width = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-4, 4), min_size=width, max_size=width)
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        if rows and draw(st.booleans()):
+            weights = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(w * r[j] for w, r in zip(weights, rows)) for j in range(width)])
+        else:
+            rows.append(draw(row))
+    return rows, width
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_fraction_free_reduction_matches_rref(matrix):
+    rows, width = matrix
+    if rows:
+        m, pivots, scale = fraction_free_rref(rows, width)
+        reduced, expected = rref(rows)
+        assert pivots == expected and scale != 0
+        assert [[Fraction(a, scale) for a in r] for r in m[: len(pivots)]] == reduced[: len(pivots)]
+        assert not any(any(r) for r in m[len(pivots):])
+    basis = integer_kernel(rows, width)
+    oracle = kernel_basis(rows, width)
+    assert len(basis) == len(oracle)
+    for v, w in zip(basis, oracle):
+        lead = next(i for i, a in enumerate(w) if a)
+        factor = Fraction(v[lead]) / w[lead]
+        assert factor > 0 and v == tuple(factor * a for a in w)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -397,14 +531,28 @@ def test_cut_matches_oracle_halves(case):
     ]
 
 
+def test_cut_through_skips_normals_constant_on_the_cell():
+    # the kernel of a vertex's (empty) directions starts with x, constant on
+    # a vertical segment; of the edge along y of the square in x = 1, too
+    segment = _Polytope([(1, 0), (1, 2)])
+    assert [_cut_through(segment, f) for f in segment.facets] == [
+        AffineHyperplane((0, 1), 0), AffineHyperplane((0, 1), 2)
+    ]
+    square = _Polytope([(1, 0, 0), (1, 2, 0), (1, 0, 2), (1, 2, 2)])
+    assert {_cut_through(square, f) for f in square.facets} == {
+        AffineHyperplane((0, 1, 0), 0), AffineHyperplane((0, 1, 0), 2),
+        AffineHyperplane((0, 0, 1), 0), AffineHyperplane((0, 0, 1), 2),
+    }
+
+
 def test_empty_and_lower_dimensional_systems():
     square = [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)]
-    assert _vertices_from_constraints([], square + [((1, 1), -1)], 2) == []
+    assert vertices_from_constraints([], square + [((1, 1), -1)], 2) == []
     diagonal = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]
-    assert _vertices_from_constraints([((1, -1), 0)], square, 2) == diagonal
-    assert _vertices_from_constraints([], square + [((1, -1), 0), ((-1, 1), 0)], 2) == diagonal
+    assert vertices_from_constraints([((1, -1), 0)], square, 2) == diagonal
+    assert vertices_from_constraints([], square + [((1, -1), 0), ((-1, 1), 0)], 2) == diagonal
     # a strip has a line and so no vertex
-    assert _vertices_from_constraints([], square[:2], 2) == []
+    assert vertices_from_constraints([], square[:2], 2) == []
 
 
 @st.composite

@@ -21,7 +21,7 @@ from recdom.corpus import (
     square_cone,
 )
 from recdom.enumerator import FacetSelection, default_grading, reciprocity_check
-from recdom.geometry import GF2, QQ, Cone, rank_over_field
+from recdom.geometry import GF2, QQ, Cone, extreme_rays, rank_over_field
 from recdom.separation import (
     DegeneratePoint,
     cross_section_vertices,
@@ -163,6 +163,20 @@ def test_verdicts_match_oracle_on_cyclic_cone():
     for _ in range(20):
         size = rng.randint(1, 15)
         check_against_oracle(FacetSelection(cone, frozenset(rng.sample(range(16), size))))
+
+
+def test_signed_cone_of_one_ray_is_not_separable():
+    # The cone over the square pyramid with base (+-1, +-1, 0) and apex
+    # (0, 0, 1): on these selections the signed facet rows cut out a single
+    # ray, a cone that is neither full-dimensional nor {0}.
+    cone = Cone.from_rays([(x, y, 0, 1) for x in (1, -1) for y in (1, -1)] + [(0, 0, 1, 1)])
+    assert len(cone.facets) == 5
+    for selected in ({0, 4}, {1, 3}, {0, 2, 4}, {1, 2, 3}):
+        selection = FacetSelection(cone, frozenset(selected))
+        lineality, rays = extreme_rays([], signed_rows(selection), cone.dim)
+        assert lineality == [] and len(rays) == 1
+        assert not separation_witness(selection).separable
+        check_against_oracle(selection)
 
 
 @st.composite
