@@ -28,9 +28,9 @@ from .geometry import (
     Vector,
     default_grading,
     dot,
+    dual_rows,
     faces_of,
     smith_normal_form,
-    solve_exact,
     vadd,
 )
 from .topology import barycentric, boundary_subcomplex, is_cohen_macaulay
@@ -148,9 +148,6 @@ class LaurentPoly:
     def substitute_inverse(self):
         """The polynomial with x replaced by 1/x."""
         return LaurentPoly({tuple(-a for a in e): c for e, c in self.terms.items()})
-
-    def shifted(self, v):
-        return LaurentPoly({vadd(e, v): c for e, c in self.terms.items()})
 
     def __repr__(self):
         return f"LaurentPoly({dict(sorted(self.terms.items()))!r})"
@@ -305,44 +302,30 @@ def _pulling_triangulation(cone: Cone, face: Face) -> tuple[tuple[int, ...], ...
     return tuple(sorted(simplices))
 
 
-def _wall_functional(gens, omit):
-    """Covector vanishing on every generator except ``gens[omit]``, value 1 there.
-
-    Restricted to the span of the generators this normalization pins it down.
-    """
-    rows = [g for i, g in enumerate(gens) if i != omit]
-    rows.append(gens[omit])
-    rhs = [Fraction(0)] * (len(gens) - 1) + [Fraction(1)]
-    sol = solve_exact(rows, rhs)
-    if sol is None:
-        raise InvariantViolation(f"generators {gens} are linearly dependent")
-    return sol
-
-
 @lru_cache(maxsize=None)
 def _face_decomposition(cone: Cone, face: Face) -> tuple[HalfOpenCone, ...]:
+    # The wall of a piece opposite generator i is read off row i of the dual
+    # rows adj(G).gens, G = gens.gens^T.  On the span of the generators,
+    # which holds the whole face, that row is det(G) > 0 times the covector
+    # with value 1 on generator i and 0 on the others.  The reference point
+    # sum_j b^-j v_j over the face's m rays, for the least b >= 2 that puts
+    # it on no wall, is taken times b^(m-1) so that it is an integer point.
     simplices = _pulling_triangulation(cone, face)
     gens = {s: tuple(cone.rays[i] for i in s) for s in simplices}
-    walls = {}
-    for s in simplices:
-        for i in range(len(s)):
-            walls[(s, i)] = _wall_functional(gens[s], i)
+    walls = {s: dual_rows(gens[s])[1] for s in simplices}
     ray_vectors = [cone.rays[i] for i in sorted(face.rays)]
-    reference = None
+    top = len(ray_vectors) - 1
     for b in count(2):
-        s_param = Fraction(1, b)
-        q = tuple(
-            sum(s_param**j * v[i] for j, v in enumerate(ray_vectors))
+        reference = tuple(
+            sum(b ** (top - j) * v[i] for j, v in enumerate(ray_vectors))
             for i in range(cone.dim)
         )
-        if all(dot(n, q) != 0 for n in walls.values()):
-            reference = q
+        if all(dot(n, reference) for rows in walls.values() for n in rows):
             break
-    pieces = []
-    for s in simplices:
-        flags = tuple(dot(walls[(s, i)], reference) < 0 for i in range(len(s)))
-        pieces.append(HalfOpenCone(gens[s], flags))
-    return tuple(pieces)
+    return tuple(
+        HalfOpenCone(gens[s], tuple(dot(n, reference) < 0 for n in walls[s]))
+        for s in simplices
+    )
 
 
 def _parallelepiped_points(generators):
@@ -444,12 +427,13 @@ def domain_gf(spec: DomainSpec) -> RationalGF:
     cone = spec.cone
     faces = faces_of(cone)
     open_faces = [g for g in faces if not g.tight_facets & spec.strict_facets]
-    total = LaurentPoly.zero()
+    total: dict[tuple, int] = {}
     for face in faces:
         coeff = sum((-1) ** (g.dim - face.dim) for g in open_faces if face.rays <= g.rays)
         if coeff:
-            total = total + _face_gf(cone, face).numerator.scale(coeff)
-    return RationalGF(total, tuple(sorted(cone.rays)))
+            for e, c in _face_gf(cone, face).numerator.terms.items():
+                total[e] = total.get(e, 0) + coeff * c
+    return RationalGF(LaurentPoly(total), tuple(sorted(cone.rays)))
 
 
 def expand(gf: RationalGF, grading, bound: int) -> TruncatedSeries:
@@ -486,10 +470,9 @@ def invert_variables(gf: RationalGF) -> RationalGF:
     per denominator ray.  Applying it twice is the identity."""
     d = gf.n_variables
     shift = tuple(sum(v[i] for v in gf.denom_rays) for i in range(d))
-    num = gf.numerator.substitute_inverse().shifted(shift)
-    if len(gf.denom_rays) % 2:
-        num = -num
-    return RationalGF(num, gf.denom_rays)
+    sign = -1 if len(gf.denom_rays) % 2 else 1
+    num = {tuple(s - a for s, a in zip(shift, e)): sign * c for e, c in gf.numerator.terms.items()}
+    return RationalGF(LaurentPoly(num), gf.denom_rays)
 
 
 def gf_scale(gf: RationalGF, factor) -> RationalGF:
@@ -656,6 +639,8 @@ def verify_colon_identity(selection: FacetSelection, bound: int = 6, grading=Non
     cone = selection.cone
     w = tuple(grading) if grading is not None else default_grading(cone)
     _check_grading(cone, w)
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
     points = _cone_points(cone, w, bound)
     selected = selection.selected
     complement = selection.complement

@@ -55,6 +55,13 @@ def primitive_rational(vector) -> Vector:
     return primitive(tuple(int(f * scale) for f in fracs))
 
 
+def common_denominator(points):
+    """The least s > 0 that clears every denominator of the rational points
+    x, and the integer rows x.s."""
+    s = lcm(*(a.denominator for p in points for a in p))
+    return s, [tuple(a.numerator * (s // a.denominator) for a in p) for p in points]
+
+
 # Miller-Rabin with the first twelve primes as bases is exact below this
 # bound (Sorenson-Webster, "Strong pseudoprimes to twelve prime bases", 2017).
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -267,6 +274,24 @@ def integer_kernel(rows, width) -> list[Vector]:
             v[col] = -sign * row[free]
         basis.append(tuple(v))
     return basis
+
+
+def dual_rows(vectors):
+    """Gram determinant and integer dual rows of linearly independent
+    integer vectors V (the rows).
+
+    The Gram matrix G = V.V^T is positive definite, so one fraction-free
+    Gauss-Jordan pass on [G | I] needs no pivoting and gives det(G) > 0 and
+    adj(G).  Returns ``(det(G), adj(G).V)``: row i of adj(G).V has product
+    det(G) with V_i and 0 with every other V_j, so it is det(G) times row i
+    of the left inverse G^-1.V of V^T."""
+    k = len(vectors)
+    gram = [[dot(a, b) for b in vectors] + [int(i == j) for j in range(k)] for i, a in enumerate(vectors)]
+    m, pivots, det = fraction_free_rref(gram, k)
+    if pivots != list(range(k)) or det <= 0:
+        raise InvariantViolation("the Gram matrix of independent vectors is singular")
+    columns = list(zip(*vectors))
+    return det, [tuple(dot(row[k:], col) for col in columns) for row in m]
 
 
 def solve_exact(rows, rhs):

@@ -48,14 +48,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, factorial, floor, lcm
+from math import ceil, factorial, floor
 
 from .geometry import (
     InvariantViolation,
+    common_denominator,
     cross_section_vertices,
     dot,
+    dual_rows,
     extreme_rays,
-    fraction_free_rref,
     graded_closure,
     integer_kernel,
     primitive,
@@ -120,7 +121,7 @@ class Arrangement:
 
 def _homogeneous(point):
     """The primitive integer row (x.s, s), s > 0, of a rational point x."""
-    s, (row,) = _common_denominator([point])
+    s, (row,) = common_denominator([point])
     return primitive(row + (s,))
 
 
@@ -130,23 +131,15 @@ def _point(row):
     return tuple(Fraction(a, s) for a in row[:-1])
 
 
-def _common_denominator(points):
-    """The least s > 0 that clears every denominator of the rational points
-    x, and the integer rows x.s."""
-    s = lcm(*(a.denominator for p in points for a in p))
-    return s, [tuple(a.numerator * (s // a.denominator) for a in p) for p in points]
-
-
 def _chart_map(rows):
     """Independent directions of integer points P_i and the integer map onto
     coordinates in their basis.
 
     The directions D are the differences P_i - P_0 independent of those
-    before them.  Their Gram matrix G = D.D^T is positive definite, so one
-    fraction-free Gauss-Jordan pass on [G | I] needs no pivoting and gives
-    det(G) > 0 and adj(G).  Returns ``(D, det(G), adj(G).D)``: a point P in
-    the span has coordinates adj(G).D.(P - P_0) / det(G) in the basis D,
-    those the left inverse G^-1.D of D gives."""
+    before them, and G = D.D^T is their Gram matrix
+    (:func:`~recdom.geometry.dual_rows`).  Returns ``(D, det(G), adj(G).D)``:
+    a point P in the span has coordinates adj(G).D.(P - P_0) / det(G) in the
+    basis D, those the left inverse G^-1.D of D gives."""
     base = rows[0]
     dirs = []
     for p in rows[1:]:
@@ -155,13 +148,8 @@ def _chart_map(rows):
         d = tuple(a - b for a, b in zip(p, base))
         if any(d) and rank_over_field(dirs + [d]) > len(dirs):
             dirs.append(d)
-    k = len(dirs)
-    gram = [[dot(a, b) for b in dirs] + [int(i == j) for j in range(k)] for i, a in enumerate(dirs)]
-    m, pivots, det = fraction_free_rref(gram, k)
-    if pivots != list(range(k)) or det <= 0:
-        raise InvariantViolation("the Gram matrix of independent directions is singular")
-    columns = list(zip(*dirs))
-    return dirs, det, [tuple(dot(row[k:], col) for col in columns) for row in m]
+    det, chart_map = dual_rows(dirs)
+    return dirs, det, chart_map
 
 
 class _Polytope:
@@ -182,7 +170,7 @@ class _Polytope:
 
     def __init__(self, points):
         pts = tuple(tuple(Fraction(x) for x in p) for p in points)
-        s, scaled = _common_denominator(pts)
+        s, scaled = common_denominator(pts)
         self.vertices = pts
         self.base = pts[0]
         self.rows = tuple(p + (s,) for p in scaled)
@@ -407,7 +395,7 @@ def schlegel(vertices, cells, avoid: int) -> PolyhedralComplex:
         s = Fraction(rhs - dot(normal, z), denom)
         images[i] = tuple(zc + s * (vc - zc) for zc, vc in zip(z, v))
     # coordinates in the chart of the avoided facet's points P_i = x_i.S
-    scale, facet_rows = _common_denominator([chart[i] for i in sorted(avoid_vertices)])
+    scale, facet_rows = common_denominator([chart[i] for i in sorted(avoid_vertices)])
     _, det, chart_map = _chart_map(facet_rows)
     new_coords = {}
     for i, img in images.items():

@@ -13,13 +13,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .geometry import (
     Cone,
     FacetSelection,
     InvariantViolation,
     Vector,
-    cross_section_vertices,
+    common_denominator,
     default_grading,
     dot,
     extreme_rays,
@@ -76,6 +77,20 @@ class ShellingOrder:
     source_point: tuple[Fraction, ...]
 
 
+def _centroid(cone: Cone, w):
+    """The cross-section centroid as C / N, C an integer vector and N > 0.
+
+    With the ray heights h = w.r and L their least common multiple, the
+    cross-section vertex r / h is r.(L / h) / L, so the n vertices average to
+    C / (n.L) with C the sum of the r.(L / h)."""
+    heights = [dot(w, r) for r in cone.rays]
+    big = lcm(*heights)
+    total = tuple(
+        sum(r[i] * (big // h) for r, h in zip(cone.rays, heights)) for i in range(cone.dim)
+    )
+    return total, len(cone.rays) * big
+
+
 def line_shelling(cone: Cone, point) -> ShellingOrder:
     """Order the facets by oriented crossing times of the line from the
     cross-section centroid toward ``point``.
@@ -85,24 +100,34 @@ def line_shelling(cone: Cone, point) -> ShellingOrder:
     them.  Raises DegeneratePoint for a steering point on a facet hyperplane,
     a vanishing direction, a line parallel to some facet, or tied crossings;
     callers are expected to retry with a perturbed point.  A point of the
-    wrong length raises a plain ValueError."""
+    wrong length raises a plain ValueError.
+
+    The point x = P / D and the centroid C / N are held as integer rows, so
+    every facet product is an integer; only the crossing times are
+    fractions.  For w.P = 0 the line runs from the centroid along x, and for
+    w.P != 0 from the centroid to the projected point P / (w.P), along
+    U = N.P - (w.P).C up to the factor 1 / ((w.P).N)."""
     pt = tuple(Fraction(a) for a in point)
     if len(pt) != cone.dim:
         raise ValueError(f"point has {len(pt)} coordinates, the cone has dimension {cone.dim}")
+    den, (row,) = common_denominator([pt])
     for facet in cone.facets:
-        if dot(facet.coeffs, pt) == 0:
+        if dot(facet.coeffs, row) == 0:
             raise DegeneratePoint("point lies on a facet hyperplane")
     w = default_grading(cone)
-    verts = cross_section_vertices(cone)
-    centroid = tuple(sum(col) / len(verts) for col in zip(*verts))
-    wp = dot(w, pt)
+    centroid, scale = _centroid(cone, w)
+    wp = dot(w, row)
     if wp == 0:
-        direction = pt
-        source = tuple(c + u for c, u in zip(centroid, direction))
+        direction = row
+        source = tuple(Fraction(c * den + a * scale, scale * den) for c, a in zip(centroid, row))
+        # time -(f.C / N) / (f.P / D)
+        factor, divisor = den, scale
     else:
-        source = tuple(a / wp for a in pt)
-        direction = tuple(t - c for t, c in zip(source, centroid))
-    if all(u == 0 for u in direction):
+        source = tuple(Fraction(a, wp) for a in row)
+        direction = tuple(scale * a - wp * c for a, c in zip(row, centroid))
+        # time -(f.C / N) / (f.U / ((w.P).N))
+        factor, divisor = wp, 1
+    if not any(direction):
         raise DegeneratePoint("point projects onto the centroid")
     times = []
     for idx, facet in enumerate(cone.facets):
@@ -110,7 +135,7 @@ def line_shelling(cone: Cone, point) -> ShellingOrder:
         along = dot(facet.coeffs, direction)
         if along == 0:
             raise DegeneratePoint(f"line is parallel to facet {idx}")
-        times.append((-Fraction(at_centroid) / along, idx))
+        times.append((Fraction(-at_centroid * factor, along * divisor), idx))
     if len({t for t, _ in times}) < len(times):
         raise DegeneratePoint("two facet hyperplanes crossed simultaneously")
     outgoing = sorted((t, i) for t, i in times if t > 0)
@@ -134,9 +159,8 @@ def shelling_through_witness(selection: FacetSelection, witness, max_attempts: i
     group.  Degenerate lines are retried with shrinking seeded offsets that
     keep the witness sign pattern."""
     cone = selection.cone
-    verts = cross_section_vertices(cone)
-    centroid = tuple(sum(col) / len(verts) for col in zip(*verts))
     w = default_grading(cone)
+    centroid, scale = _centroid(cone, w)
     base = tuple(Fraction(a) for a in witness)
     for attempt in range(max_attempts):
         if attempt == 0:
@@ -145,21 +169,20 @@ def shelling_through_witness(selection: FacetSelection, witness, max_attempts: i
             rng = random.Random(attempt)
             eps = Fraction(1, 2 ** (attempt + 4))
             candidate = tuple(b + eps * Fraction(rng.randint(1, 97), 97) for b in base)
-            pattern_ok = all(
-                (cone.facets[i](candidate) > 0) == (i in selection.selected)
-                and cone.facets[i](candidate) != 0
-                for i in range(len(cone.facets))
-            )
-            if not pattern_ok:
+        den, (row,) = common_denominator([candidate])
+        if attempt:
+            values = [dot(f.coeffs, row) for f in cone.facets]
+            if not all(v and (v > 0) == (i in selection.selected) for i, v in enumerate(values)):
                 continue
-        wp = dot(w, candidate)
+        # the steering point, with the candidate x = P / D and the centroid C / N
+        wp = dot(w, row)
         if wp < 0:
-            steer = tuple(a / wp for a in candidate)
+            steer = tuple(Fraction(a, wp) for a in row)
         elif wp > 0:
-            projected = tuple(a / wp for a in candidate)
-            steer = tuple(2 * c - p for c, p in zip(centroid, projected))
+            # twice the centroid minus the projected point P / (w.P)
+            steer = tuple(Fraction(2 * c * wp - a * scale, scale * wp) for c, a in zip(centroid, row))
         else:
-            steer = tuple(c - a for c, a in zip(centroid, candidate))
+            steer = tuple(Fraction(c * den - a * scale, scale * den) for c, a in zip(centroid, row))
         try:
             shelling = line_shelling(cone, steer)
         except DegeneratePoint:

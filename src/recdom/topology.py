@@ -274,19 +274,27 @@ def is_cohen_macaulay(sc: SimplicialComplex, field: FieldSpec = QQ) -> CMCertifi
     below the complementary dimension.
 
     On a pure complex the bound dim(sc) - |face| is just the link's own
-    dimension; on an impure complex the same scan necessarily fails (a
-    non-top maximal face has an empty link of deficient dimension), so
-    impurity can never pass."""
+    dimension, and this is Reisner's criterion (Reisner, "Cohen-Macaulay
+    quotients of polynomial rings", 1976).  No impure complex passes: the
+    bound is never below the link's dimension, so passing implies Reisner's
+    criterion, and Cohen-Macaulay complexes are pure.  A maximal face with
+    fewer than dim(sc) vertices fails by its empty link; an impure complex
+    without one fails at the link of a smaller face.
+
+    Faces are scanned by size, and the scan stops at the first face with at
+    least dim(sc) vertices: from there on the bound is at most 0, so no Betti
+    number has to vanish and an empty link is allowed, and no later face can
+    fail."""
     d = sc.dim
     if d < 0:
         return CMCertificate(True)
     for face in sorted(sc.faces(), key=lambda f: (len(f), f)):
-        lk = link(sc, face)
         required_below = d - len(face)
+        if required_below <= 0:
+            break
+        lk = link(sc, face)
         if lk.dim < 0:
-            if required_below > 0:
-                return CMCertificate(False, face, -1, 1)
-            continue
+            return CMCertificate(False, face, -1, 1)
         profile = reduced_homology(lk, field)
         for i, b in enumerate(profile.betti):
             if i < required_below and b:

@@ -1,7 +1,11 @@
 """CLI behaviour: exit codes, JSON reports, determinism, round trips."""
 
+import hashlib
+import io
 import json
 import os
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
 
 import pytest
 
@@ -254,8 +258,12 @@ def test_bad_complex_json_exit_code(tmp_path, capsys, command, data, message):
         (["reciprocity", "--select", "0", "--grading=-1,0,0"], "not strictly positive"),
         (["shell", "--point", "1/0,1,1"], "zero denominator"),
         (["shell", "--point", "1,1"], "point has 2 coordinates"),
+        (["colon", "--select", "0", "--degree=-1"], "bound must be nonnegative"),
     ],
-    ids=["short-grading", "negative-grading", "zero-denominator-point", "short-point"],
+    ids=[
+        "short-grading", "negative-grading", "zero-denominator-point", "short-point",
+        "negative-degree",
+    ],
 )
 def test_bad_argument_exit_code(capsys, args, message):
     command, *options = args
@@ -336,3 +344,63 @@ def test_data_files_round_trip():
             sc = jsonio.simplicial_from_dict(data)
             again = jsonio.simplicial_from_dict(jsonio.simplicial_to_dict(sc))
             assert again == sc
+
+
+# SHA-256 of every run of data_file_runs(), computed before the selections
+# chain moved to integers.  It may change only with an intended change of
+# some report, and that change is stated in CHANGES.md.
+DATA_FILE_RUNS_SHA256 = "d17d29d7185afe11cecd3da937ecb6c178af4835d006bfbf394efaacaa71bc9b"
+DATA_FILE_RUNS = 334
+COMMANDS = ("enumerate", "reciprocity", "cm", "separate", "shell", "colon", "lift", "schlegel")
+
+
+def data_file_runs():
+    """Arguments of every subcommand with --json on every data file, paths
+    relative to the repository root.  On a cone: each command that takes a
+    selection once per selection (schlegel avoiding the least facet outside
+    it), shell once per seed 0..4 and lift once.  On any other file: each
+    command once (schlegel avoiding facet 0)."""
+    per_selection = ("enumerate", "reciprocity", "cm", "separate", "colon", "schlegel")
+    for name in sorted(os.listdir(DATA)):
+        path = os.path.join("data", name)
+        data = jsonio.read(data_path(name))
+        if "rays" not in data:
+            for command in COMMANDS:
+                extra = ["--avoid", "0"] if command == "schlegel" else []
+                yield [command, path, "--json"] + extra
+            continue
+        n = len(jsonio.cone_from_dict(data).facets)
+        for command in per_selection:
+            for size in range(1, n):
+                for subset in combinations(range(n), size):
+                    extra = ["--select", sel_arg(subset)]
+                    if command == "schlegel":
+                        extra += ["--avoid", str(min(set(range(n)) - set(subset)))]
+                    yield [command, path, "--json"] + extra
+        for seed in range(5):
+            yield ["shell", path, "--json", "--seed", str(seed)]
+        yield ["lift", path, "--json"]
+
+
+def data_file_digest():
+    """SHA-256 of the arguments, exit code, stdout and stderr of each run,
+    run in-process, and the number of runs."""
+    digest = hashlib.sha256()
+    runs = 0
+    for args in data_file_runs():
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(args)
+        digest.update(repr((args, code, out.getvalue(), err.getvalue())).encode())
+        runs += 1
+    return digest.hexdigest(), runs
+
+
+def test_cli_reports_on_data_files_are_byte_stable(monkeypatch):
+    monkeypatch.chdir(os.path.join(DATA, os.pardir))
+    digest, runs = data_file_digest()
+    assert runs == DATA_FILE_RUNS
+    assert digest == DATA_FILE_RUNS_SHA256, (
+        "a CLI report on data/*.json changed; update the constant only for an "
+        "intended output change, and state that change in CHANGES.md"
+    )

@@ -1,6 +1,7 @@
 """Fundamental-parallelepiped points by Smith normal form, against the box scan."""
 
-from itertools import combinations, product
+from fractions import Fraction
+from itertools import combinations, count, product
 from math import gcd
 
 import pytest
@@ -10,9 +11,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from recdom import enumerator, geometry
-from recdom.enumerator import _face_decomposition, _parallelepiped_points, simplicial_gf
-from recdom.geometry import Cone, faces_of, rank_over_field, smith_normal_form, solve_exact
+from recdom.enumerator import (
+    HalfOpenCone,
+    _face_decomposition,
+    _parallelepiped_points,
+    _pulling_triangulation,
+    simplicial_gf,
+)
+from recdom.geometry import Cone, dot, faces_of, rank_over_field, smith_normal_form, solve_exact
 
 ENTRIES = st.integers(-2, 2)
 
@@ -31,6 +37,30 @@ def oracle_parallelepiped_points(generators):
         if all(0 <= l < 1 for l in lam):
             points.append((z, lam))
     return points
+
+
+def oracle_face_decomposition(cone, face):
+    """The former construction of the face pieces: each wall covector by an
+    exact Fraction solve (value 1 on its generator, 0 on the others), and the
+    reference point sum_j b^-j v_j in Fractions."""
+    simplices = _pulling_triangulation(cone, face)
+    gens = {s: tuple(cone.rays[i] for i in s) for s in simplices}
+    walls = {}
+    for s in simplices:
+        for i in range(len(s)):
+            rows = [g for j, g in enumerate(gens[s]) if j != i] + [gens[s][i]]
+            walls[(s, i)] = solve_exact(rows, [Fraction(0)] * (len(s) - 1) + [Fraction(1)])
+    rays = [cone.rays[i] for i in sorted(face.rays)]
+    for b in count(2):
+        q = tuple(
+            sum(Fraction(1, b) ** j * v[i] for j, v in enumerate(rays)) for i in range(cone.dim)
+        )
+        if all(dot(n, q) != 0 for n in walls.values()):
+            break
+    return tuple(
+        HalfOpenCone(gens[s], tuple(dot(walls[(s, i)], q) < 0 for i in range(len(s))))
+        for s in simplices
+    )
 
 
 def determinant(m):
@@ -85,6 +115,24 @@ def test_parallelepiped_points_match_box_scan(gens):
     assert _parallelepiped_points(gens) == oracle_parallelepiped_points(gens)
 
 
+@st.composite
+def pointed_cones(draw):
+    """A pointed full-dimensional cone in R^2..R^4 spanned by at most 7
+    integer rays, each with a positive last coordinate."""
+    dim = draw(st.integers(2, 4))
+    ray = st.tuples(*[st.integers(-3, 3)] * (dim - 1), st.integers(1, 3))
+    rays = draw(st.lists(ray, min_size=dim, max_size=7, unique=True))
+    assume(rank_over_field(rays) == dim)
+    return Cone.from_rays(rays)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(pointed_cones())
+def test_face_pieces_match_fraction_oracle(cone):
+    for face in faces_of(cone):
+        assert _face_decomposition.__wrapped__(cone, face) == oracle_face_decomposition(cone, face)
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(integer_matrices())
 def test_smith_normal_form(matrix):
@@ -121,35 +169,23 @@ def test_ragged_or_missing_generators_are_rejected():
         simplicial_gf(())
 
 
-def test_dilated_square_numerators_need_no_fraction_solves(monkeypatch):
-    # Work guard: every face piece of the square cone dilated by 20 gets
-    # exactly |det| numerator points (the index of its generator lattice)
-    # without a single Fraction row reduction.
+def test_dilated_square_numerators_need_no_fraction_solves(fraction_solves):
+    # Work guard: every face piece of the square cone dilated by 20, walls
+    # and all, and its numerator of exactly |det| points (the index of its
+    # generator lattice) come without a single Fraction row reduction.
     k = 20
     cone = Cone.from_rays([(0, 0, 1), (k, 0, 1), (0, k, 1), (k, k, 1)])
     pieces = [
         piece
         for face in faces_of(cone)
         if face.dim > 0
-        for piece in _face_decomposition(cone, face)
+        for piece in _face_decomposition.__wrapped__(cone, face)
     ]
-    calls = []
-
-    def counting(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(geometry, "rref", counting(geometry.rref))
-    monkeypatch.setattr(geometry, "solve_exact", counting(geometry.solve_exact))
-    monkeypatch.setattr(enumerator, "solve_exact", counting(enumerator.solve_exact))
     sizes = []
     for piece in pieces:
         gf = simplicial_gf(piece.generators, piece.open_walls)
         assert sum(gf.numerator.terms.values()) == lattice_index(piece.generators)
         sizes.append(len(piece.generators))
-    assert calls == []
+    assert fraction_solves == []
     assert sorted(set(sizes)) == [1, 2, 3]
     assert max(lattice_index(piece.generators) for piece in pieces) == k * k

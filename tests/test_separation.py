@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from recdom import separation
+from recdom import enumerator, separation
 from recdom.corpus import (
     corpus_cones,
     facet_pairs_sharing_a_ray,
@@ -21,10 +21,20 @@ from recdom.corpus import (
     square_cone,
 )
 from recdom.enumerator import FacetSelection, default_grading, reciprocity_check
-from recdom.geometry import GF2, QQ, Cone, extreme_rays, rank_over_field
+from recdom.geometry import (
+    GF2,
+    QQ,
+    Cone,
+    cross_section_vertices,
+    dot,
+    extreme_rays,
+    faces_of,
+    integer_kernel,
+    rank_over_field,
+)
 from recdom.separation import (
     DegeneratePoint,
-    cross_section_vertices,
+    ShellingOrder,
     is_shelling_prefix,
     line_shelling,
     separation_witness,
@@ -32,6 +42,7 @@ from recdom.separation import (
 )
 from recdom.topology import (
     SimplicialComplex,
+    _all_faces,
     barycentric,
     boundary_subcomplex,
     is_cohen_macaulay,
@@ -264,6 +275,91 @@ def oracle_crossing_order(cone, source):
     return tuple(i for _, i in up + down)
 
 
+def oracle_line_shelling(cone, point):
+    """The former line shelling, every product taken on Fractions."""
+    pt = tuple(Fraction(a) for a in point)
+    if len(pt) != cone.dim:
+        raise ValueError(f"point has {len(pt)} coordinates, the cone has dimension {cone.dim}")
+    for facet in cone.facets:
+        if dot(facet.coeffs, pt) == 0:
+            raise DegeneratePoint("point lies on a facet hyperplane")
+    w = default_grading(cone)
+    verts = cross_section_vertices(cone)
+    centroid = tuple(sum(col) / len(verts) for col in zip(*verts))
+    wp = dot(w, pt)
+    if wp == 0:
+        direction = pt
+        source = tuple(c + u for c, u in zip(centroid, direction))
+    else:
+        source = tuple(a / wp for a in pt)
+        direction = tuple(t - c for t, c in zip(source, centroid))
+    if all(u == 0 for u in direction):
+        raise DegeneratePoint("point projects onto the centroid")
+    times = []
+    for idx, facet in enumerate(cone.facets):
+        at_centroid = dot(facet.coeffs, centroid)
+        along = dot(facet.coeffs, direction)
+        if along == 0:
+            raise DegeneratePoint(f"line is parallel to facet {idx}")
+        times.append((-Fraction(at_centroid) / along, idx))
+    if len({t for t, _ in times}) < len(times):
+        raise DegeneratePoint("two facet hyperplanes crossed simultaneously")
+    outgoing = sorted((t, i) for t, i in times if t > 0)
+    returning = sorted((t, i) for t, i in times if t < 0)
+    order = tuple(i for _, i in outgoing) + tuple(i for _, i in returning)
+    return ShellingOrder(order, source)
+
+
+def _outcome(shelling_fn, cone, point):
+    try:
+        result = shelling_fn(cone, point)
+    except (DegeneratePoint, ValueError) as err:
+        return type(err), str(err)
+    # the same Fraction values, each of type Fraction
+    assert all(type(x) is Fraction for x in result.source_point)
+    return result
+
+
+SHELLING_CONES = list(corpus_cones().values()) + [random_polygon_cone(s) for s in range(1, 7)]
+FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@st.composite
+def steering_points(draw):
+    """A cone and a point: a random one, one with w.p = 0, one on a facet
+    hyperplane, the centroid moved inside a facet's direction (a line
+    parallel to that facet), or a small integer point (ties).  The 600
+    examples below reach an order and each of the four DegeneratePoint
+    messages."""
+    cone = draw(st.sampled_from(SHELLING_CONES))
+    d = cone.dim
+    point = list(draw(st.lists(FRACTIONS, min_size=d, max_size=d)))
+    kind = draw(st.sampled_from(["random", "degree-zero", "on-facet", "parallel", "integer"]))
+    w = default_grading(cone)
+    if kind in ("degree-zero", "on-facet"):
+        normal = w if kind == "degree-zero" else draw(st.sampled_from(cone.facets)).coeffs
+        j = next(i for i, a in enumerate(normal) if a)
+        point[j] -= Fraction(dot(normal, point), normal[j])
+    elif kind == "parallel":
+        verts = cross_section_vertices(cone)
+        centroid = [sum(col) / len(verts) for col in zip(*verts)]
+        facet = draw(st.sampled_from(cone.facets))
+        kernel = integer_kernel([facet.coeffs, w], d)
+        step = draw(st.integers(1, 5))
+        u = kernel[0] if kernel else (0,) * d
+        point = [c + step * a for c, a in zip(centroid, u)]
+    elif kind == "integer":
+        point = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+    return cone, tuple(point)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(steering_points())
+def test_line_shelling_matches_fraction_oracle(case):
+    cone, point = case
+    assert _outcome(line_shelling, cone, point) == _outcome(oracle_line_shelling, cone, point)
+
+
 def test_line_shelling_square_far_point():
     cone = square_cone()
     # far beyond the cross-section edge of the facet -x + z >= 0 (index 0)
@@ -382,3 +478,58 @@ def test_witness_chain_end_to_end():
                     is_cohen_macaulay(barycentric(cross), f).is_cm for f in (QQ, GF2)
                 )
                 assert reciprocity_check(sel).holds, (name, subset)
+
+
+def test_chain_makes_no_fraction_solves(fraction_solves):
+    # Work guard: with every cache of the chain emptied, the witness
+    # shelling and the reciprocity check of a fresh cone run without a
+    # Fraction row reduction.
+    cone = Cone.from_rays([(-2, 1, 1), (-2, 2, 1), (-1, -2, 1), (0, 3, 1), (1, -1, 1), (3, 2, 1)])
+    for cache in (
+        faces_of,
+        _all_faces,
+        enumerator._face_gf,
+        enumerator._face_decomposition,
+        enumerator._pulling_triangulation,
+    ):
+        cache.cache_clear()
+    checked = 0
+    for selection in all_selections(cone):
+        result = separation_witness(selection)
+        if result.separable:
+            shelling_through_witness(selection, result.witness)
+            checked += 1
+        reciprocity_check(selection)
+    assert checked == 30 and fraction_solves == []
+
+
+@st.composite
+def chain_selections(draw):
+    """A facet selection of a pointed cone in R^3 or R^4 spanned by dim + 1
+    to 7 integer rays, each with a positive last coordinate."""
+    dim = draw(st.integers(3, 4))
+    ray = st.tuples(*[st.integers(-2, 2)] * (dim - 1), st.integers(1, 2))
+    rays = draw(st.lists(ray, min_size=dim + 1, max_size=7, unique=True))
+    assume(rank_over_field(rays) == dim)
+    cone = Cone.from_rays(rays)
+    n = len(cone.facets)
+    selected = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    return FacetSelection(cone, frozenset(selected))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(chain_selections())
+def test_separable_selections_satisfy_the_chain(selection):
+    # separable => the witness line shelling starts with the selection =>
+    # the cross-section of the removed boundary part is a ball => it is
+    # Cohen-Macaulay over Q and F2 => the reciprocity identity holds
+    result = separation_witness(selection)
+    if not result.separable:
+        return
+    shelling = shelling_through_witness(selection, result.witness)
+    assert is_shelling_prefix(selection, shelling)
+    subdivided = barycentric(boundary_subcomplex(selection))
+    assert recognize_ball_sphere(subdivided) == "ball"
+    assert all(is_cohen_macaulay(subdivided, field).is_cm for field in (QQ, GF2))
+    report = reciprocity_check(selection)
+    assert report.holds and report.cm_over == {"Q": True, "F2": True}

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recdom import topology
 from recdom.corpus import (
     annulus,
     corpus_complexes,
@@ -31,6 +32,7 @@ from recdom.enumerator import FacetSelection
 from recdom.geometry import GF2, QQ, FieldSpec
 from recdom.topology import (
     Cell,
+    CMCertificate,
     DimensionTooHigh,
     FaceNotPresent,
     NotAManifold,
@@ -242,6 +244,71 @@ def test_link_matches_oracle(case):
 
 
 # -- Cohen-Macaulay certificates -------------------------------------------------
+
+def oracle_is_cohen_macaulay(sc, field=QQ):
+    """The former scan: the link of every face, whatever its size."""
+    d = sc.dim
+    if d < 0:
+        return CMCertificate(True)
+    for face in sorted(sc.faces(), key=lambda f: (len(f), f)):
+        lk = link(sc, face)
+        required_below = d - len(face)
+        if lk.dim < 0:
+            if required_below > 0:
+                return CMCertificate(False, face, -1, 1)
+            continue
+        profile = reduced_homology(lk, field)
+        for i, b in enumerate(profile.betti):
+            if i < required_below and b:
+                return CMCertificate(False, face, i, b)
+    return CMCertificate(True)
+
+
+@st.composite
+def random_complexes(draw):
+    """A complex on up to 8 vertices from up to 7 random faces of 1 to 4
+    vertices, impure ones included, or the barycentric subdivision of one."""
+    n = draw(st.integers(1, 8))
+    sets = st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4), max_size=7)
+    sc = SimplicialComplex.from_faces(n, draw(sets))
+    if sc.dim >= 1 and draw(st.booleans()):
+        sc = barycentric(simplicial_as_polyhedral(sc))
+    return sc
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(random_complexes(), st.sampled_from([QQ, GF2, FieldSpec(3)]))
+def test_cm_certificates_match_full_scan(sc, field):
+    assert is_cohen_macaulay(sc, field) == oracle_is_cohen_macaulay(sc, field)
+
+
+def test_cm_impure_complex_with_a_maximal_edge_fails_at_a_vertex():
+    # the maximal edge (2, 3) has dim(sc) = 2 vertices, so its empty link is
+    # allowed; the impurity shows in the disconnected link of vertex 2
+    sc = SimplicialComplex.from_faces(4, [(0, 1, 2), (2, 3)])
+    cert = is_cohen_macaulay(sc, QQ)
+    assert cert == CMCertificate(False, (2,), 0, 1)
+    assert cert == oracle_is_cohen_macaulay(sc, QQ)
+
+
+def test_cm_scan_stops_below_dim_vertices(monkeypatch):
+    # Work guard: the scan links only the faces with fewer than dim(sc)
+    # vertices; on the boundary of a tetrahedron (dim 2) those are the
+    # empty face and the four vertices, not the six edges and four
+    # triangles as well.
+    calls = []
+
+    def counting(sc, face):
+        calls.append(face)
+        return link(sc, face)
+
+    monkeypatch.setattr(topology, "link", counting)
+    assert is_cohen_macaulay(tetrahedron_boundary(), QQ).is_cm
+    assert calls == [(), (0,), (1,), (2,), (3,)]
+    calls.clear()
+    assert is_cohen_macaulay(cycle_complex(5), GF2).is_cm
+    assert calls == [()]
+
 
 def test_cm_path():
     for field in (QQ, GF2):
