@@ -130,68 +130,54 @@ GF2 = FieldSpec(2)
 
 
 def rank_over_field(rows, field: FieldSpec = QQ) -> int:
-    """Rank of an integer matrix over Q (fraction-free) or over F_p."""
-    matrix = [list(r) for r in rows]
-    if not matrix or not matrix[0]:
-        return 0
-    width = len(matrix[0])
+    """Rank of an integer matrix over Q or over F_p, by sparse elimination.
+
+    Each row is a dict {column: nonzero entry} and is reduced against the
+    pivot rows by its leading column, to a.row - b.pivot with a/b the ratio
+    of their leading entries in lowest terms, until it vanishes or leads in a
+    new column; the rank is the number of pivot rows.  Over F_p the entries
+    are residues and every pivot row leads with 1.  Over Q they stay
+    integers, and each reduced row is divided by the gcd of its entries."""
+    matrix = [tuple(r) for r in rows]
+    width = len(matrix[0]) if matrix else 0
     if any(len(r) != width for r in matrix):
         raise ValueError("ragged matrix")
-    if field.characteristic:
-        return _rank_mod_p(matrix, field.characteristic)
-    return _rank_bareiss(matrix)
-
-
-def _rank_bareiss(m):
-    # One-step Bareiss elimination; intermediate entries are minors of the
-    # original matrix (Sylvester's identity), so the divisions stay exact.
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(cols):
-        pivot = next((i for i in range(rank, rows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        lead = m[rank][col]
-        for i in range(rank + 1, rows):
-            fi = m[i][col]
-            row_i, row_r = m[i], m[rank]
-            for j in range(col + 1, cols):
-                num = lead * row_i[j] - fi * row_r[j]
-                q, r = divmod(num, prev)
-                if r:
-                    raise InvariantViolation("inexact Bareiss division")
-                row_i[j] = q
-            row_i[col] = 0
-        prev = lead
-        rank += 1
-        if rank == rows:
+    p = field.characteristic
+    pivots: dict[int, dict[int, int]] = {}
+    for entries in matrix:
+        if len(pivots) == width:
             break
-    return rank
-
-
-def _rank_mod_p(m, p):
-    rows = [[a % p for a in r] for r in m]
-    n_rows, n_cols = len(rows), len(rows[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((i for i in range(rank, n_rows) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        row_r = rows[rank]
-        for i in range(rank + 1, n_rows):
-            f = (rows[i][col] * inv) % p
-            if f:
-                row_i = rows[i]
-                for j in range(col, n_cols):
-                    row_i[j] = (row_i[j] - f * row_r[j]) % p
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+        if p:
+            row = {j: a % p for j, a in enumerate(entries) if a % p}
+        else:
+            row = {j: a for j, a in enumerate(entries) if a}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                if p:
+                    # leading with 1, it makes a = 1 below, so rows stay residues
+                    inv = pow(row[lead], -1, p)
+                    row = {j: c * inv % p for j, c in row.items()}
+                pivots[lead] = row
+                break
+            g = gcd(row[lead], pivot[lead])
+            a, b = pivot[lead] // g, row[lead] // g
+            if a != 1:
+                row = {j: a * c for j, c in row.items()}
+            for j, c in pivot.items():
+                value = row.get(j, 0) - b * c
+                if p:
+                    value %= p
+                if value:
+                    row[j] = value
+                else:
+                    del row[j]
+            if not p:
+                g = gcd(*row.values())
+                if g > 1:
+                    row = {j: c // g for j, c in row.items()}
+    return len(pivots)
 
 
 def rref(rows):

@@ -17,12 +17,16 @@ one fraction-free Gauss-Jordan pass (Bareiss) needs no pivoting and gives
 det(G) > 0 and adj(G); det(G) times a point's chart coordinates is the
 integer vector adj(G).D.(P - P_0).  The facets come from the integer
 double-description kernel :func:`~recdom.geometry.extreme_rays` on those
-vectors, and the hull equations and facet cuts from the fraction-free
+vectors, and the hull equations from the fraction-free
 :func:`~recdom.geometry.integer_kernel`.  Facet vertex sets, primitive
 integer inequalities and hull equations are computed once and shared by the
 covering arrangement, the cover check, the cut and the pairwise
 intersection test.  Face tests are combinatorial: a vertex set is a face
 when the facets through it meet in exactly that set.
+
+The covering arrangement is the set of the cells' hull equations.  The
+complex is closed under faces, so each facet of a cell is a cell, and one of
+its hull equations cuts the facet off the rest of the cell.
 
 Slicing works on homogeneous integer rows.  A region carries each vertex x as
 a row (x.s, s) with s > 0, plus its facet vertex sets.  A hyperplane's value
@@ -57,6 +61,7 @@ from .geometry import (
     dot,
     dual_rows,
     extreme_rays,
+    fraction_free_rref,
     graded_closure,
     integer_kernel,
     primitive,
@@ -438,32 +443,17 @@ def schlegel_of_selection(selection, avoid_facet: int) -> PolyhedralComplex:
 
 
 def covering_arrangement(pc: PolyhedralComplex) -> Arrangement:
-    """Hyperplanes cutting out every cell: each cell's affine hull equations
-    plus, for every facet of every cell, one hyperplane through the facet
-    that misses the rest of the cell."""
+    """Hyperplanes cutting out every cell: the affine hull equations of the
+    cells.
+
+    The complex is closed under faces, so every facet of a cell is a cell
+    whose hull equations include a hyperplane through the facet that misses
+    the rest of the cell."""
     return _covering_arrangement(_cell_polytopes(pc).values())
 
 
 def _covering_arrangement(polys) -> Arrangement:
-    hyperplanes = set()
-    for poly in polys:
-        hyperplanes.update(poly.hull_equations())
-        for tight in poly.facets:
-            hyperplanes.add(_cut_through(poly, tight))
-    return Arrangement(tuple(hyperplanes))
-
-
-def _cut_through(poly: _Polytope, tight) -> AffineHyperplane:
-    """Canonical hyperplane containing the facet on the vertices ``tight``
-    but not the whole cell: the first normal of the integer kernel of the
-    facet's directions that is not constant on the cell."""
-    base = poly.rows[tight[0]]
-    diffs = [tuple(a - b for a, b in zip(poly.rows[i][:-1], base)) for i in tight[1:]]
-    for n in integer_kernel(diffs, len(poly.base)):
-        offset = dot(n, base)
-        if any(dot(n, row) != offset for row in poly.rows):
-            return AffineHyperplane.through_row(n, base)
-    raise InvariantViolation("facet hyperplane candidates all contain the cell")
+    return Arrangement(tuple(h for poly in polys for h in poly.hull_equations()))
 
 
 def _arrangement_covers(poly: _Polytope, arrangement: Arrangement) -> bool:
@@ -698,20 +688,26 @@ def verify_lower_hull(result: LiftResult) -> bool:
 
 def cell_measure(points) -> Fraction:
     """Exact Lebesgue volume of a full-dimensional convex cell: the sum of
-    |det| / k! over the simplices of a pulling triangulation."""
+    |det| / k! over the simplices of a pulling triangulation.
+
+    The vertices are the integer rows x.S over one common denominator S, so
+    each simplex's |det| comes from one fraction-free elimination of its edge
+    rows, S^k times the rational one."""
     poly = _Polytope(points)
     k = poly.dim
     if k == 0:
         return Fraction(0)
     if k != len(poly.base):
         raise NotImplementedError("only full-dimensional cells are measured")
-    total = Fraction(0)
+    total = 0
     for simplex in _pulling_simplices(poly.face_vertex_sets(), tuple(range(len(poly.vertices)))):
-        apex = poly.vertices[simplex[0]]
-        total += _abs_determinant(
-            [[a - b for a, b in zip(poly.vertices[i], apex)] for i in simplex[1:]]
-        )
-    return total / factorial(k)
+        apex = poly.rows[simplex[0]]
+        edges = [tuple(a - b for a, b in zip(poly.rows[i][:-1], apex)) for i in simplex[1:]]
+        _, pivots, det = fraction_free_rref(edges, k)
+        if len(pivots) < k:
+            raise InvariantViolation(f"pulling simplex {simplex} is degenerate")
+        total += abs(det)
+    return Fraction(total, factorial(k) * poly.rows[0][-1] ** k)
 
 
 def _pulling_simplices(faces, face):
@@ -727,21 +723,6 @@ def _pulling_simplices(faces, face):
         if sub_dim == dim - 1 and apex not in sub and members.issuperset(sub)
         for simplex in _pulling_simplices(faces, sub)
     ]
-
-
-def _abs_determinant(rows) -> Fraction:
-    m = [list(r) for r in rows]
-    det = Fraction(1)
-    for c in range(len(m)):
-        pivot = next((i for i in range(c, len(m)) if m[i][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        m[c], m[pivot] = m[pivot], m[c]
-        det *= m[c][c]
-        for i in range(c + 1, len(m)):
-            f = m[i][c] / m[c][c]
-            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return abs(det)
 
 
 def support_measure(pc: PolyhedralComplex) -> Fraction:

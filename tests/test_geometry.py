@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recdom.corpus import corpus_cones, hexagon_cone, pentagon_cone, square_cone
 from recdom.geometry import (
@@ -104,6 +106,61 @@ def test_rank_against_oracles_random():
         assert rank_over_field(m, QQ) == sympy.Matrix(m).rank()
         for p in (2, 3, 5):
             assert rank_over_field(m, FieldSpec(p)) == oracle_rank_mod(m, p)
+
+
+def test_rank_rejects_ragged_matrices():
+    # an empty first row must not hide a longer second one
+    for rows in ([[], [1, 2]], [[1, 2], [3]], [[1], [2, 3], [4]]):
+        for field in (QQ, GF2):
+            with pytest.raises(ValueError, match="ragged"):
+                rank_over_field(rows, field)
+    assert rank_over_field([]) == rank_over_field([[]]) == rank_over_field([[], []]) == 0
+
+
+@st.composite
+def dense_matrices(draw):
+    """Integer matrices up to 7 x 7 with small or large entries, some rows
+    integer combinations of others, in shuffled order."""
+    n_rows, n_cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-10**12, 10**12))
+    rows = [draw(st.lists(entry, min_size=n_cols, max_size=n_cols)) for _ in range(n_rows)]
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = draw(st.lists(st.integers(-5, 5), min_size=len(rows), max_size=len(rows)))
+        rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n_cols)])
+    return [rows[i] for i in draw(st.permutations(range(len(rows))))]
+
+
+@st.composite
+def boundary_like_matrices(draw):
+    """Sparse matrices up to 14 x 14 whose columns have one to four entries
+    of +-1, like the boundary matrices of simplicial complexes."""
+    n_rows, n_cols = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    matrix = [[0] * n_cols for _ in range(n_rows)]
+    for j in range(n_cols):
+        support = draw(st.sets(st.integers(0, n_rows - 1), min_size=1, max_size=min(4, n_rows)))
+        for i in support:
+            matrix[i][j] = draw(st.sampled_from((1, -1)))
+    return matrix
+
+
+def check_rank_against_oracles(matrix):
+    sympy = pytest.importorskip("sympy")
+    rank = rank_over_field(matrix, QQ)
+    assert rank == oracle_rank_fraction(matrix) == sympy.Matrix(matrix).rank()
+    for p in (2, 3, 1000003):
+        assert rank_over_field(matrix, FieldSpec(p)) == oracle_rank_mod(matrix, p)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(dense_matrices())
+def test_rank_of_dense_matrices_matches_oracles(matrix):
+    check_rank_against_oracles(matrix)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(boundary_like_matrices())
+def test_rank_of_sparse_signed_matrices_matches_oracles(matrix):
+    check_rank_against_oracles(matrix)
 
 
 def test_field_spec_parse_and_validate():

@@ -36,7 +36,7 @@ from recdom.lifting import (
     verify_embedding,
     verify_lower_hull,
 )
-from recdom.topology import barycentric, reduced_homology
+from recdom.topology import Cell, PolyhedralComplex, barycentric, reduced_homology
 
 
 def test_verify_embedding_shared_edge():
@@ -207,6 +207,17 @@ def test_subdivision_cover_check():
     )
     with pytest.raises(ArrangementDoesNotCover):
         induced_subdivision(point, pencil)
+
+
+def test_lift_needs_a_complex_closed_under_faces():
+    # the arrangement is the cells' hull equations, so a triangle listed
+    # without its edges leaves every edge uncut
+    bare = PolyhedralComplex(((0, 0), (1, 0), (0, 1)), (Cell((0, 1, 2), 2),))
+    assert covering_arrangement(bare).hyperplanes == ()
+    with pytest.raises(ArrangementDoesNotCover, match="not covered"):
+        lift(bare)
+    closed = embedded_complex(bare.vertices, [(0, 1, 2)])
+    assert verify_lower_hull(lift(closed))
 
 
 def test_covering_arrangement_covers_own_complex():

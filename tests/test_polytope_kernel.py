@@ -6,13 +6,14 @@ exact Fraction row reduction, and every subset of facets (faces).  They share
 no code with :func:`recdom.geometry.extreme_rays`.  The region cutter of
 :mod:`recdom.lifting` is checked against the construction it replaced: an
 H-to-V pass on each half's constraints and a fresh polytope on its vertices.
-Its integer cover check is checked against the same check in Fractions, and
-the integer charts, kernels and hull equations of its polytopes against the
-Fraction row reduction they replaced."""
+Its integer cover check is checked against the same check in Fractions; the
+integer charts, kernels and hull equations of its polytopes and its cell
+volumes against the Fraction row reduction they replaced; and its covering
+arrangement against the one that also added a cut through every facet."""
 
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, floor
+from math import ceil, factorial, floor
 
 import pytest
 
@@ -21,7 +22,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from recdom.corpus import corpus_cones
+from recdom.corpus import corpus_cones, cubical_complex
 from recdom.geometry import (
     Cone,
     Face,
@@ -46,11 +47,12 @@ from recdom.lifting import (
     _arrangement_covers,
     _cone_vertices,
     _cut,
-    _cut_through,
     _point,
     _Polytope,
+    _pulling_simplices,
     _region,
     _region_faces,
+    cell_measure,
     covering_arrangement,
     embedded_complex,
     induced_subdivision,
@@ -331,6 +333,57 @@ def oracle_induced_subdivision(pc, arrangement):
     )
 
 
+def cut_through(poly, tight):
+    """Canonical hyperplane containing the facet on the vertices ``tight``
+    but not the whole cell: the first normal of the integer kernel of the
+    facet's directions that is not constant on the cell."""
+    base = poly.rows[tight[0]]
+    diffs = [tuple(a - b for a, b in zip(poly.rows[i][:-1], base)) for i in tight[1:]]
+    for n in integer_kernel(diffs, len(poly.base)):
+        offset = dot(n, base)
+        if any(dot(n, row) != offset for row in poly.rows):
+            return AffineHyperplane.through_row(n, base)
+    raise AssertionError("facet hyperplane candidates all contain the cell")
+
+
+def oracle_covering_arrangement(pc):
+    """Every cell's hull equations plus, for every facet of every cell, the
+    hyperplane through it that :func:`cut_through` picks."""
+    hyperplanes = []
+    for cell in pc.cells:
+        poly = _Polytope(pc.cell_points(cell))
+        hyperplanes.extend(poly.hull_equations())
+        hyperplanes.extend(cut_through(poly, tight) for tight in poly.facets)
+    return Arrangement(tuple(hyperplanes))
+
+
+def abs_determinant(rows) -> Fraction:
+    """|det| of a square rational matrix by Fraction Gaussian elimination."""
+    m = [list(r) for r in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        pivot = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        m[c], m[pivot] = m[pivot], m[c]
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return abs(det)
+
+
+def oracle_cell_measure(points):
+    """The volume over the same pulling triangulation, each simplex's |det|
+    taken in Fractions on the rational vertices."""
+    poly = _Polytope(points)
+    total = Fraction(0)
+    for simplex in _pulling_simplices(poly.face_vertex_sets(), tuple(range(len(poly.vertices)))):
+        apex = poly.vertices[simplex[0]]
+        total += abs_determinant([[a - b for a, b in zip(poly.vertices[i], apex)] for i in simplex[1:]])
+    return total / factorial(poly.dim)
+
+
 def oracle_covers(poly, arrangement):
     """The cover check in Fractions: the hyperplanes through every vertex
     have rank the codimension of the cell, and each facet, found from its
@@ -479,6 +532,24 @@ def test_polytope_matches_fraction_construction(points):
 
 
 @st.composite
+def rational_clouds(draw):
+    """2-8 points in R^1..R^3 with coordinates n / q, |n| <= 12 and q one
+    of 1, 2, 3, 4, 6, repeats allowed."""
+    ambient = draw(st.integers(1, 3))
+    coordinate = st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6)))
+    point = st.tuples(*[coordinate] * ambient)
+    return draw(st.lists(point, min_size=ambient + 1, max_size=8))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(rational_clouds())
+def test_cell_measure_matches_fraction_determinants(points):
+    poly = _Polytope(points)
+    assume(1 <= poly.dim == len(poly.base))
+    assert cell_measure(points) == oracle_cell_measure(points)
+
+
+@st.composite
 def integer_matrices(draw):
     """Integer matrices of 0-5 rows and 1-5 columns, some rows combinations
     of others, so that every rank deficiency occurs."""
@@ -535,11 +606,11 @@ def test_cut_through_skips_normals_constant_on_the_cell():
     # the kernel of a vertex's (empty) directions starts with x, constant on
     # a vertical segment; of the edge along y of the square in x = 1, too
     segment = _Polytope([(1, 0), (1, 2)])
-    assert [_cut_through(segment, f) for f in segment.facets] == [
+    assert [cut_through(segment, f) for f in segment.facets] == [
         AffineHyperplane((0, 1), 0), AffineHyperplane((0, 1), 2)
     ]
     square = _Polytope([(1, 0, 0), (1, 2, 0), (1, 0, 2), (1, 2, 2)])
-    assert {_cut_through(square, f) for f in square.facets} == {
+    assert {cut_through(square, f) for f in square.facets} == {
         AffineHyperplane((0, 1, 0), 0), AffineHyperplane((0, 1, 0), 2),
         AffineHyperplane((0, 0, 1), 0), AffineHyperplane((0, 0, 1), 2),
     }
@@ -728,21 +799,25 @@ def test_induced_subdivision_matches_oracle(complex_, normals, offset):
 
 
 @st.composite
-def cover_cases(draw):
-    """An embedded complex (segments on a line, grid triangles, or one
-    polytope of affine dimension 1-3 in R^1..R^3 with its faces) and its
-    covering arrangement, whole, with one hyperplane dropped, or with a
-    random hyperplane added."""
+def embedded_complexes(draw):
+    """An embedded complex: segments on a line, grid triangles, or one
+    polytope of affine dimension 1-3 in R^1..R^3 with its faces."""
     kind = draw(st.sampled_from(("1d", "2d", "polytope")))
     if kind == "1d":
-        pc = embedded_complex(*draw(complexes_1d()))
-    elif kind == "2d":
-        pc = embedded_complex(*draw(complexes_2d()))
-    else:
-        points, _ = draw(cut_cases())
-        hull = _Polytope(points)
-        vertices = [hull.vertices[vs[0]] for vs, d in hull.face_vertex_sets().items() if d == 0]
-        pc = embedded_complex(vertices, [tuple(range(len(vertices)))])
+        return embedded_complex(*draw(complexes_1d()))
+    if kind == "2d":
+        return embedded_complex(*draw(complexes_2d()))
+    points, _ = draw(cut_cases())
+    hull = _Polytope(points)
+    vertices = [hull.vertices[vs[0]] for vs, d in hull.face_vertex_sets().items() if d == 0]
+    return embedded_complex(vertices, [tuple(range(len(vertices)))])
+
+
+@st.composite
+def cover_cases(draw):
+    """An embedded complex and its covering arrangement, whole, with one
+    hyperplane dropped, or with a random hyperplane added."""
+    pc = draw(embedded_complexes())
     hyperplanes = list(covering_arrangement(pc).hyperplanes)
     change = draw(st.sampled_from(("whole", "drop", "add")))
     if change == "drop":
@@ -760,3 +835,33 @@ def test_arrangement_covers_matches_fraction_oracle(case):
     for cell in pc.cells:
         poly = _Polytope(pc.cell_points(cell))
         assert _arrangement_covers(poly, arrangement) == oracle_covers(poly, arrangement)
+
+
+# The three 2x2-grid shapes of the ``lifts`` benchmark workload (a triangle,
+# two sharing an edge, two disjoint), four segments on a line, and the 2x2x1
+# cube slab split into 24 tetrahedra.
+LIFT_SHAPES = (
+    ([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)]),
+    ([(0, 0), (0, 1), (1, 1), (1, 2)], [(0, 1, 2), (1, 2, 3)]),
+    ([(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2)], [(0, 1, 2), (3, 4, 5)]),
+    ([(1,), (3,), (4,), (9,), (10,), (17,), (20,), (24,)], [(0, 1), (2, 3), (4, 5), (6, 7)]),
+)
+
+
+def cube_slab():
+    sc = cubical_complex([(x, y, 0) for x in range(2) for y in range(2)])
+    corners = sorted({(x, y, z) for x in range(3) for y in range(3) for z in range(2)})
+    return corners, sorted(sc.facets)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(embedded_complexes())
+def test_covering_arrangement_is_the_facet_cut_oracle(pc):
+    # every facet cut is a hull equation of the facet's own cell
+    assert covering_arrangement(pc) == oracle_covering_arrangement(pc)
+
+
+def test_covering_arrangement_is_the_facet_cut_oracle_on_lift_shapes():
+    for vertices, cells in LIFT_SHAPES + (cube_slab(),):
+        pc = embedded_complex(vertices, cells)
+        assert covering_arrangement(pc) == oracle_covering_arrangement(pc)

@@ -423,6 +423,30 @@ def test_is_shelling_prefix():
     assert not is_shelling_prefix(opposite, shelling)
 
 
+def test_witness_retry_skips_perturbations_off_the_selection_pattern(monkeypatch):
+    # The witness lies on the hyperplane z = x of a selected facet and within
+    # 2^-6 of the others, and w.x < 0, so its steering point x / (w.x) lies
+    # on that hyperplane too.  The first perturbation, by offsets up to 2^-5,
+    # is on the wrong side of three facet hyperplanes; a line shelling
+    # steered by it would not start with the selection, so the retry must
+    # skip it.
+    cone = square_cone()
+    facet = {f.coeffs: i for i, f in enumerate(cone.facets)}
+    selection = FacetSelection(cone, frozenset({facet[(-1, 0, 1)], facet[(0, -1, 1)]}))
+    witness = (Fraction(-1, 128), Fraction(-1, 64), Fraction(-1, 128))
+    assert [f(witness) for f in cone.facets] == [0, Fraction(1, 128), Fraction(-1, 64), Fraction(-1, 128)]
+    steered = []
+
+    def recording(cone, point):
+        steered.append(point)
+        return line_shelling(cone, point)
+
+    monkeypatch.setattr(separation, "line_shelling", recording)
+    shelling = shelling_through_witness(selection, witness)
+    assert is_shelling_prefix(selection, shelling)
+    assert len(steered) == 2  # the witness itself, then the second perturbation
+
+
 def test_square_shellings_are_contiguous_arcs():
     # scan many generic steering points: every prefix of every line shelling
     # of the square cross-section is a contiguous arc, so an opposite pair is

@@ -4,13 +4,14 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from recdom import topology
 from recdom.corpus import (
     annulus,
     corpus_complexes,
+    cubical_complex,
     cycle_complex,
     facet_pairs_sharing_a_ray,
     facet_pairs_sharing_no_ray,
@@ -280,6 +281,25 @@ def random_complexes(draw):
 @given(random_complexes(), st.sampled_from([QQ, GF2, FieldSpec(3)]))
 def test_cm_certificates_match_full_scan(sc, field):
     assert is_cohen_macaulay(sc, field) == oracle_is_cohen_macaulay(sc, field)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(random_complexes())
+@example(projective_plane())
+def test_homology_matches_dense_oracle(sc):
+    assume(sc.dim >= 0)
+    for field, p in ((QQ, 0), (GF2, 2), (FieldSpec(1000003), 1000003)):
+        assert reduced_homology(sc, field).betti == oracle_betti(sc, p)
+
+
+def test_cube_slab_is_cm_over_q_and_f2():
+    # 72 tetrahedra of a 6 x 6 x 1 slab of cubes, 1252 faces: one sparse
+    # elimination per boundary map over either field
+    slab = cubical_complex([(x, y, 0) for x in range(6) for y in range(6)])
+    assert len(slab.faces()) == 1252
+    for field in (QQ, GF2):
+        assert reduced_homology(slab, field).betti == (0, 0, 0, 0)
+        assert is_cohen_macaulay(slab, field) == CMCertificate(True)
 
 
 def test_cm_impure_complex_with_a_maximal_edge_fails_at_a_vertex():
