@@ -76,6 +76,11 @@ def _selection(args, cone) -> FacetSelection:
     return FacetSelection(cone, _parse_select(args.select))
 
 
+def _reject(args, option, what):
+    if getattr(args, option) is not None:
+        raise ValueError(f"--{option} does not apply to {what}")
+
+
 def cmd_enumerate(args) -> int:
     cone = jsonio.cone_from_dict(jsonio.read(args.input))
     selection = _selection(args, cone)
@@ -120,6 +125,7 @@ def cmd_cm(args) -> int:
         selection = _selection(args, cone)
         sc = barycentric(boundary_subcomplex(selection))
     else:
+        _reject(args, "select", "a simplicial complex")
         sc = jsonio.simplicial_from_dict(data)
     verdicts = {}
     betti = {}
@@ -225,9 +231,11 @@ def cmd_lift(args) -> int:
 def cmd_schlegel(args) -> int:
     data = jsonio.read(args.input)
     if "rays" in data or "inequalities" in data:
+        _reject(args, "cells", "a cone")
         cone = jsonio.cone_from_dict(data)
         out = schlegel_of_selection(_selection(args, cone), args.avoid)
     else:
+        _reject(args, "select", "a polytope's vertices")
         vertices = jsonio.vertex_points(data)
         cells = jsonio.vertex_lists(data, "cells", len(vertices)) if "cells" in data else []
         if args.cells:
@@ -270,63 +278,48 @@ def _plain(value):
     return value
 
 
+# Each subcommand's help, handler and the options its handler reads, besides
+# its input and --json; any other option is a usage error.
+COMMANDS = {
+    "enumerate": ("lattice points and generating function", cmd_enumerate,
+                  "--select --degree --grading --side"),
+    "reciprocity": ("two-sided enumerator identity", cmd_reciprocity, "--select --field --grading"),
+    "cm": ("Cohen-Macaulay certificate", cmd_cm, "--select --field"),
+    "separate": ("strict separation witness", cmd_separate, "--select"),
+    "shell": ("line shelling of the cross-section", cmd_shell, "--seed --point"),
+    "colon": ("colon-ideal consistency scan", cmd_colon, "--select --degree --grading"),
+    "lift": ("lift a complex onto a lower hull", cmd_lift, ""),
+    "schlegel": ("project boundary cells past one facet", cmd_schlegel, "--select --avoid --cells"),
+    "corpus": ("run the full acceptance suite", cmd_corpus, "--degree --seed"),
+}
+
+OPTIONS = {
+    "--select": dict(help="facet indices i,j,... naming the selection"),
+    "--degree": dict(type=int, default=8, help="degree bound N"),
+    "--field": dict(action="append", help="Q, F2, or Fp (repeatable)"),
+    "--grading": dict(help="grading covector w1,...,wd"),
+    "--seed": dict(type=int, default=0),
+    "--side": dict(choices=("selected", "complement"), default="selected"),
+    "--point": dict(help="steering point a/b,c/d,..."),
+    "--avoid": dict(type=int, required=True, help="facet index to project past"),
+    "--cells": dict(action="append", help="boundary cell i,j,... (repeatable)"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="recdom",
         description="reciprocal cone domains: enumerators, reciprocity, CM checks, shellings, lifts",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_input=True):
-        if needs_input:
+    for name, (help_text, handler, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name != "corpus":
             p.add_argument("input", help="path to a JSON cone or complex")
-        p.add_argument("--select", help="facet indices i,j,... naming the selection")
-        p.add_argument("--degree", type=int, default=8, help="degree bound N")
-        p.add_argument("--field", action="append", help="Q, F2, or Fp (repeatable)")
-        p.add_argument("--grading", help="grading covector w1,...,wd")
-        p.add_argument("--seed", type=int, default=0)
+        for option in options.split():
+            p.add_argument(option, **OPTIONS[option])
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-
-    p = sub.add_parser("enumerate", help="lattice points and generating function")
-    common(p)
-    p.add_argument("--side", choices=("selected", "complement"), default="selected")
-    p.set_defaults(handler=cmd_enumerate)
-
-    p = sub.add_parser("reciprocity", help="two-sided enumerator identity")
-    common(p)
-    p.set_defaults(handler=cmd_reciprocity)
-
-    p = sub.add_parser("cm", help="Cohen-Macaulay certificate")
-    common(p)
-    p.set_defaults(handler=cmd_cm)
-
-    p = sub.add_parser("separate", help="strict separation witness")
-    common(p)
-    p.set_defaults(handler=cmd_separate)
-
-    p = sub.add_parser("shell", help="line shelling of the cross-section")
-    common(p)
-    p.add_argument("--point", help="steering point a/b,c/d,...")
-    p.set_defaults(handler=cmd_shell)
-
-    p = sub.add_parser("colon", help="colon-ideal consistency scan")
-    common(p)
-    p.set_defaults(handler=cmd_colon)
-
-    p = sub.add_parser("lift", help="lift a complex onto a lower hull")
-    common(p)
-    p.set_defaults(handler=cmd_lift)
-
-    p = sub.add_parser("schlegel", help="project boundary cells past one facet")
-    common(p)
-    p.add_argument("--avoid", type=int, required=True, help="facet index to project past")
-    p.add_argument("--cells", action="append", help="boundary cell i,j,... (repeatable)")
-    p.set_defaults(handler=cmd_schlegel)
-
-    p = sub.add_parser("corpus", help="run the full acceptance suite")
-    common(p, needs_input=False)
-    p.set_defaults(handler=cmd_corpus)
-
+        p.set_defaults(handler=handler)
     return parser
 
 

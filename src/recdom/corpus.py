@@ -52,13 +52,14 @@ def _convex_hull_2d(points):
     return lower[:-1] + upper[:-1]
 
 
-def random_polygon_cone(seed: int, max_rays: int = 8) -> Cone:
-    """Seeded random 3-dimensional pointed cone over a lattice polygon."""
+def random_polygon_cone(seed: int) -> Cone:
+    """Seeded random 3-dimensional pointed cone over a lattice polygon with 4
+    to 8 vertices."""
     rng = random.Random(seed)
     while True:
         sample = {(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(10)}
         hull = _convex_hull_2d(sample)
-        if 4 <= len(hull) <= max_rays:
+        if 4 <= len(hull) <= 8:
             return polygon_cone(hull)
 
 

@@ -123,19 +123,8 @@ class LaurentPoly:
             out[e] = out.get(e, 0) - c
         return LaurentPoly(out)
 
-    def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
-
     def scale(self, factor):
         return LaurentPoly({e: factor * c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = vadd(e1, e2)
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
 
     def times_one_minus(self, v):
         """Multiply by (1 - x^v)."""

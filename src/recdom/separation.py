@@ -150,7 +150,7 @@ def is_shelling_prefix(selection: FacetSelection, shelling: ShellingOrder) -> bo
     return set(shelling.order[:k]) == set(selection.selected)
 
 
-def shelling_through_witness(selection: FacetSelection, witness, max_attempts: int = 32) -> ShellingOrder:
+def shelling_through_witness(selection: FacetSelection, witness) -> ShellingOrder:
     """Line shelling whose initial segment is the selected facet set.
 
     The line through the cross-section centroid and the projected witness
@@ -162,7 +162,7 @@ def shelling_through_witness(selection: FacetSelection, witness, max_attempts: i
     w = default_grading(cone)
     centroid, scale = _centroid(cone, w)
     base = tuple(Fraction(a) for a in witness)
-    for attempt in range(max_attempts):
+    for attempt in range(32):
         if attempt == 0:
             candidate = base
         else:

@@ -281,10 +281,10 @@ def criterion_6(bound: int = 6) -> CriterionResult:
     return CriterionResult("6 colon identity", ok, details)
 
 
-def _convexity_probe(result, samples: int = 100, seed: int = 0) -> bool:
-    rng = random.Random(seed)
+def _convexity_probe(result) -> bool:
+    rng = random.Random(0)
     cells = [c for c in result.subdivision.maximal_cells()]
-    for _ in range(samples):
+    for _ in range(100):
         pts = []
         for _ in range(2):
             cell = cells[rng.randrange(len(cells))]

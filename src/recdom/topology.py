@@ -153,24 +153,21 @@ def _all_faces(sc: SimplicialComplex) -> frozenset:
     return frozenset(out)
 
 
-def simplicial_as_polyhedral(sc: SimplicialComplex, vertices=None) -> PolyhedralComplex:
+def simplicial_as_polyhedral(sc: SimplicialComplex) -> PolyhedralComplex:
     """Wrap a simplicial complex as a polyhedral one.
 
-    Coordinates default to the standard basis of R^n (a geometric simplex
+    The coordinates are the standard basis of R^n (a geometric simplex
     realization); they only matter to callers doing geometry."""
     used = sc.vertices_used()
     relabel = {v: i for i, v in enumerate(used)}
-    if vertices is None:
-        n = len(used)
-        vertices = tuple(
-            tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n)
-        )
+    n = len(used)
+    vertices = tuple(tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n))
     cells = [
         Cell(tuple(sorted(relabel[v] for v in f)), len(f) - 1)
         for f in sc.faces()
         if f
     ]
-    return PolyhedralComplex(tuple(vertices), tuple(cells))
+    return PolyhedralComplex(vertices, tuple(cells))
 
 
 def barycentric(pc: PolyhedralComplex) -> SimplicialComplex:
@@ -254,9 +251,10 @@ def link(sc: SimplicialComplex, face) -> SimplicialComplex:
     star = [f for f in sc.facets if fs <= set(f)]
     if not star or len(fs) != len(face):
         raise FaceNotPresent(face)
-    return SimplicialComplex.from_faces(
-        sc.n_vertices, [tuple(v for v in f if v not in fs) for f in star]
-    )
+    # the facets through ``face`` minus ``face`` are already an antichain of
+    # distinct sorted tuples; only a facet equal to ``face`` leaves ()
+    rest = (tuple(v for v in f if v not in fs) for f in star)
+    return SimplicialComplex(sc.n_vertices, tuple(r for r in rest if r))
 
 
 @dataclass(frozen=True)

@@ -247,7 +247,8 @@ def test_bad_cone_json_exit_code(tmp_path, capsys, cone, message):
 def test_bad_complex_json_exit_code(tmp_path, capsys, command, data, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))
-    assert main([command, str(path), "--select", "0"]) == 2
+    select = ["--select", "0"] if command == "separate" else []
+    assert main([command, str(path)] + select) == 2
     assert message in capsys.readouterr().err
 
 
@@ -293,6 +294,81 @@ def test_schlegel_avoid_out_of_range_exit_code(capsys):
     assert "facet index 4 out of range" in capsys.readouterr().err
 
 
+# The options each subcommand's handler reads, besides its input and --json.
+READS = {
+    "enumerate": {"--select", "--degree", "--grading", "--side"},
+    "reciprocity": {"--select", "--field", "--grading"},
+    "cm": {"--select", "--field"},
+    "separate": {"--select"},
+    "shell": {"--seed", "--point"},
+    "colon": {"--select", "--degree", "--grading"},
+    "lift": set(),
+    "schlegel": {"--select", "--avoid", "--cells"},
+    "corpus": {"--degree", "--seed"},
+}
+OPTION_VALUES = {
+    "--select": "0",
+    "--degree": "4",
+    "--field": "Q",
+    "--grading": "1,1,1",
+    "--seed": "1",
+    "--side": "selected",
+    "--point": "1,1,1",
+    "--avoid": "0",
+    "--cells": "0,1",
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    subparsers = cli._build_parser()._subparsers._group_actions[0].choices
+    assert set(subparsers) == set(READS)
+    total = 0
+    for command, parser in subparsers.items():
+        options = {
+            action.option_strings[-1]
+            for action in parser._actions
+            if action.option_strings and action.dest != "help"
+        }
+        assert options == READS[command] | {"--json"}, command
+        total += len(options)
+    assert total == 29
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(c, o) for c in sorted(READS) for o in sorted(OPTION_VALUES) if o not in READS[c]],
+)
+def test_unread_option_is_a_usage_error(capsys, command, option):
+    args = [command] if command == "corpus" else [command, data_path("square_cone.json")]
+    if command == "schlegel":
+        args += ["--avoid", "0"]
+    with pytest.raises(SystemExit) as raised:
+        main(args + [option, OPTION_VALUES[option]])
+    assert raised.value.code == 2
+    assert f"unrecognized arguments: {option} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["cm", "rp2.json", "--select", "0"], "--select does not apply to a simplicial complex"),
+        (
+            ["schlegel", "cube_two_squares.json", "--avoid", "5", "--select", "0"],
+            "--select does not apply to a polytope's vertices",
+        ),
+        (
+            ["schlegel", "square_cone.json", "--select", "0", "--avoid", "2", "--cells", "0,1"],
+            "--cells does not apply to a cone",
+        ),
+    ],
+    ids=["cm-select-on-complex", "schlegel-select-on-vertices", "schlegel-cells-on-cone"],
+)
+def test_option_that_does_not_fit_the_input_exit_code(capsys, args, message):
+    command, name, *options = args
+    assert main([command, data_path(name)] + options) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_invariant_violation_exit_code(monkeypatch, capsys, adjacent):
     def broken(*args, **kwargs):
         raise InvariantViolation("planted defect")
@@ -316,8 +392,6 @@ def test_report_determinism(capsys, opposite):
         "--select",
         opposite,
         "--json",
-        "--seed",
-        "7",
     ]
     main(args)
     first = capsys.readouterr().out

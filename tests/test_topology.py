@@ -277,6 +277,23 @@ def random_complexes(draw):
     return sc
 
 
+def from_faces_link(sc, face):
+    """The facets through ``face`` minus ``face``, normalised by ``from_faces``
+    (deduplicated and filtered to the maximal ones)."""
+    fs = set(face)
+    rest = [tuple(v for v in f if v not in fs) for f in sc.facets if fs <= set(f)]
+    return SimplicialComplex.from_faces(sc.n_vertices, rest)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(random_complexes(), st.data())
+def test_link_needs_no_from_faces(sc, data):
+    # F minus the face, over the facets F through it, is already a sorted
+    # antichain: normalising it again changes nothing
+    face = data.draw(st.sampled_from(sorted(sc.faces())))
+    assert link(sc, face).facets == from_faces_link(sc, face).facets
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(random_complexes(), st.sampled_from([QQ, GF2, FieldSpec(3)]))
 def test_cm_certificates_match_full_scan(sc, field):
