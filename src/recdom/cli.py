@@ -45,7 +45,17 @@ EXIT_INTERNAL = 3
 
 
 def _parse_select(text):
-    return frozenset(int(t) for t in text.split(",") if t.strip() != "")
+    """The facet indices i,j,... of ``--select``; an empty or repeated index
+    is an input error, never read as another selection."""
+    indices = []
+    for token in text.split(","):
+        if not token.strip():
+            raise ValueError(f"--select {text} has an empty facet index")
+        index = int(token)
+        if index in indices:
+            raise ValueError(f"--select {text} repeats facet index {index}")
+        indices.append(index)
+    return frozenset(indices)
 
 
 def _parse_vector(text):
@@ -57,9 +67,15 @@ def _parse_point(text):
 
 
 def _fields(args):
-    if args.field:
-        return tuple(FieldSpec.parse(f) for f in args.field)
-    return (QQ, GF2)
+    if not args.field:
+        return (QQ, GF2)
+    fields = []
+    for text in args.field:
+        field = FieldSpec.parse(text)
+        if field in fields:
+            raise ValueError(f"--field {text} repeats the field {field.label}")
+        fields.append(field)
+    return tuple(fields)
 
 
 def _emit(args, payload: dict, text_lines):
@@ -319,13 +335,15 @@ def _build_parser() -> argparse.ArgumentParser:
         for option in options.split():
             p.add_argument(option, **OPTIONS[option])
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, unread = _build_parser().parse_known_args(argv)
+    if unread:
+        # the subcommand's own usage lists the options it does take
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         return args.handler(args)
     except json.JSONDecodeError as err:

@@ -134,10 +134,6 @@ class LaurentPoly:
             out[shifted] = out.get(shifted, 0) - c
         return LaurentPoly(out)
 
-    def substitute_inverse(self):
-        """The polynomial with x replaced by 1/x."""
-        return LaurentPoly({tuple(-a for a in e): c for e, c in self.terms.items()})
-
     def __repr__(self):
         return f"LaurentPoly({dict(sorted(self.terms.items()))!r})"
 

@@ -9,24 +9,24 @@ onto the lower hull of a polytope one dimension up via the convex height
 ``sum_i |a_i . x - b_i|``.
 
 The work is integer arithmetic from the input points to the output points.
-Each cell becomes one :class:`_Polytope`, per lift and per embedding check.
-It puts the cell's points over one common denominator S as integer rows P
-and takes the differences D = P_i - P_0 independent of those before them as
-the basis of its chart.  The Gram matrix G = D.D^T is positive definite, so
-one fraction-free Gauss-Jordan pass (Bareiss) needs no pivoting and gives
-det(G) > 0 and adj(G); det(G) times a point's chart coordinates is the
-integer vector adj(G).D.(P - P_0).  The facets come from the integer
-double-description kernel :func:`~recdom.geometry.extreme_rays` on those
-vectors, and the hull equations from the fraction-free
-:func:`~recdom.geometry.integer_kernel`.  Facet vertex sets, primitive
-integer inequalities and hull equations are computed once and shared by the
-covering arrangement, the cover check, the cut and the pairwise
-intersection test.  Face tests are combinatorial: a vertex set is a face
-when the facets through it meet in exactly that set.
+A :class:`_Polytope` puts a cell's points over one common denominator S as
+integer rows P and takes the differences D = P_i - P_0 independent of those
+before them as the basis of its chart.  The Gram matrix G = D.D^T is
+positive definite, so one fraction-free Gauss-Jordan pass (Bareiss) needs
+no pivoting and gives det(G) > 0 and adj(G); det(G) times a point's chart
+coordinates is the integer vector adj(G).D.(P - P_0).  The facets come from
+the integer double-description kernel :func:`~recdom.geometry.extreme_rays`
+on those vectors, and the hull equations from the fraction-free
+:func:`~recdom.geometry.integer_kernel` on D.  Only maximal cells become
+polytopes, which the embedding check intersects pairwise and the
+subdivision cuts; every other cell is tested as a face of a maximal cell,
+combinatorially: a vertex set is a face when the facets through it meet in
+exactly that set.
 
-The covering arrangement is the set of the cells' hull equations.  The
-complex is closed under faces, so each facet of a cell is a cell, and one of
-its hull equations cuts the facet off the rest of the cell.
+The covering arrangement is the set of the cells' hull equations, read
+straight off each cell's points.  The complex is closed under faces, so each
+facet of a cell is a cell, and one of its hull equations cuts the facet off
+the rest of the cell.
 
 Slicing works on homogeneous integer rows.  A region carries each vertex x as
 a row (x.s, s) with s > 0, plus its facet vertex sets.  A hyperplane's value
@@ -136,15 +136,9 @@ def _point(row):
     return tuple(Fraction(a, s) for a in row[:-1])
 
 
-def _chart_map(rows):
-    """Independent directions of integer points P_i and the integer map onto
-    coordinates in their basis.
-
-    The directions D are the differences P_i - P_0 independent of those
-    before them, and G = D.D^T is their Gram matrix
-    (:func:`~recdom.geometry.dual_rows`).  Returns ``(D, det(G), adj(G).D)``:
-    a point P in the span has coordinates adj(G).D.(P - P_0) / det(G) in the
-    basis D, those the left inverse G^-1.D of D gives."""
+def _directions(rows):
+    """The differences P_i - P_0 of integer points P_i that are independent
+    of those before them: a basis of the directions of their affine hull."""
     base = rows[0]
     dirs = []
     for p in rows[1:]:
@@ -153,8 +147,13 @@ def _chart_map(rows):
         d = tuple(a - b for a, b in zip(p, base))
         if any(d) and rank_over_field(dirs + [d]) > len(dirs):
             dirs.append(d)
-    det, chart_map = dual_rows(dirs)
-    return dirs, det, chart_map
+    return dirs
+
+
+def _hull_equations(directions, row):
+    """Independent integer hyperplanes through the point of the homogeneous
+    row ``row`` that cut out its affine span with ``directions``."""
+    return tuple(AffineHyperplane.through_row(n, row) for n in integer_kernel(directions, len(row) - 1))
 
 
 class _Polytope:
@@ -179,7 +178,8 @@ class _Polytope:
         self.vertices = pts
         self.base = pts[0]
         self.rows = tuple(p + (s,) for p in scaled)
-        self.directions, det, chart_map = _chart_map(scaled)
+        self.directions = _directions(scaled)
+        det, chart_map = dual_rows(self.directions)
         # det(G) times the chart coordinates of every vertex
         offsets = [dot(row, scaled[0]) for row in chart_map]
         self._det = det
@@ -232,8 +232,7 @@ class _Polytope:
     def hull_equations(self):
         """Independent integer hyperplanes cutting out the affine hull."""
         if self._equations is None:
-            normals = integer_kernel(self.directions, len(self.base))
-            self._equations = tuple(AffineHyperplane.through_row(n, self.rows[0]) for n in normals)
+            self._equations = _hull_equations(self.directions, self.rows[0])
         return self._equations
 
     def face_vertex_sets(self):
@@ -265,10 +264,6 @@ def _cone_vertices(equalities, inequalities, dim):
     return sorted(_point(ray) for ray in rays if ray[-1])
 
 
-def _cell_polytopes(pc: PolyhedralComplex):
-    return {cell: _Polytope(pc.cell_points(cell)) for cell in pc.cells}
-
-
 def embedded_complex(vertices, maximal_cells) -> PolyhedralComplex:
     """Build a polyhedral complex from maximal cells, closing under faces.
 
@@ -289,49 +284,52 @@ def embedded_complex(vertices, maximal_cells) -> PolyhedralComplex:
     return PolyhedralComplex(pts, tuple(Cell(vs, dim) for vs, dim in cells.items()))
 
 
+def _non_faces(pc: PolyhedralComplex, polys):
+    """The cells that are not maximal and not a face of the first maximal
+    cell holding their vertices; ``polys`` maps the maximal cells to their
+    polytopes."""
+    holders = [(set(cell.vertices), cell) for cell in polys]
+    for cell in pc.cells:
+        if cell not in polys:
+            holder = next(m for vs, m in holders if vs.issuperset(cell.vertices))
+            if not polys[holder].is_face([holder.vertices.index(i) for i in cell.vertices]):
+                yield cell
+
+
 def verify_embedding(pc: PolyhedralComplex) -> bool:
     """True when every pair of cells meets in a common face of each.
 
-    Pairwise exact polytope intersections; the intersection must consist of
-    shared vertices and be an exposed face on both sides."""
-    polys = _cell_polytopes(pc)
-    order = list(pc.cells)
+    Only maximal cells are built as polytopes and intersected pairwise; each
+    intersection must consist of shared vertices and be an exposed face on
+    both sides.  Every other cell must be a face of one maximal cell holding
+    its vertices.  Two faces of a polytope meet in a face of both (Ziegler,
+    *Lectures on Polytopes*, 5.1), so when maximal cells meet in a common face
+    G, faces F and F' of theirs meet in (F & G) & (F' & G), a face of both."""
+    maximal = pc.maximal_cells()
+    polys = {cell: _Polytope(pc.cell_points(cell)) for cell in maximal}
+    if any(_non_faces(pc, polys)):
+        return False
     point_ids = {pt: i for i, pt in enumerate(pc.vertices)}
-    boxes = {}
-    for cell in order:
-        pts = pc.cell_points(cell)
-        boxes[cell] = (
-            tuple(min(p[i] for p in pts) for i in range(pc.ambient_dim)),
-            tuple(max(p[i] for p in pts) for i in range(pc.ambient_dim)),
-        )
-    for a, b in combinations(order, 2):
-        lo_a, hi_a = boxes[a]
-        lo_b, hi_b = boxes[b]
-        if any(hi_a[i] < lo_b[i] or hi_b[i] < lo_a[i] for i in range(pc.ambient_dim)):
+    # bounding boxes, as (min, max) per axis
+    boxes = {cell: [(min(x), max(x)) for x in zip(*pc.cell_points(cell))] for cell in maximal}
+    for a, b in combinations(maximal, 2):
+        if any(hi_a < lo_b or hi_b < lo_a for (lo_a, hi_a), (lo_b, hi_b) in zip(boxes[a], boxes[b])):
             continue
         pa, pb = polys[a], polys[b]
-        set_a, set_b = set(a.vertices), set(b.vertices)
-        if set_a <= set_b or set_b <= set_a:
-            small, big = (a, b) if set_a <= set_b else (b, a)
-            inter = [pc.point(i) for i in small.vertices]
-        else:
-            eqs = [h.coeffs + (-h.rhs,) for h in pa.hull_equations() + pb.hull_equations()]
-            ineqs = [
-                tuple(-x for x in c) + (r,)
-                for c, r in pa.ambient_inequalities + pb.ambient_inequalities
-            ]
-            inter = _cone_vertices(eqs, ineqs, pc.ambient_dim)
-            if not inter:
-                continue
+        eqs = [h.coeffs + (-h.rhs,) for h in pa.hull_equations() + pb.hull_equations()]
+        ineqs = [
+            tuple(-x for x in c) + (r,)
+            for c, r in pa.ambient_inequalities + pb.ambient_inequalities
+        ]
+        inter = _cone_vertices(eqs, ineqs, pc.ambient_dim)
+        if not inter:
+            continue
         ids = [point_ids.get(p) for p in inter]
-        if any(i is None for i in ids):
+        if None in ids or not set(ids) <= set(a.vertices) & set(b.vertices):
             return False
-        id_set = set(ids)
-        if not id_set <= set_a or not id_set <= set_b:
+        if not pa.is_face([a.vertices.index(i) for i in ids]):
             return False
-        local_a = [a.vertices.index(i) for i in ids]
-        local_b = [b.vertices.index(i) for i in ids]
-        if not pa.is_face(local_a) or not pb.is_face(local_b):
+        if not pb.is_face([b.vertices.index(i) for i in ids]):
             return False
     return True
 
@@ -401,7 +399,7 @@ def schlegel(vertices, cells, avoid: int) -> PolyhedralComplex:
         images[i] = tuple(zc + s * (vc - zc) for zc, vc in zip(z, v))
     # coordinates in the chart of the avoided facet's points P_i = x_i.S
     scale, facet_rows = common_denominator([chart[i] for i in sorted(avoid_vertices)])
-    _, det, chart_map = _chart_map(facet_rows)
+    det, chart_map = dual_rows(_directions(facet_rows))
     new_coords = {}
     for i, img in images.items():
         # an image x with row (X, t) has S.x - P_0 = (S.X - t.P_0) / t
@@ -444,16 +442,16 @@ def schlegel_of_selection(selection, avoid_facet: int) -> PolyhedralComplex:
 
 def covering_arrangement(pc: PolyhedralComplex) -> Arrangement:
     """Hyperplanes cutting out every cell: the affine hull equations of the
-    cells.
+    cells, read straight off their points.
 
     The complex is closed under faces, so every facet of a cell is a cell
     whose hull equations include a hyperplane through the facet that misses
     the rest of the cell."""
-    return _covering_arrangement(_cell_polytopes(pc).values())
-
-
-def _covering_arrangement(polys) -> Arrangement:
-    return Arrangement(tuple(h for poly in polys for h in poly.hull_equations()))
+    hyperplanes = []
+    for cell in pc.cells:
+        s, scaled = common_denominator(pc.cell_points(cell))
+        hyperplanes.extend(_hull_equations(_directions(scaled), scaled[0] + (s,)))
+    return Arrangement(tuple(hyperplanes))
 
 
 def _arrangement_covers(poly: _Polytope, arrangement: Arrangement) -> bool:
@@ -551,16 +549,19 @@ def induced_subdivision(pc: PolyhedralComplex, arrangement: Arrangement) -> Poly
 
     The result is a subdivision with the same support; requires (and checks)
     that every cell is an intersection of halfspaces bounded by arrangement
-    hyperplanes."""
-    return _induced_subdivision(pc, _cell_polytopes(pc), arrangement)
-
-
-def _induced_subdivision(pc: PolyhedralComplex, polys, arrangement: Arrangement) -> PolyhedralComplex:
-    for cell in pc.cells:
-        if not _arrangement_covers(polys[cell], arrangement):
+    hyperplanes.  The maximal cells are cut, and checked with every cell
+    that is not a face of one: a face F of a covered cell P is covered.  Its
+    hull is cut out by the hull equations of P and the hyperplanes through
+    the facets of P that contain F, and each facet of F lies on the
+    hyperplane of a facet of P that misses F."""
+    maximal = pc.maximal_cells()
+    polys = {cell: _Polytope(pc.cell_points(cell)) for cell in maximal}
+    polys.update([(cell, _Polytope(pc.cell_points(cell))) for cell in _non_faces(pc, polys)])
+    for cell, poly in polys.items():
+        if not _arrangement_covers(poly, arrangement):
             raise ArrangementDoesNotCover(f"cell {cell.vertices} is not covered")
     faces: dict[tuple[Point, ...], int] = {}
-    for cell in pc.maximal_cells():
+    for cell in maximal:
         for region in _cut_regions(_region(polys[cell]), arrangement):
             faces.update(_region_faces(region))
     all_points = sorted({p for key in faces for p in key})
@@ -623,9 +624,8 @@ def lift(pc: PolyhedralComplex) -> LiftResult:
     the graph of the height over the subdivision sits on the lower hull of
     {(x, t) : height(x) <= t <= M + 1} truncated over the bounding box of the
     complex enlarged by 1."""
-    polys = _cell_polytopes(pc)
-    arrangement = _covering_arrangement(polys.values())
-    subdivision = _induced_subdivision(pc, polys, arrangement)
+    arrangement = covering_arrangement(pc)
+    subdivision = induced_subdivision(pc, arrangement)
     values = tuple(lift_height(arrangement, v) for v in subdivision.vertices)
     max_value = max(values)
     d = pc.ambient_dim

@@ -348,6 +348,34 @@ def test_unread_option_is_a_usage_error(capsys, command, option):
     assert f"unrecognized arguments: {option} " in capsys.readouterr().err
 
 
+def test_unread_option_is_reported_by_the_subcommand(capsys):
+    # the subcommand's usage shows the options it does take
+    with pytest.raises(SystemExit) as raised:
+        main(["lift", data_path("two_segments.json"), "--grading", "1"])
+    assert raised.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: recdom lift ")
+    assert "recdom lift: error: unrecognized arguments: --grading 1\n" in err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["reciprocity", "square_cone.json", "--select", "0,,1"], "--select 0,,1 has an empty facet index"),
+        (["reciprocity", "square_cone.json", "--select", "0,1,"], "--select 0,1, has an empty facet index"),
+        (["reciprocity", "square_cone.json", "--select", "0,0,1"], "--select 0,0,1 repeats facet index 0"),
+        (["cm", "rp2.json", "--field", "Q", "--field", "Q"], "--field Q repeats the field Q"),
+        (["cm", "rp2.json", "--field", "F2", "--field", "2"], "--field 2 repeats the field F2"),
+    ],
+    ids=["empty-index", "trailing-comma", "repeated-index", "repeated-field", "same-field-twice"],
+)
+def test_malformed_input_is_not_read_as_other_input(capsys, args, message):
+    command, name, *options = args
+    assert main([command, data_path(name)] + options) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {message}\n" == captured.err
+
+
 @pytest.mark.parametrize(
     "args, message",
     [

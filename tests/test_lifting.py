@@ -12,6 +12,7 @@ import pytest
 from recdom import geometry, jsonio, lifting
 from recdom.corpus import (
     cube_vertices,
+    cubical_complex,
     one_point_1d,
     segment_2d,
     two_segments_1d,
@@ -220,6 +221,17 @@ def test_lift_needs_a_complex_closed_under_faces():
     assert verify_lower_hull(lift(closed))
 
 
+def test_lift_checks_a_cell_that_is_not_a_face_on_its_own():
+    # a triangle on three corners of a square is not a face of it, and no
+    # cell lies on its diagonal, so the triangle is not covered although
+    # the square is
+    square = embedded_complex([(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 1, 2, 3)])
+    pc = PolyhedralComplex(square.vertices, square.cells + (Cell((0, 1, 3), 2),))
+    assert not verify_embedding(pc)
+    with pytest.raises(ArrangementDoesNotCover, match=r"cell \(0, 1, 3\) is not covered"):
+        lift(pc)
+
+
 def test_covering_arrangement_covers_own_complex():
     for pc in (two_segments_1d(), two_triangles_2d(), segment_2d()):
         arr = covering_arrangement(pc)
@@ -354,38 +366,55 @@ def _lift_and_check(pc):
 
 
 def test_lift_work_is_pinned(monkeypatch):
-    # One _Polytope per cell, shared by the covering arrangement and the
-    # subdivision, one for the box and none in the cut loop; one extreme_rays
-    # call per polytope of dimension >= 1 (its facets) and one for the lifted
-    # polytope's vertices.  Neither building the inputs, nor the lift and its
-    # check, nor a Schlegel projection makes a Fraction row reduction.
+    # One _Polytope per maximal cell, built, cover-checked and cut by the
+    # subdivision (every other cell is a face of one, so needs none), one
+    # for the box and none in the cut loop or for the covering arrangement,
+    # which reads hull equations off the points; one
+    # extreme_rays call per polytope of dimension >= 1 (its facets) and one
+    # for the lifted polytope's vertices.  Neither building the inputs, nor
+    # the lift and its check, nor a Schlegel projection makes a Fraction row
+    # reduction.
     counts, (triangles, tetrahedron) = _work(monkeypatch, _pinned_inputs, names=())
     assert counts == {"rref": 0}
     counts, verified = _work(monkeypatch, _lift_and_check, triangles)
-    assert verified and counts == {"extreme_rays": 7 + 1 + 1, "_Polytope": 11 + 1, "rref": 0}
+    assert verified and counts == {"extreme_rays": 2 + 1 + 1, "_Polytope": 2 + 1, "rref": 0}
     counts, verified = _work(monkeypatch, _lift_and_check, tetrahedron)
-    assert verified and counts == {"extreme_rays": 11 + 1 + 1, "_Polytope": 15 + 1, "rref": 0}
+    assert verified and counts == {"extreme_rays": 1 + 1 + 1, "_Polytope": 1 + 1, "rref": 0}
     counts, out = _work(monkeypatch, schlegel, cube_vertices(), [(0, 2, 4, 6), (0, 1, 4, 5)], 5, names=())
     assert len(out.maximal_cells()) == 2 and counts == {"rref": 0}
 
 
 def test_verify_embedding_work_is_pinned(monkeypatch):
-    # One _Polytope per cell, whose facets and hull equations every pair
-    # reuses: one extreme_rays call per polytope of dimension >= 1, one H-to-V
-    # pass per pair of cells that are not nested and whose bounding boxes
-    # meet (17 of the 55 pairs of the triangles, 37 of the 105 of the
-    # tetrahedron), one integer_kernel call per cell in such a pair (9 of
-    # 11 cells, 11 of 15), and no Fraction row reduction.
+    # One _Polytope per maximal cell, whose facets and hull equations every
+    # pair reuses, and a combinatorial face test for every other cell: one
+    # extreme_rays call per polytope of dimension >= 1, one H-to-V pass per
+    # pair of maximal cells whose bounding boxes meet (the one pair of the
+    # triangles, none for the lone tetrahedron), one integer_kernel call per
+    # cell in such a pair, and no Fraction row reduction.
     names = ("extreme_rays", "_Polytope", "integer_kernel")
     triangles, tetrahedron = _pinned_inputs()
     counts, embedded = _work(monkeypatch, verify_embedding, triangles, names=names)
     assert embedded and counts == {
-        "extreme_rays": 7 + 17, "_Polytope": 11, "integer_kernel": 9, "rref": 0
+        "extreme_rays": 2 + 1, "_Polytope": 2, "integer_kernel": 2, "rref": 0
     }
     counts, embedded = _work(monkeypatch, verify_embedding, tetrahedron, names=names)
     assert embedded and counts == {
-        "extreme_rays": 11 + 37, "_Polytope": 15, "integer_kernel": 11, "rref": 0
+        "extreme_rays": 1, "_Polytope": 1, "integer_kernel": 0, "rref": 0
     }
+
+
+def test_cube_slab_is_embedded_and_lifts(monkeypatch):
+    # the 2x2x1 slab of unit cubes, each split into six tetrahedra: 24
+    # tetrahedra and 163 cells, of which the embedding check builds the 24
+    sc = cubical_complex([(x, y, 0) for x in range(2) for y in range(2)])
+    corners = sorted({(x, y, z) for x in range(3) for y in range(3) for z in range(2)})
+    pc = embedded_complex(corners, sorted(sc.facets))
+    assert len(pc.maximal_cells()) == 24 and len(pc.cells) == 163
+    counts, embedded = _work(monkeypatch, verify_embedding, pc, names=("_Polytope",))
+    assert embedded and counts == {"_Polytope": 24, "rref": 0}
+    result = lift(pc)
+    assert verify_lower_hull(result)
+    assert support_measure(result.subdivision) == support_measure(pc) == 4
 
 
 def test_lift_height_convexity_seeded():

@@ -8,8 +8,10 @@ no code with :func:`recdom.geometry.extreme_rays`.  The region cutter of
 H-to-V pass on each half's constraints and a fresh polytope on its vertices.
 Its integer cover check is checked against the same check in Fractions; the
 integer charts, kernels and hull equations of its polytopes and its cell
-volumes against the Fraction row reduction they replaced; and its covering
-arrangement against the one that also added a cut through every facet."""
+volumes against the Fraction row reduction they replaced; its covering
+arrangement against the one that also added a cut through every facet; and
+its embedding check, which intersects maximal cells only, against the one
+that intersected every pair of cells."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -44,6 +46,7 @@ from recdom.geometry import (
 from recdom.lifting import (
     AffineHyperplane,
     Arrangement,
+    ArrangementDoesNotCover,
     _arrangement_covers,
     _cone_vertices,
     _cut,
@@ -400,6 +403,38 @@ def oracle_covers(poly, arrangement):
             all(h.value(p) == 0 for p in facet_points)
             and any(h.value(v) != 0 for v in poly.vertices)
             for h in arrangement.hyperplanes
+        ):
+            return False
+    return True
+
+
+def oracle_verify_embedding(pc):
+    """The embedding check on every pair of cells, faces included: of a
+    nested pair the smaller cell's vertices must be a face of the bigger,
+    and any other pair must meet, by an H-to-V pass, in shared vertices
+    that are a face of both.  It has no bounding-box filter, which only
+    skips pairs that do not meet."""
+    polys = {cell: _Polytope(pc.cell_points(cell)) for cell in pc.cells}
+    point_ids = {pt: i for i, pt in enumerate(pc.vertices)}
+    for a, b in combinations(pc.cells, 2):
+        pa, pb = polys[a], polys[b]
+        set_a, set_b = set(a.vertices), set(b.vertices)
+        if set_a <= set_b or set_b <= set_a:
+            small = a if set_a <= set_b else b
+            inter = [pc.point(i) for i in small.vertices]
+        else:
+            eqs = [h.coeffs + (-h.rhs,) for h in pa.hull_equations() + pb.hull_equations()]
+            ineqs = [
+                tuple(-x for x in c) + (r,)
+                for c, r in pa.ambient_inequalities + pb.ambient_inequalities
+            ]
+            inter = _cone_vertices(eqs, ineqs, pc.ambient_dim)
+        ids = [point_ids.get(p) for p in inter]
+        if None in ids or not set(ids) <= set_a or not set(ids) <= set_b:
+            return False
+        if inter and not (
+            pa.is_face([a.vertices.index(i) for i in ids])
+            and pb.is_face([b.vertices.index(i) for i in ids])
         ):
             return False
     return True
@@ -865,3 +900,60 @@ def test_covering_arrangement_is_the_facet_cut_oracle_on_lift_shapes():
     for vertices, cells in LIFT_SHAPES + (cube_slab(),):
         pc = embedded_complex(vertices, cells)
         assert covering_arrangement(pc) == oracle_covering_arrangement(pc)
+
+
+# -- embedding check on maximal cells ------------------------------------------
+
+
+@st.composite
+def embedding_cases(draw):
+    """A complex in R^1..R^3, embedded or not: one to three polytopes, each
+    the hull of two to five points of [0, 3]^d with all its faces, over one
+    vertex list.  The polytopes may overlap, cross or share faces.  At times
+    one more cell spans some vertices of the largest cell: a face of it, or a
+    diagonal or nested cell that is not."""
+    d = draw(st.integers(1, 3))
+    coordinates = st.tuples(*[st.integers(0, 3)] * d)
+    index, cells = {}, {}
+    for _ in range(draw(st.integers(1, 3))):
+        hull = _Polytope(draw(st.lists(coordinates, min_size=2, max_size=5, unique=True)))
+        corners = [hull.vertices[vs[0]] for vs, k in hull.face_vertex_sets().items() if k == 0]
+        ids = [index.setdefault(p, len(index)) for p in corners]
+        for vs, k in _Polytope(corners).face_vertex_sets().items():
+            cells[tuple(sorted(ids[i] for i in vs))] = k
+    points = sorted(index, key=index.get)
+    if draw(st.booleans()):
+        spans = max(cells, key=lambda vs: (len(vs), vs))
+        extra = tuple(sorted(draw(st.sets(st.sampled_from(spans), min_size=2))))
+        cells.setdefault(extra, _Polytope([points[i] for i in extra]).dim)
+    return PolyhedralComplex(tuple(points), tuple(Cell(vs, k) for vs, k in cells.items()))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(embedding_cases())
+def test_verify_embedding_matches_all_pairs_oracle(pc):
+    assert verify_embedding(pc) == oracle_verify_embedding(pc)
+
+
+def test_verify_embedding_matches_all_pairs_oracle_on_lift_shapes():
+    for vertices, cells in LIFT_SHAPES + (cube_slab(),):
+        pc = embedded_complex(vertices, cells)
+        assert verify_embedding(pc) and oracle_verify_embedding(pc)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(cover_cases())
+def test_subdivision_is_refused_when_any_cell_is_not_covered(case):
+    # the cover check runs on the maximal cells only, because the faces of
+    # a covered cell are covered
+    pc, arrangement = case
+    uncovered = [
+        cell for cell in pc.cells
+        if not _arrangement_covers(_Polytope(pc.cell_points(cell)), arrangement)
+    ]
+    try:
+        induced_subdivision(pc, arrangement)
+    except ArrangementDoesNotCover:
+        assert uncovered
+    else:
+        assert not uncovered
