@@ -371,7 +371,7 @@ def schlegel(vertices, cells, avoid: int) -> PolyhedralComplex:
     if not 0 <= avoid < len(poly.inequalities):
         raise ValueError(f"facet index {avoid} out of range")
     avoid_vertices = set(poly.facets[avoid])
-    closure: dict[tuple[int, ...], int] = {}
+    kept = []
     for cell in cells:
         ids = tuple(sorted(cell))
         if not poly.is_face(ids) or len(ids) == len(pts):
@@ -382,9 +382,13 @@ def schlegel(vertices, cells, avoid: int) -> PolyhedralComplex:
             raise SubcomplexTouchesAvoidedFacet(
                 f"cell {ids} contains the avoided facet"
             )
-        cell_poly = _Polytope([pts[i] for i in ids])
-        for local_vs, dim in cell_poly.face_vertex_sets().items():
-            closure[tuple(sorted(ids[i] for i in local_vs))] = dim
+        kept.append(set(ids))
+    # the faces of a face of the polytope are its faces inside that face
+    closure = {
+        vs: dim
+        for vs, dim in poly.face_vertex_sets().items()
+        if any(k.issuperset(vs) for k in kept)
+    }
     normal, rhs = poly.inequalities[avoid]
     z = _beyond_point(poly, avoid)
     chart = poly.chart

@@ -3,14 +3,16 @@
 Cross-sections of cone boundary parts, barycentric subdivision, reduced
 simplicial homology via boundary-matrix ranks, link-based Cohen-Macaulay
 certificates, and recognition of balls, spheres and manifolds-with-boundary
-in dimension at most three.
+in dimension at most three.  One link scan decides manifolds; balls and
+spheres of dimension 1 and 2 are the connected ones told apart by boundary
+and Euler characteristic (the classification of compact surfaces).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .geometry import (
@@ -86,12 +88,9 @@ class PolyhedralComplex:
         return [self.vertices[i] for i in cell.vertices]
 
     def maximal_cells(self) -> tuple[Cell, ...]:
-        out = []
-        for c in self.cells:
-            cv = set(c.vertices)
-            if not any(o is not c and cv < set(o.vertices) for o in self.cells):
-                out.append(c)
-        return tuple(out)
+        """Cells whose vertex set lies strictly inside no other cell's."""
+        sets = [frozenset(c.vertices) for c in self.cells]
+        return tuple(c for c, s in zip(self.cells, sets) if not any(s < o for o in sets))
 
     def covering_faces(self, cell: Cell) -> list[Cell]:
         """Faces of ``cell`` of dimension exactly one less."""
@@ -112,12 +111,18 @@ class SimplicialComplex:
     @classmethod
     def from_faces(cls, n_vertices, faces) -> "SimplicialComplex":
         normalized = sorted(
-            {tuple(sorted(set(f))) for f in faces}, key=lambda f: (-len(f), f)
+            {tuple(sorted(set(f))) for f in faces if f}, key=lambda f: (-len(f), f)
         )
+        # a kept face holding f holds f's first vertex; ``<`` is strict, so
+        # kept faces of f's own size are rejected on their length alone
+        kept: dict[int, list[frozenset]] = {}
         maximal: list[tuple[int, ...]] = []
         for f in normalized:
-            if f and not any(set(f) <= set(g) for g in maximal):
+            fs = frozenset(f)
+            if not any(fs < g for g in kept.get(f[0], ())):
                 maximal.append(f)
+                for v in f:
+                    kept.setdefault(v, []).append(fs)
         return cls(n_vertices, tuple(sorted(maximal)))
 
     @property
@@ -142,6 +147,15 @@ class SimplicialComplex:
 
     def is_pure(self) -> bool:
         return len({len(f) for f in self.facets}) <= 1
+
+    @cached_property
+    def _facets_by_vertex(self) -> dict[int, list[tuple[int, ...]]]:
+        """The facets through each vertex, in facet order."""
+        index: dict[int, list[tuple[int, ...]]] = {}
+        for f in self.facets:
+            for v in f:
+                index.setdefault(v, []).append(f)
+        return index
 
 
 @lru_cache(maxsize=None)
@@ -248,7 +262,7 @@ def link(sc: SimplicialComplex, face) -> SimplicialComplex:
     if not face:
         return sc
     fs = set(face)
-    star = [f for f in sc.facets if fs <= set(f)]
+    star = [f for f in sc._facets_by_vertex.get(face[0], ()) if fs.issubset(f)]
     if not star or len(fs) != len(face):
         raise FaceNotPresent(face)
     # the facets through ``face`` minus ``face`` are already an antichain of
@@ -300,30 +314,6 @@ def is_cohen_macaulay(sc: SimplicialComplex, field: FieldSpec = QQ) -> CMCertifi
     return CMCertificate(True)
 
 
-def _graph_shape(sc: SimplicialComplex) -> str:
-    """Classify a complex of dimension <= 1 as path, cycle, or other."""
-    if sc.dim > 1 or sc.dim < 0:
-        return "other"
-    edges = [f for f in sc.facets if len(f) == 2]
-    verts = sc.vertices_used()
-    if not edges:
-        return "path" if len(verts) == 1 else "other"
-    if any(len(f) == 1 for f in sc.facets):
-        return "other"  # isolated vertex next to edges
-    if not _is_connected(sc):
-        return "other"
-    degree = {v: 0 for v in verts}
-    for a, b in edges:
-        degree[a] += 1
-        degree[b] += 1
-    degs = sorted(degree.values())
-    if all(g == 2 for g in degs) and len(edges) == len(verts):
-        return "cycle"
-    if degs.count(1) == 2 and all(g <= 2 for g in degs) and len(edges) == len(verts) - 1:
-        return "path"
-    return "other"
-
-
 def _is_connected(sc: SimplicialComplex) -> bool:
     verts = sc.vertices_used()
     if not verts:
@@ -344,36 +334,18 @@ def _is_connected(sc: SimplicialComplex) -> bool:
     return len(seen) == len(verts)
 
 
-def _recognize_surface(sc: SimplicialComplex) -> str:
-    if not sc.is_pure() or not _is_connected(sc):
-        return "other"
-    triangles = sc.facets
-    edge_count: dict[tuple, int] = {}
-    for t in triangles:
-        for e in combinations(t, 2):
-            edge_count[e] = edge_count.get(e, 0) + 1
-    if any(c > 2 for c in edge_count.values()):
-        return "other"
-    link_shapes = {v: _graph_shape(link(sc, (v,))) for v in sc.vertices_used()}
-    if any(shape not in ("path", "cycle") for shape in link_shapes.values()):
-        return "other"
-    boundary_edges = [e for e, c in edge_count.items() if c == 1]
-    chi = sc.euler_characteristic()
-    if not boundary_edges:
-        if chi == 2 and all(shape == "cycle" for shape in link_shapes.values()):
-            return "sphere"
-        return "other"
-    boundary = SimplicialComplex.from_faces(sc.n_vertices, boundary_edges)
-    if chi == 1 and _graph_shape(boundary) == "cycle":
-        return "ball"
-    return "other"
-
-
 def recognize_ball_sphere(sc: SimplicialComplex) -> str:
     """Decide ball / sphere / other for complexes of dimension at most 2.
 
-    Dimension 3 and above returns "unknown": vanishing homology no longer
-    forces ball-ness there, and sphere recognition is out of reach."""
+    In dimensions 1 and 2 a connected complex that passes the link scan of
+    :func:`is_manifold_with_boundary` is a compact manifold, and compact
+    manifolds there are told apart by their boundary and Euler
+    characteristic (the classification of compact surfaces; Massey,
+    *Algebraic Topology: An Introduction*, ch. 1): with boundary, chi = 1
+    only for the path and the disk; without, chi = 1 + (-1)^d only for the
+    cycle and the 2-sphere.  Dimension 3 and above returns "unknown":
+    vanishing homology no longer forces ball-ness there, and sphere
+    recognition is out of reach."""
     d = sc.dim
     if d < 0:
         return "other"
@@ -384,16 +356,17 @@ def recognize_ball_sphere(sc: SimplicialComplex) -> str:
         if n == 2:
             return "sphere"
         return "other"
-    if d == 1:
-        shape = _graph_shape(sc)
-        if shape == "path":
-            return "ball"
-        if shape == "cycle":
-            return "sphere"
+    if d > 2:
+        return "unknown"
+    if not _is_connected(sc):
         return "other"
-    if d == 2:
-        return _recognize_surface(sc)
-    return "unknown"
+    ok, boundary = is_manifold_with_boundary(sc)
+    if not ok:
+        return "other"
+    chi = sc.euler_characteristic()
+    if boundary.facets:
+        return "ball" if chi == 1 else "other"
+    return "sphere" if chi == 1 + (-1) ** d else "other"
 
 
 def is_manifold_with_boundary(sc: SimplicialComplex):

@@ -935,6 +935,23 @@ def test_verify_embedding_matches_all_pairs_oracle(pc):
     assert verify_embedding(pc) == oracle_verify_embedding(pc)
 
 
+def oracle_maximal_cells(pc):
+    """The former scan: each cell's vertex set against every other cell's."""
+    return tuple(
+        c for c in pc.cells
+        if not any(o is not c and set(c.vertices) < set(o.vertices) for o in pc.cells)
+    )
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(embedding_cases(), st.data())
+def test_maximal_cells_match_pairwise_oracle(pc, data):
+    # also on a random subset of the cells, seldom closed under faces
+    some = data.draw(st.lists(st.sampled_from(pc.cells), min_size=1, unique=True))
+    for complex_ in (pc, PolyhedralComplex(pc.vertices, tuple(some))):
+        assert complex_.maximal_cells() == oracle_maximal_cells(complex_)
+
+
 def test_verify_embedding_matches_all_pairs_oracle_on_lift_shapes():
     for vertices, cells in LIFT_SHAPES + (cube_slab(),):
         pc = embedded_complex(vertices, cells)

@@ -244,6 +244,23 @@ def test_link_matches_oracle(case):
     assert _link_or_absent(link, sc, face) == _link_or_absent(oracle_link, sc, face)
 
 
+def oracle_from_faces(n_vertices, faces):
+    """The former construction: each face against every kept face."""
+    normalized = sorted({tuple(sorted(set(f))) for f in faces}, key=lambda f: (-len(f), f))
+    maximal = []
+    for f in normalized:
+        if f and not any(set(f) <= set(g) for g in maximal):
+            maximal.append(f)
+    return SimplicialComplex(n_vertices, tuple(sorted(maximal)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 7), max_size=5), max_size=12))
+def test_from_faces_matches_pairwise_oracle(faces):
+    # unsorted faces, repeated vertices and faces, and empty faces included
+    assert SimplicialComplex.from_faces(8, faces) == oracle_from_faces(8, faces)
+
+
 # -- Cohen-Macaulay certificates -------------------------------------------------
 
 def oracle_is_cohen_macaulay(sc, field=QQ):
@@ -422,6 +439,150 @@ def test_recognize_dim3_unknown():
 
 def test_annulus_euler_characteristic():
     assert annulus().euler_characteristic() == 0
+
+
+def oracle_connected(sc):
+    return reduced_homology(sc).betti[0] == 0
+
+
+def oracle_graph_shape(sc):
+    """Classify a complex of dimension <= 1 as path, cycle, or other by its
+    vertex degrees."""
+    if sc.dim > 1 or sc.dim < 0:
+        return "other"
+    edges = [f for f in sc.facets if len(f) == 2]
+    verts = sc.vertices_used()
+    if not edges:
+        return "path" if len(verts) == 1 else "other"
+    if any(len(f) == 1 for f in sc.facets) or not oracle_connected(sc):
+        return "other"
+    degree = {v: 0 for v in verts}
+    for a, b in edges:
+        degree[a] += 1
+        degree[b] += 1
+    degs = sorted(degree.values())
+    if all(g == 2 for g in degs) and len(edges) == len(verts):
+        return "cycle"
+    if degs.count(1) == 2 and all(g <= 2 for g in degs) and len(edges) == len(verts) - 1:
+        return "path"
+    return "other"
+
+
+def oracle_recognize_surface(sc):
+    """A pure connected 2-complex with no edge in three triangles, path or
+    cycle vertex links, and chi = 2 without boundary (a sphere) or chi = 1
+    with a boundary cycle (a disk)."""
+    if not sc.is_pure() or not oracle_connected(sc):
+        return "other"
+    edge_count = {}
+    for t in sc.facets:
+        for e in combinations(t, 2):
+            edge_count[e] = edge_count.get(e, 0) + 1
+    if any(c > 2 for c in edge_count.values()):
+        return "other"
+    link_shapes = {oracle_graph_shape(link(sc, (v,))) for v in sc.vertices_used()}
+    if not link_shapes <= {"path", "cycle"}:
+        return "other"
+    boundary_edges = [e for e, c in edge_count.items() if c == 1]
+    chi = sc.euler_characteristic()
+    if not boundary_edges:
+        return "sphere" if chi == 2 and link_shapes == {"cycle"} else "other"
+    boundary = SimplicialComplex.from_faces(sc.n_vertices, boundary_edges)
+    return "ball" if chi == 1 and oracle_graph_shape(boundary) == "cycle" else "other"
+
+
+def oracle_recognize_ball_sphere(sc):
+    """The former recognizer: vertex degrees in dimension 1, edge counts and
+    vertex-link shapes in dimension 2."""
+    d = sc.dim
+    if d < 0:
+        return "other"
+    if d == 0:
+        return {1: "ball", 2: "sphere"}.get(len(sc.facets), "other")
+    if d == 1:
+        return {"path": "ball", "cycle": "sphere"}.get(oracle_graph_shape(sc), "other")
+    if d == 2:
+        return oracle_recognize_surface(sc)
+    return "unknown"
+
+
+def octahedron_boundary():
+    return SimplicialComplex.from_faces(
+        6, [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
+    )
+
+
+def seven_vertex_torus():
+    """Möbius' torus: the triangles {i, i+1, i+3} and {i, i+2, i+3} mod 7."""
+    return SimplicialComplex.from_faces(
+        7, [(i, (i + a) % 7, (i + 3) % 7) for i in range(7) for a in (1, 2)]
+    )
+
+
+def moebius_band():
+    """Consecutive triples of a 5-cycle; the edges {i, i+2} form its boundary."""
+    return SimplicialComplex.from_faces(5, [(i, (i + 1) % 5, (i + 2) % 5) for i in range(5)])
+
+
+def test_named_surfaces():
+    torus = seven_vertex_torus()
+    assert reduced_homology(torus).betti == (0, 2, 1)
+    assert is_manifold_with_boundary(torus)[1].facets == ()
+    assert reduced_homology(moebius_band()).betti == (0, 1, 0)
+    assert len(is_manifold_with_boundary(moebius_band())[1].facets) == 5
+
+
+@pytest.mark.parametrize(
+    "name, sc, verdict",
+    [
+        ("octahedron", octahedron_boundary(), "sphere"),
+        ("cone over a pentagon", SimplicialComplex.from_faces(6, [(0, i, i % 5 + 1) for i in range(1, 6)]), "ball"),
+        ("Möbius band", moebius_band(), "other"),
+        # chi = 0 and no boundary, as for one cycle
+        ("two cycles", SimplicialComplex.from_faces(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), "other"),
+        # chi = 2 and no boundary, as for one 2-sphere
+        ("sphere beside a torus", SimplicialComplex.from_faces(
+            11, list(tetrahedron_boundary().facets) + [tuple(v + 4 for v in f) for f in seven_vertex_torus().facets]
+        ), "other"),
+        ("torus", seven_vertex_torus(), "other"),
+        ("annulus", annulus(), "other"),
+        ("projective plane", projective_plane(), "other"),
+        # chi = 1 and a boundary, but vertex 0's link is two points
+        ("bowtie", SimplicialComplex.from_faces(5, [(0, 1, 2), (0, 3, 4)]), "other"),
+        ("edge in three triangles", three_triangles_on_edge(), "other"),
+        # a strip of four triangles whose two ends meet at vertex 0 only
+        ("pinched disk", SimplicialComplex.from_faces(5, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 4)]), "other"),
+    ],
+)
+def test_recognition_of_named_complexes(name, sc, verdict):
+    assert recognize_ball_sphere(sc) == oracle_recognize_ball_sphere(sc) == verdict
+
+
+SURFACES = (tetrahedron_boundary(), octahedron_boundary(), projective_plane(), seven_vertex_torus())
+
+
+@st.composite
+def low_dimensional_complexes(draw):
+    """A complex of dimension at most 2 on 7 vertices: some triangles of a
+    closed surface, so that disks, spheres, annuli and Möbius bands are
+    common, or the edges of a walk, so that paths and cycles are, or random
+    faces; then a few random faces of 1 to 3 vertices, impure ones included."""
+    kind = draw(st.sampled_from(("surface", "walk", "random")))
+    faces = []
+    if kind == "surface":
+        surface = draw(st.sampled_from(SURFACES))
+        faces = draw(st.lists(st.sampled_from(surface.facets), unique=True))
+    elif kind == "walk":
+        walk = draw(st.lists(st.integers(0, 6), min_size=2, max_size=8))
+        faces = [e for e in zip(walk, walk[1:]) if e[0] != e[1]]
+    faces += draw(st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=3), max_size=3))
+    return SimplicialComplex.from_faces(7, faces)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(low_dimensional_complexes())
+def test_recognition_matches_former_recognizer(sc):
+    assert recognize_ball_sphere(sc) == oracle_recognize_ball_sphere(sc)
 
 
 # -- manifolds ---------------------------------------------------------------------
