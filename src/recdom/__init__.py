@@ -11,6 +11,7 @@ from .enumerator import (
     COMPLEMENT,
     SELECTED,
     BadGrading,
+    BoxTooLarge,
     DomainSpec,
     FacetSelection,
     LaurentPoly,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, product
-from math import ceil, floor
+from math import prod
 
 from .geometry import (
     GF2,
@@ -30,6 +30,7 @@ from .geometry import (
     dot,
     dual_rows,
     faces_of,
+    pulling_simplices,
     smith_normal_form,
     vadd,
 )
@@ -42,6 +43,14 @@ SIDES = (SELECTED, COMPLEMENT)
 
 class BadGrading(ValueError):
     """Grading covector is not strictly positive where it has to be."""
+
+
+class BoxTooLarge(ValueError):
+    """The degree box to scan holds more than ``BOX_LIMIT`` lattice points."""
+
+
+# Largest degree box a lattice-point scan walks before it gives up.
+BOX_LIMIT = 10**6
 
 
 class WitnessSearchExhausted(RuntimeError):
@@ -195,26 +204,35 @@ class TruncatedSeries:
         return f"TruncatedSeries(bound={self.bound}, {len(self.coeffs)} terms)"
 
 
-def _check_grading(cone, w):
+def _grading(cone, grading):
+    """The grading, or the default one, checked to have one entry per
+    coordinate and to be strictly positive on every ray."""
+    w = tuple(grading) if grading is not None else default_grading(cone)
     if len(w) != cone.dim:
         raise BadGrading(f"grading length {len(w)} != dim {cone.dim}")
     for r in cone.rays:
         if dot(w, r) <= 0:
             raise BadGrading(f"grading {w} is not strictly positive on ray {r}")
+    return w
 
 
-def _degree_box(cone, w, bound):
-    # The region {x in cone : w.x <= bound} is a polytope with vertices at the
-    # origin and the scaled rays, so its bounding box is easy to write down.
+def _box_points(cone, w, bound):
+    """The lattice points of w-degree at most ``bound`` in the bounding box
+    of {x in cone : w.x <= bound}, a polytope with vertices at the origin
+    and the rays scaled to degree ``bound``."""
     lows = [0] * cone.dim
     highs = [0] * cone.dim
     for r in cone.rays:
-        s = Fraction(bound, dot(w, r))
+        wr = dot(w, r)
         for i, a in enumerate(r):
-            x = s * a
-            lows[i] = min(lows[i], floor(x))
-            highs[i] = max(highs[i], ceil(x))
-    return lows, highs
+            lows[i] = min(lows[i], bound * a // wr)
+            highs[i] = max(highs[i], -(-bound * a // wr))
+    size = prod(hi - lo + 1 for lo, hi in zip(lows, highs))
+    if size > BOX_LIMIT:
+        raise BoxTooLarge(f"degree box of {size} points exceeds the limit of {BOX_LIMIT}")
+    for pt in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
+        if dot(w, pt) <= bound:
+            yield pt
 
 
 def lattice_points(spec: DomainSpec, grading=None, bound: int = 8) -> TruncatedSeries:
@@ -222,27 +240,16 @@ def lattice_points(spec: DomainSpec, grading=None, bound: int = 8) -> TruncatedS
 
     A box scan over the truncation polytope with exact membership filtering;
     exhaustive because the truncated cone is bounded."""
-    cone = spec.cone
-    w = tuple(grading) if grading is not None else default_grading(cone)
-    _check_grading(cone, w)
+    w = _grading(spec.cone, grading)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    lows, highs = _degree_box(cone, w, bound)
-    coeffs = {}
-    for pt in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
-        if dot(w, pt) <= bound and spec.contains(pt):
-            coeffs[pt] = 1
+    coeffs = {pt: 1 for pt in _box_points(spec.cone, w, bound) if spec.contains(pt)}
     return TruncatedSeries(w, bound, coeffs)
 
 
 def _cone_points(cone, w, bound):
     """All cone lattice points with w-degree <= bound, sorted by (degree, lex)."""
-    lows, highs = _degree_box(cone, w, bound)
-    pts = [
-        pt
-        for pt in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs)))
-        if dot(w, pt) <= bound and cone.contains(pt)
-    ]
+    pts = [pt for pt in _box_points(cone, w, bound) if cone.contains(pt)]
     pts.sort(key=lambda p: (dot(w, p), p))
     return pts
 
@@ -272,19 +279,7 @@ def triangulate(cone: Cone) -> tuple[HalfOpenCone, ...]:
 
 @lru_cache(maxsize=None)
 def _pulling_triangulation(cone: Cone, face: Face) -> tuple[tuple[int, ...], ...]:
-    # Cone each non-simplicial face from its smallest ray over the facets of
-    # the face avoiding that ray; the choice depends only on the face, so the
-    # pieces agree across shared walls.
-    ray_list = sorted(face.rays)
-    if len(ray_list) == face.dim:
-        return (tuple(ray_list),)
-    apex = ray_list[0]
-    simplices = []
-    for sub in faces_of(cone):
-        if sub.dim == face.dim - 1 and apex not in sub.rays and sub.rays < face.rays:
-            for s in _pulling_triangulation(cone, sub):
-                simplices.append(tuple(sorted((apex,) + s)))
-    return tuple(sorted(simplices))
+    return tuple(sorted(pulling_simplices({f.rays: f.dim for f in faces_of(cone)}, face.rays)))
 
 
 @lru_cache(maxsize=None)
@@ -363,15 +358,19 @@ def simplicial_gf(generators, open_walls=None) -> RationalGF:
     return RationalGF(LaurentPoly(terms), gens)
 
 
-def _multiset_difference(big, small):
-    counts = Counter(big)
-    counts.subtract(Counter(small))
-    if any(v < 0 for v in counts.values()):
-        raise InvariantViolation(f"denominator {small} is not a sub-multiset of {big}")
-    out = []
-    for v, k in sorted(counts.items()):
-        out.extend([v] * k)
-    return out
+def _numerator_over(gf: RationalGF, rays) -> LaurentPoly:
+    """The numerator of ``gf`` written over the denominator ``rays``, a
+    multiset of rays holding gf's own: times (1 - x^v) for each ray missing."""
+    missing = Counter(rays)
+    missing.subtract(gf.denom_rays)
+    if any(k < 0 for k in missing.values()):
+        raise InvariantViolation(
+            f"denominator {gf.denom_rays} is not a sub-multiset of {tuple(rays)}"
+        )
+    num = gf.numerator
+    for v in sorted(missing.elements()):
+        num = num.times_one_minus(v)
+    return num
 
 
 @lru_cache(maxsize=None)
@@ -392,10 +391,7 @@ def _face_gf(cone: Cone, face: Face) -> RationalGF:
         ]
     total = LaurentPoly.zero()
     for part in parts:
-        num = part.numerator
-        for v in _multiset_difference(denom, part.denom_rays):
-            num = num.times_one_minus(v)
-        total = total + num
+        total = total + _numerator_over(part, denom)
     return RationalGF(total, denom)
 
 
@@ -421,18 +417,25 @@ def domain_gf(spec: DomainSpec) -> RationalGF:
     return RationalGF(LaurentPoly(total), tuple(sorted(cone.rays)))
 
 
+def _ray_degrees(gf: RationalGF, w):
+    """The degrees w.v of the denominator rays, checked positive; ``w`` must
+    have one entry per variable."""
+    if (gf.denom_rays or gf.numerator) and len(w) != gf.n_variables:
+        raise BadGrading(f"grading length {len(w)} != {gf.n_variables} variables")
+    degrees = [dot(w, v) for v in gf.denom_rays]
+    for v, wv in zip(gf.denom_rays, degrees):
+        if wv <= 0:
+            raise BadGrading(f"grading {tuple(w)} not positive on denominator ray {v}")
+    return degrees
+
+
 def expand(gf: RationalGF, grading, bound: int) -> TruncatedSeries:
     """Series expansion of a rational generating function up to a grading bound.
 
     Each factor 1/(1 - x^v) is a geometric series in x^v; the grading must be
     strictly positive on every denominator ray so truncation terminates."""
     w = tuple(grading)
-    steps = []
-    for v in gf.denom_rays:
-        wv = dot(w, v)
-        if wv <= 0:
-            raise BadGrading(f"grading {w} not positive on denominator ray {v}")
-        steps.append((v, wv))
+    steps = list(zip(gf.denom_rays, _ray_degrees(gf, w)))
     terms = {e: c for e, c in gf.numerator.terms.items() if dot(w, e) <= bound}
     for v, wv in steps:
         nxt: dict[tuple, int] = {}
@@ -467,39 +470,25 @@ def gf_scale(gf: RationalGF, factor) -> RationalGF:
 def gf_equal(a: RationalGF, b: RationalGF) -> bool:
     """Equality in the field of rational functions.
 
-    Shared denominator factors cancel as multisets; the remainder is decided
-    exactly by cross multiplication.  Over one denominator this is a
-    comparison of numerators."""
+    Both numerators are written over the union of the two denominator
+    multisets and compared.  Over one denominator this is a comparison of
+    numerators."""
     if a.n_variables != b.n_variables:
         raise ValueError("generating functions in different variable counts")
-    counts_a, counts_b = Counter(a.denom_rays), Counter(b.denom_rays)
-    common = counts_a & counts_b
-    a_extra = sorted((counts_a - common).elements())
-    b_extra = sorted((counts_b - common).elements())
-    lhs_poly = a.numerator
-    for v in b_extra:
-        lhs_poly = lhs_poly.times_one_minus(v)
-    rhs_poly = b.numerator
-    for v in a_extra:
-        rhs_poly = rhs_poly.times_one_minus(v)
-    return lhs_poly == rhs_poly
+    union = sorted((Counter(a.denom_rays) | Counter(b.denom_rays)).elements())
+    return _numerator_over(a, union) == _numerator_over(b, union)
 
 
 def specialize(gf: RationalGF, weights) -> RationalGF:
     """Substitute x_i -> t^{weights[i]}, giving a univariate function of t.
 
     Every denominator ray must have strictly positive weight."""
+    rays = tuple((wv,) for wv in _ray_degrees(gf, weights))
     num: dict[tuple, int] = {}
     for e, c in gf.numerator.terms.items():
         key = (dot(weights, e),)
         num[key] = num.get(key, 0) + c
-    rays = []
-    for v in gf.denom_rays:
-        wv = dot(weights, v)
-        if wv <= 0:
-            raise BadGrading(f"weights {weights} not positive on denominator ray {v}")
-        rays.append((wv,))
-    return RationalGF(LaurentPoly(num), tuple(rays))
+    return RationalGF(LaurentPoly(num), rays)
 
 
 @dataclass
@@ -527,8 +516,7 @@ def reciprocity_check(selection: FacetSelection, fields=(QQ, GF2), grading=None)
     both sides; otherwise it is the smallest grading degree where the
     expansions disagree, with both per-degree totals."""
     cone = selection.cone
-    w = tuple(grading) if grading is not None else default_grading(cone)
-    _check_grading(cone, w)
+    w = _grading(cone, grading)
     g_selected = domain_gf(DomainSpec(selection, SELECTED))
     g_complement = domain_gf(DomainSpec(selection, COMPLEMENT))
     lhs = invert_variables(g_complement)
@@ -542,10 +530,6 @@ def reciprocity_check(selection: FacetSelection, fields=(QQ, GF2), grading=None)
     cm_over = {f.label: is_cohen_macaulay(subdivided, f).is_cm for f in fields}
 
     if holds:
-        # Over one denominator, equality of functions forces equality of
-        # canonical numerators.
-        if lhs.numerator != rhs.numerator:
-            raise InvariantViolation("equal functions with different numerators")
         witness = {
             "kind": "identity",
             "denominator_rays": [list(v) for v in rhs.denom_rays],
@@ -622,8 +606,7 @@ def verify_colon_identity(selection: FacetSelection, bound: int = 6, grading=Non
     facet.  Witness search is capped at degree 3 * bound; running out signals
     a bound too small, not a mathematical failure."""
     cone = selection.cone
-    w = tuple(grading) if grading is not None else default_grading(cone)
-    _check_grading(cone, w)
+    w = _grading(cone, grading)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     points = _cone_points(cone, w, bound)

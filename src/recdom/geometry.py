@@ -602,6 +602,26 @@ def graded_closure(whole, facets) -> dict[frozenset, int]:
     return ranks
 
 
+def pulling_simplices(faces, face):
+    """Simplices of a pulling triangulation of one face, as sorted tuples.
+
+    ``faces`` maps the vertex sets of a polytope (or the ray sets of a cone)
+    to their dimensions.  The face is coned from its smallest vertex over the
+    simplices of its facets that miss that vertex; the apex depends only on
+    the face, so the pieces agree across shared facets.  A 0-dimensional face
+    yields its smallest vertex alone (a polytope vertex may carry repeated
+    points), and a cone's origin yields ``()``."""
+    dim = faces[face]
+    if dim == 0:
+        yield tuple(sorted(face)[:1])
+        return
+    apex, members = min(face), set(face)
+    for sub, sub_dim in faces.items():
+        if sub_dim == dim - 1 and apex not in sub and members.issuperset(sub):
+            for simplex in pulling_simplices(faces, sub):
+                yield (apex,) + simplex
+
+
 @lru_cache(maxsize=None)
 def faces_of(cone: Cone) -> tuple[Face, ...]:
     """Every face of the cone exactly once, including the cone itself and the

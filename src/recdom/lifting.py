@@ -66,6 +66,7 @@ from .geometry import (
     integer_kernel,
     primitive,
     primitive_rational,
+    pulling_simplices,
     rank_over_field,
 )
 from .topology import Cell, PolyhedralComplex
@@ -138,16 +139,13 @@ def _point(row):
 
 def _directions(rows):
     """The differences P_i - P_0 of integer points P_i that are independent
-    of those before them: a basis of the directions of their affine hull."""
+    of those before them: a basis of the directions of their affine hull,
+    read off the pivot columns of one elimination with the differences as
+    columns."""
     base = rows[0]
-    dirs = []
-    for p in rows[1:]:
-        if len(dirs) == len(base):
-            break
-        d = tuple(a - b for a, b in zip(p, base))
-        if any(d) and rank_over_field(dirs + [d]) > len(dirs):
-            dirs.append(d)
-    return dirs
+    diffs = [tuple(a - b for a, b in zip(p, base)) for p in rows[1:]]
+    _, pivots, _ = fraction_free_rref(list(zip(*diffs)), len(diffs))
+    return [diffs[j] for j in pivots]
 
 
 def _hull_equations(directions, row):
@@ -704,7 +702,7 @@ def cell_measure(points) -> Fraction:
     if k != len(poly.base):
         raise NotImplementedError("only full-dimensional cells are measured")
     total = 0
-    for simplex in _pulling_simplices(poly.face_vertex_sets(), tuple(range(len(poly.vertices)))):
+    for simplex in pulling_simplices(poly.face_vertex_sets(), tuple(range(len(poly.vertices)))):
         apex = poly.rows[simplex[0]]
         edges = [tuple(a - b for a, b in zip(poly.rows[i][:-1], apex)) for i in simplex[1:]]
         _, pivots, det = fraction_free_rref(edges, k)
@@ -712,21 +710,6 @@ def cell_measure(points) -> Fraction:
             raise InvariantViolation(f"pulling simplex {simplex} is degenerate")
         total += abs(det)
     return Fraction(total, factorial(k) * poly.rows[0][-1] ** k)
-
-
-def _pulling_simplices(faces, face):
-    """Simplices of a pulling triangulation of one face: its first vertex
-    joined to the simplices of every facet of the face that misses it."""
-    dim = faces[face]
-    if dim == 0:
-        return [face[:1]]
-    apex, members = face[0], set(face)
-    return [
-        (apex,) + simplex
-        for sub, sub_dim in faces.items()
-        if sub_dim == dim - 1 and apex not in sub and members.issuperset(sub)
-        for simplex in _pulling_simplices(faces, sub)
-    ]
 
 
 def support_measure(pc: PolyhedralComplex) -> Fraction:

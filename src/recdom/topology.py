@@ -188,26 +188,19 @@ def barycentric(pc: PolyhedralComplex) -> SimplicialComplex:
     """Abstract barycentric subdivision.
 
     One vertex per cell (its barycenter), one top simplex per maximal chain
-    in the face poset of the cells."""
-    index = {cell: i for i, cell in enumerate(pc.cells)}
-    chains_cache: dict[Cell, tuple] = {}
-
-    def chains(cell):
-        if cell in chains_cache:
-            return chains_cache[cell]
+    in the face poset of the cells.  The cells are sorted by dimension, so
+    the chains of a cell's facets are known before its own; a loop, not a
+    recursive closure, so each call leaves no reference cycle behind."""
+    chains: dict[Cell, tuple] = {}
+    for i, cell in enumerate(pc.cells):
         if cell.dim == 0:
-            out = ((index[cell],),)
-        else:
-            covers = pc.covering_faces(cell)
-            if not covers:
-                raise ValueError(f"complex is not closed under faces: cell {cell.vertices} has no facet")
-            out = tuple(ch + (index[cell],) for f in covers for ch in chains(f))
-        chains_cache[cell] = out
-        return out
-
-    facets = []
-    for cell in pc.maximal_cells():
-        facets.extend(chains(cell))
+            chains[cell] = ((i,),)
+            continue
+        covers = pc.covering_faces(cell)
+        if not covers:
+            raise ValueError(f"complex is not closed under faces: cell {cell.vertices} has no facet")
+        chains[cell] = tuple(ch + (i,) for f in covers for ch in chains[f])
+    facets = [ch for cell in pc.maximal_cells() for ch in chains[cell]]
     return SimplicialComplex.from_faces(len(pc.cells), facets)
 
 

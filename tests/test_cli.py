@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 
@@ -12,6 +13,7 @@ import pytest
 from recdom import cli, jsonio
 from recdom.cli import main
 from recdom.corpus import facet_pairs_sharing_a_ray, facet_pairs_sharing_no_ray, square_cone
+from recdom.enumerator import BOX_LIMIT
 from recdom.geometry import InvariantViolation
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
@@ -81,6 +83,15 @@ def test_enumerate(capsys):
     assert payload["series"]["points"] == sorted(
         [[x, y] for x in range(5) for y in range(5) if x + y <= 4 and y > 0]
     )
+
+
+def test_enumerate_box_above_the_limit_exit_code(capsys):
+    # the box [0, 10^8]^2 is refused before it is scanned
+    start = time.perf_counter()
+    code = main(["enumerate", data_path("quadrant.json"), "--select", "0", "--degree", "100000000"])
+    assert code == 2 and time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert f"box of {(10**8 + 1) ** 2} points exceeds the limit of {BOX_LIMIT}" in err
 
 
 def test_separate_exit_codes(capsys, adjacent, opposite):

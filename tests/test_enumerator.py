@@ -1,6 +1,9 @@
 """Enumerator tests: lattice points, generating functions, reciprocity, colon scan."""
 
-from itertools import combinations
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations, product
+from math import ceil, floor
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,15 +19,18 @@ from recdom.corpus import (
 )
 from recdom.enumerator import (
     COMPLEMENT,
+    BOX_LIMIT,
     SELECTED,
     BadGrading,
+    BoxTooLarge,
     DomainSpec,
     FacetSelection,
     LaurentPoly,
     RationalGF,
     WitnessSearchExhausted,
+    _box_points,
     _first_disagreement,
-    _multiset_difference,
+    _numerator_over,
     default_grading,
     domain_gf,
     expand,
@@ -107,6 +113,63 @@ def test_lattice_points_bad_grading():
         lattice_points(spec, (1, -1), 4)
     with pytest.raises(BadGrading):
         lattice_points(spec, (1, 0), 4)
+
+
+@pytest.mark.parametrize("w", [(1,), (1, 0, 0, 7)], ids=["short", "long"])
+def test_wrong_length_grading_is_rejected(w):
+    cone = Cone.from_rays([(1, 0, 0), (1, 1, 0), (1, 0, 1)])
+    g = domain_gf(DomainSpec(FacetSelection(cone, frozenset({0})), SELECTED))
+    message = f"grading length {len(w)} != 3 variables"
+    with pytest.raises(BadGrading, match=message):
+        expand(g, w, 2)
+    with pytest.raises(BadGrading, match=message):
+        specialize(g, w)
+
+
+def oracle_box_points(cone, w, bound):
+    """The former degree box: floor and ceil of the rays scaled by the
+    Fraction bound / w.r, scanned and filtered by degree."""
+    lows = [0] * cone.dim
+    highs = [0] * cone.dim
+    for r in cone.rays:
+        s = Fraction(bound, dot(w, r))
+        for i, a in enumerate(r):
+            lows[i] = min(lows[i], floor(s * a))
+            highs[i] = max(highs[i], ceil(s * a))
+    box = product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs)))
+    return [pt for pt in box if dot(w, pt) <= bound]
+
+
+@st.composite
+def graded_cones(draw):
+    """A pointed cone in R^2 or R^3 with rays of negative coordinates, a
+    grading of degree above 1 on most rays, and a bound."""
+    d = draw(st.integers(2, 3))
+    ray = st.tuples(*[st.integers(-3, 3)] * (d - 1), st.integers(1, 3))
+    rays = draw(st.lists(ray, min_size=d, max_size=5, unique=True))
+    try:
+        cone = Cone.from_rays(rays)
+    except NotFullDimensional:
+        assume(False)
+    w = tuple(draw(st.lists(st.integers(-2, 2), min_size=d - 1, max_size=d - 1))) + (
+        draw(st.integers(2, 5)),
+    )
+    assume(all(dot(w, r) > 0 for r in cone.rays))
+    return cone, w, draw(st.integers(0, 7))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(graded_cones())
+def test_box_points_match_fraction_box(case):
+    cone, w, bound = case
+    assert list(_box_points(cone, w, bound)) == oracle_box_points(cone, w, bound)
+
+
+def test_box_above_the_limit_is_refused():
+    spec = DomainSpec(quadrant_selection(), SELECTED)
+    with pytest.raises(BoxTooLarge, match=f"of {BOX_LIMIT}"):
+        lattice_points(spec, None, 10**8)
+    assert issubclass(BoxTooLarge, ValueError)
 
 
 def test_default_grading_positive_on_rays():
@@ -303,9 +366,7 @@ def oracle_domain_gf(spec):
             for j in subset:
                 tight_rays &= cone.facets[j].incident_rays
             gf = enumerator._face_gf(cone, faces_by_rays[tight_rays])
-            num = gf.numerator
-            for v in _multiset_difference(denom, gf.denom_rays):
-                num = num.times_one_minus(v)
+            num = _numerator_over(gf, denom)
             total = total + num if size % 2 == 0 else total - num
     return RationalGF(total, denom)
 
@@ -443,6 +504,49 @@ def test_gf_equal_is_equivalence_on_corpus_sample():
     assert gf_equal(g, h) and gf_equal(h, g)
 
 
+def oracle_gf_equal(a, b):
+    """The former equality test: shared denominator factors cancel as
+    multisets, and the rest is decided by cross multiplication."""
+    counts_a, counts_b = Counter(a.denom_rays), Counter(b.denom_rays)
+    common = counts_a & counts_b
+    lhs = a.numerator
+    for v in (counts_b - common).elements():
+        lhs = lhs.times_one_minus(v)
+    rhs = b.numerator
+    for v in (counts_a - common).elements():
+        rhs = rhs.times_one_minus(v)
+    return lhs == rhs
+
+
+@st.composite
+def gf_pairs(draw):
+    """Two generating functions in two variables over different denominator
+    multisets; half the time the second is the first with extra factors
+    (1 - x^v) above and below, so the two are equal."""
+    ray = st.sampled_from([(1, 0), (0, 1), (1, 1), (1, 2)])
+    numerator = st.dictionaries(
+        st.tuples(st.integers(-2, 3), st.integers(-2, 3)), st.integers(-2, 2), max_size=4
+    )
+    a = RationalGF(LaurentPoly(draw(numerator)), draw(st.lists(ray, min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        extra = draw(st.lists(ray, min_size=1, max_size=2))
+        num = a.numerator
+        for v in extra:
+            num = num.times_one_minus(v)
+        b = RationalGF(num, a.denom_rays + tuple(extra))
+    else:
+        b = RationalGF(LaurentPoly(draw(numerator)), draw(st.lists(ray, min_size=1, max_size=3)))
+    assume(Counter(a.denom_rays) != Counter(b.denom_rays))
+    return a, b
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(gf_pairs())
+def test_gf_equal_matches_cross_multiplication(pair):
+    a, b = pair
+    assert gf_equal(a, b) == gf_equal(b, a) == oracle_gf_equal(a, b)
+
+
 # -- reciprocity ----------------------------------------------------------------
 
 def test_reciprocity_quadrant_holds():
@@ -532,7 +636,7 @@ def test_first_disagreement_degree_is_minimal_on_corpus():
 
 def test_invariant_violation_is_not_an_input_error():
     with pytest.raises(InvariantViolation):
-        _multiset_difference([(1,)], [(2,)])
+        _numerator_over(RationalGF(LaurentPoly.monomial((0,)), ((2,),)), [(1,)])
     assert not issubclass(InvariantViolation, (ValueError, KeyError, RuntimeError))
 
 

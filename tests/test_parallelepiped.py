@@ -133,6 +133,29 @@ def test_face_pieces_match_fraction_oracle(cone):
         assert _face_decomposition.__wrapped__(cone, face) == oracle_face_decomposition(cone, face)
 
 
+def oracle_pulling_triangulation(cone, face):
+    """The enumerator's former recursion: a simplicial face is its own
+    simplex, any other is coned from its smallest ray over the pieces of
+    its facets that miss that ray."""
+    ray_list = sorted(face.rays)
+    if len(ray_list) == face.dim:
+        return (tuple(ray_list),)
+    apex = ray_list[0]
+    simplices = []
+    for sub in faces_of(cone):
+        if sub.dim == face.dim - 1 and apex not in sub.rays and sub.rays < face.rays:
+            for s in oracle_pulling_triangulation(cone, sub):
+                simplices.append(tuple(sorted((apex,) + s)))
+    return tuple(sorted(simplices))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(pointed_cones())
+def test_pulling_triangulation_matches_former_recursion(cone):
+    for face in faces_of(cone):
+        assert _pulling_triangulation.__wrapped__(cone, face) == oracle_pulling_triangulation(cone, face)
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(integer_matrices())
 def test_smith_normal_form(matrix):

@@ -21,7 +21,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from recdom.corpus import corpus_cones, cubical_complex
@@ -39,6 +39,7 @@ from recdom.geometry import (
     integer_kernel,
     primitive,
     primitive_rational,
+    pulling_simplices,
     rank_over_field,
     rref,
     solve_exact,
@@ -52,7 +53,6 @@ from recdom.lifting import (
     _cut,
     _point,
     _Polytope,
-    _pulling_simplices,
     _region,
     _region_faces,
     cell_measure,
@@ -381,7 +381,7 @@ def oracle_cell_measure(points):
     taken in Fractions on the rational vertices."""
     poly = _Polytope(points)
     total = Fraction(0)
-    for simplex in _pulling_simplices(poly.face_vertex_sets(), tuple(range(len(poly.vertices)))):
+    for simplex in pulling_simplices(poly.face_vertex_sets(), tuple(range(len(poly.vertices)))):
         apex = poly.vertices[simplex[0]]
         total += abs_determinant([[a - b for a, b in zip(poly.vertices[i], apex)] for i in simplex[1:]])
     return total / factorial(poly.dim)
@@ -582,6 +582,32 @@ def test_cell_measure_matches_fraction_determinants(points):
     poly = _Polytope(points)
     assume(1 <= poly.dim == len(poly.base))
     assert cell_measure(points) == oracle_cell_measure(points)
+
+
+def oracle_pulling_simplices(faces, face):
+    """Lifting's former pulling triangulation: the face's first vertex
+    joined to the simplices of every facet of the face that misses it."""
+    dim = faces[face]
+    if dim == 0:
+        return [face[:1]]
+    apex, members = face[0], set(face)
+    return [
+        (apex,) + simplex
+        for sub, sub_dim in faces.items()
+        if sub_dim == dim - 1 and apex not in sub and members.issuperset(sub)
+        for simplex in oracle_pulling_simplices(faces, sub)
+    ]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(rational_clouds())
+# a square with a repeated corner: that vertex is a 0-face of two points
+@example([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)),
+          (Fraction(1), Fraction(1)), (Fraction(0), Fraction(0))])
+def test_pulling_simplices_match_former_lifting_recursion(points):
+    faces = _Polytope(points).face_vertex_sets()
+    for face in faces:
+        assert list(pulling_simplices(faces, face)) == oracle_pulling_simplices(faces, face)
 
 
 @st.composite

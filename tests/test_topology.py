@@ -1,5 +1,6 @@
 """Homology, links, CM certificates, recognition, cross-sections."""
 
+import gc
 from fractions import Fraction
 from itertools import combinations
 
@@ -686,6 +687,36 @@ def test_barycentric_path():
     sd = barycentric(pc)
     assert recognize_ball_sphere(sd) == "ball"
     assert len(sd.facets) == 4
+
+
+def oracle_barycentric_facets(pc):
+    """The former subdivision: a memoized recursive closure from each maximal cell down."""
+    index = {cell: i for i, cell in enumerate(pc.cells)}
+    memo = {}
+
+    def chains(cell):
+        if cell not in memo:
+            memo[cell] = ((index[cell],),) if cell.dim == 0 else tuple(
+                ch + (index[cell],) for f in pc.covering_faces(cell) for ch in chains(f)
+            )
+        return memo[cell]
+
+    return [ch for cell in pc.maximal_cells() for ch in chains(cell)]
+
+
+def test_barycentric_matches_the_recursive_oracle():
+    complexes = [_polyhedral_segment(), _polyhedral_square()]
+    complexes += [simplicial_as_polyhedral(sc) for sc in corpus_complexes().values() if sc.dim <= 2]
+    for pc in complexes:
+        expected = SimplicialComplex.from_faces(len(pc.cells), oracle_barycentric_facets(pc))
+        assert barycentric(pc).facets == expected.facets
+
+
+def test_barycentric_leaves_no_reference_cycle():
+    pc = _polyhedral_square()
+    gc.collect()
+    barycentric(pc)
+    assert gc.collect() == 0
 
 
 def test_barycentric_rejects_complex_not_closed_under_faces():
