@@ -130,27 +130,33 @@ GF2 = FieldSpec(2)
 
 
 def rank_over_field(rows, field: FieldSpec = QQ) -> int:
-    """Rank of an integer matrix over Q or over F_p, by sparse elimination.
-
-    Each row is a dict {column: nonzero entry} and is reduced against the
-    pivot rows by its leading column, to a.row - b.pivot with a/b the ratio
-    of their leading entries in lowest terms, until it vanishes or leads in a
-    new column; the rank is the number of pivot rows.  Over F_p the entries
-    are residues and every pivot row leads with 1.  Over Q they stay
-    integers, and each reduced row is divided by the gcd of its entries."""
+    """Rank of a dense integer matrix over Q or over F_p (see :func:`sparse_rank`)."""
     matrix = [tuple(r) for r in rows]
     width = len(matrix[0]) if matrix else 0
     if any(len(r) != width for r in matrix):
         raise ValueError("ragged matrix")
+    return sparse_rank((dict(enumerate(r)) for r in matrix), width, field)
+
+
+def sparse_rank(rows, width: int, field: FieldSpec = QQ) -> int:
+    """Rank over Q or over F_p of the integer rows {column: entry}, by
+    sparse elimination; the columns lie in range(width).
+
+    Each row is reduced against the pivot rows by its leading column, to
+    a.row - b.pivot with a/b the ratio of their leading entries in lowest
+    terms, until it vanishes or leads in a new column; the rank is the number
+    of pivot rows.  Over F_p the entries are residues and every pivot row
+    leads with 1.  Over Q they stay integers, and each reduced row is divided
+    by the gcd of its entries."""
     p = field.characteristic
     pivots: dict[int, dict[int, int]] = {}
-    for entries in matrix:
+    for entries in rows:
         if len(pivots) == width:
             break
         if p:
-            row = {j: a % p for j, a in enumerate(entries) if a % p}
+            row = {j: a % p for j, a in entries.items() if a % p}
         else:
-            row = {j: a for j, a in enumerate(entries) if a}
+            row = {j: a for j, a in entries.items() if a}
         while row:
             lead = min(row)
             pivot = pivots.get(lead)

@@ -368,7 +368,7 @@ def criterion_9() -> CriterionResult:
     failures = []
     for name, sc in corpus.corpus_complexes().items():
         for field in (QQ, GF2):
-            profile = reduced_homology(sc, field)  # checks the Euler characteristic
+            profile = reduced_homology(sc, field)  # raises on a negative Betti number
             if sc.dim <= 2:
                 again = reduced_homology(barycentric(simplicial_as_polyhedral(sc)), field)
                 if profile.betti != again.betti:

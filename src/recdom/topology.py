@@ -1,7 +1,7 @@
 """Complexes and their topology over a field.
 
 Cross-sections of cone boundary parts, barycentric subdivision, reduced
-simplicial homology via boundary-matrix ranks, link-based Cohen-Macaulay
+simplicial homology via sparse boundary ranks, link-based Cohen-Macaulay
 certificates, and recognition of balls, spheres and manifolds-with-boundary
 in dimension at most three.  One link scan decides manifolds; balls and
 spheres of dimension 1 and 2 are the connected ones told apart by boundary
@@ -22,7 +22,7 @@ from .geometry import (
     InvariantViolation,
     cross_section_vertices,
     faces_of,
-    rank_over_field,
+    sparse_rank,
 )
 
 
@@ -36,6 +36,22 @@ class DimensionTooHigh(ValueError):
 
 class NotAManifold(ValueError):
     """The link scan rejected the complex."""
+
+
+def _maximal_sets(sets) -> set[tuple[int, ...]]:
+    """The nonempty sorted tuples among ``sets`` that lie strictly inside no other.
+
+    Larger sets come first, so a set lies strictly inside another exactly
+    when it lies strictly inside a kept set through its first vertex."""
+    kept: dict[int, list[frozenset]] = {}
+    maximal = set()
+    for s in sorted(set(sets), key=len, reverse=True):
+        fs = frozenset(s)
+        if not any(fs < g for g in kept.get(s[0], ())):
+            maximal.add(s)
+            for v in s:
+                kept.setdefault(v, []).append(fs)
+    return maximal
 
 
 @dataclass(frozen=True)
@@ -89,8 +105,8 @@ class PolyhedralComplex:
 
     def maximal_cells(self) -> tuple[Cell, ...]:
         """Cells whose vertex set lies strictly inside no other cell's."""
-        sets = [frozenset(c.vertices) for c in self.cells]
-        return tuple(c for c, s in zip(self.cells, sets) if not any(s < o for o in sets))
+        maximal = _maximal_sets(c.vertices for c in self.cells)
+        return tuple(c for c in self.cells if c.vertices in maximal)
 
     def covering_faces(self, cell: Cell) -> list[Cell]:
         """Faces of ``cell`` of dimension exactly one less."""
@@ -110,20 +126,8 @@ class SimplicialComplex:
 
     @classmethod
     def from_faces(cls, n_vertices, faces) -> "SimplicialComplex":
-        normalized = sorted(
-            {tuple(sorted(set(f))) for f in faces if f}, key=lambda f: (-len(f), f)
-        )
-        # a kept face holding f holds f's first vertex; ``<`` is strict, so
-        # kept faces of f's own size are rejected on their length alone
-        kept: dict[int, list[frozenset]] = {}
-        maximal: list[tuple[int, ...]] = []
-        for f in normalized:
-            fs = frozenset(f)
-            if not any(fs < g for g in kept.get(f[0], ())):
-                maximal.append(f)
-                for v in f:
-                    kept.setdefault(v, []).append(fs)
-        return cls(n_vertices, tuple(sorted(maximal)))
+        normalized = (tuple(sorted(set(f))) for f in faces if f)
+        return cls(n_vertices, tuple(sorted(_maximal_sets(normalized))))
 
     @property
     def dim(self) -> int:
@@ -212,40 +216,48 @@ class HomologyProfile:
     betti: tuple[int, ...]
 
 
-def _boundary_matrix(faces_k, faces_km1):
-    row_index = {f: i for i, f in enumerate(faces_km1)}
-    matrix = [[0] * len(faces_k) for _ in faces_km1]
-    for j, f in enumerate(faces_k):
-        for i in range(len(f)):
-            sub = f[:i] + f[i + 1 :]
-            matrix[row_index[sub]][j] += -1 if i % 2 else 1
-    return matrix
+def _components(vertices, edges) -> int:
+    """Number of connected components of a graph, by union-find."""
+    parent = {v: v for v in vertices}
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for a, b in edges:
+        parent[root(a)] = root(b)
+    return sum(v == p for v, p in parent.items())
 
 
 def reduced_homology(sc: SimplicialComplex, field: FieldSpec = QQ) -> HomologyProfile:
-    """Reduced Betti numbers from augmented boundary-matrix ranks.
+    """Reduced Betti numbers from the ranks of the augmented boundary maps.
 
-    Checks that the alternating Betti sum equals the reduced Euler
-    characteristic."""
+    ∂1 is the signed incidence matrix of the 1-skeleton, whose rank over
+    every field is #vertices - #components.  Each higher ∂k is ranked from
+    its sparse columns {row: ±1}, as the rows of its transpose.  A negative
+    Betti number, which no true ranks give, raises InvariantViolation."""
     d = sc.dim
     if d < 0:
         raise ValueError("homology of the empty complex is not computed here")
     levels: list[list[tuple[int, ...]]] = [[] for _ in range(d + 1)]
-    for f in sc.faces():
+    for f in sorted(sc.faces()):
         if f:
             levels[len(f) - 1].append(f)
-    for level in levels:
-        level.sort()
     ranks = {0: 1, d + 1: 0}  # the augmentation map has rank 1 on a nonempty complex
-    for k in range(1, d + 1):
-        ranks[k] = rank_over_field(_boundary_matrix(levels[k], levels[k - 1]), field)
-    betti = []
-    for k in range(d + 1):
-        betti.append((len(levels[k]) - ranks[k]) - ranks[k + 1])
-    reduced_euler = sum((-1) ** k * len(levels[k]) for k in range(d + 1)) - 1
-    if sum((-1) ** k * b for k, b in enumerate(betti)) != reduced_euler:
-        raise InvariantViolation("the Betti numbers miss the reduced Euler characteristic")
-    return HomologyProfile(field, tuple(betti))
+    if d >= 1:
+        ranks[1] = len(levels[0]) - _components([v for (v,) in levels[0]], levels[1])
+    for k in range(2, d + 1):
+        row_index = {f: i for i, f in enumerate(levels[k - 1])}
+        columns = (
+            {row_index[f[:i] + f[i + 1 :]]: -1 if i % 2 else 1 for i in range(len(f))}
+            for f in levels[k]
+        )
+        ranks[k] = sparse_rank(columns, len(levels[k - 1]), field)
+    betti = tuple(len(levels[k]) - ranks[k] - ranks[k + 1] for k in range(d + 1))
+    if min(betti) < 0:
+        raise InvariantViolation(f"negative Betti numbers {betti}: a boundary rank is wrong")
+    return HomologyProfile(field, betti)
 
 
 def link(sc: SimplicialComplex, face) -> SimplicialComplex:
@@ -307,26 +319,6 @@ def is_cohen_macaulay(sc: SimplicialComplex, field: FieldSpec = QQ) -> CMCertifi
     return CMCertificate(True)
 
 
-def _is_connected(sc: SimplicialComplex) -> bool:
-    verts = sc.vertices_used()
-    if not verts:
-        return False
-    adjacency = {v: set() for v in verts}
-    for f in sc.facets:
-        for a, b in combinations(f, 2):
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-    seen = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        v = stack.pop()
-        for u in adjacency[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(verts)
-
-
 def recognize_ball_sphere(sc: SimplicialComplex) -> str:
     """Decide ball / sphere / other for complexes of dimension at most 2.
 
@@ -351,7 +343,8 @@ def recognize_ball_sphere(sc: SimplicialComplex) -> str:
         return "other"
     if d > 2:
         return "unknown"
-    if not _is_connected(sc):
+    edges = (e for f in sc.facets for e in combinations(f, 2))
+    if _components(sc.vertices_used(), edges) != 1:
         return "other"
     ok, boundary = is_manifold_with_boundary(sc)
     if not ok:

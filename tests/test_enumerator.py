@@ -50,6 +50,7 @@ from recdom.geometry import (
     NotFullDimensional,
     dot,
     faces_of,
+    vadd,
 )
 
 
@@ -702,3 +703,39 @@ def test_colon_identity_every_corpus_cone():
             report = verify_colon_identity(sel, bound)
             assert report.consistent, (name, i)
             assert len(report.witnesses) == report.points_scanned - report.members
+
+
+def oracle_colon_pairs(selection, bound):
+    """The former scan: every member against every ideal point."""
+    cone = selection.cone
+    points = _cone_scan(cone, bound)
+    members = [a for a in points if all(cone.facets[i](a) > 0 for i in selection.complement)]
+    ideal = [b for b in points if all(cone.facets[i](b) > 0 for i in selection.selected)]
+    bad = [(a, b) for a in members for b in ideal if not cone.interior_contains(vadd(a, b))]
+    return len(members), len(members) * len(ideal), bad
+
+
+def test_colon_facet_minima_match_the_pairwise_scan():
+    for name, cone in corpus_cones().items():
+        w = default_grading(cone)
+        needed = max(sum(dot(w, cone.rays[i]) for i in f.incident_rays) for f in cone.facets)
+        bound = max(6, -(-needed // 3))
+        for size in range(1, min(3, len(cone.facets))):
+            for subset in combinations(range(len(cone.facets)), size):
+                sel = FacetSelection(cone, frozenset(subset))
+                report = verify_colon_identity(sel, bound)
+                members, checks, bad = oracle_colon_pairs(sel, bound)
+                assert (report.members, report.product_checks) == (members, checks)
+                assert bad == report.violations == [], (name, subset)
+
+
+def test_colon_sum_leaving_the_interior_raises(monkeypatch):
+    # (1, -3) is outside the quadrant, strict on the unselected facet (a
+    # member) and negative on the selected one, so every sum with an ideal
+    # point leaves the interior there
+    cone_points = enumerator._cone_points
+    monkeypatch.setattr(
+        enumerator, "_cone_points", lambda cone, w, bound: cone_points(cone, w, bound) + [(1, -3)]
+    )
+    with pytest.raises(InvariantViolation, match="leaves the cone's interior"):
+        verify_colon_identity(quadrant_selection(), 6)

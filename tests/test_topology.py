@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from recdom import topology
+from recdom import geometry, topology
 from recdom.corpus import (
     annulus,
     corpus_complexes,
@@ -31,7 +31,7 @@ from recdom.corpus import (
     two_triangles,
 )
 from recdom.enumerator import FacetSelection
-from recdom.geometry import GF2, QQ, FieldSpec
+from recdom.geometry import GF2, QQ, FieldSpec, InvariantViolation
 from recdom.topology import (
     Cell,
     CMCertificate,
@@ -40,7 +40,7 @@ from recdom.topology import (
     NotAManifold,
     PolyhedralComplex,
     SimplicialComplex,
-    _boundary_matrix,
+    _components,
     barycentric,
     boundary_inequality_check,
     boundary_subcomplex,
@@ -128,12 +128,36 @@ def test_homology_matches_oracle_on_corpus():
 
 
 def test_euler_betti_consistency_runs_on_corpus():
-    # the engine checks the alternating-sum identity internally; recheck here
+    # the alternating sum telescopes to the reduced Euler characteristic for
+    # any rank values, so it checks only the face counts, not the ranks
     for name, sc in corpus_complexes().items():
         for field in (QQ, GF2):
             profile = reduced_homology(sc, field)
             chi_reduced = sc.euler_characteristic() - 1
             assert sum((-1) ** k * b for k, b in enumerate(profile.betti)) == chi_reduced
+
+
+@pytest.mark.parametrize("target, shift", [("sparse_rank", 1), ("sparse_rank", 5), ("_components", -1)])
+def test_too_large_ranks_raise_invariant_violation(monkeypatch, target, shift):
+    # the alternating Betti sum cannot see a wrong rank (it telescopes); a
+    # rank above the true one drives a Betti number below zero, which raises
+    original = getattr(topology, target)
+    monkeypatch.setattr(topology, target, lambda *args: original(*args) + shift)
+    for sc in (tetrahedron_boundary(), annulus(), projective_plane()):
+        with pytest.raises(InvariantViolation, match="negative Betti"):
+            reduced_homology(sc, QQ)
+
+
+def _boundary_matrix(faces_k, faces_km1):
+    """The former dense boundary matrix: one row per (k-1)-face, one column
+    per k-face."""
+    row_index = {f: i for i, f in enumerate(faces_km1)}
+    matrix = [[0] * len(faces_k) for _ in faces_km1]
+    for j, f in enumerate(faces_k):
+        for i in range(len(f)):
+            sub = f[:i] + f[i + 1 :]
+            matrix[row_index[sub]][j] += -1 if i % 2 else 1
+    return matrix
 
 
 def test_boundary_squares_to_zero_on_corpus():
@@ -152,7 +176,7 @@ def test_boundary_squares_to_zero_on_corpus():
                         subsub = sub[:j] + sub[j + 1 :]
                         acc[subsub] = acc.get(subsub, 0) + (-1) ** (i + j)
                 assert set(acc.values()) == {0}, (name, f)
-        # and on the matrices the homology engine ranks
+        # and on the matrices whose columns the homology engine ranks
         for k in range(2, len(levels)):
             outer = _boundary_matrix(levels[k - 1], levels[k - 2])
             inner = _boundary_matrix(levels[k], levels[k - 1])
@@ -335,6 +359,66 @@ def test_cube_slab_is_cm_over_q_and_f2():
     for field in (QQ, GF2):
         assert reduced_homology(slab, field).betti == (0, 0, 0, 0)
         assert is_cohen_macaulay(slab, field) == CMCertificate(True)
+
+
+def test_cm_scan_of_slab_eliminates_only_the_higher_boundary_maps(monkeypatch):
+    # Work guard: rank ∂1 comes from the components, so one CM scan of the
+    # 6 x 6 x 1 slab eliminates ∂2 and ∂3 of the whole complex and ∂2 of each
+    # of the 98 vertex links (disks and spheres), and nothing for the 1-
+    # dimensional edge links; no dense matrix is ranked at all
+    sparse, dense = [], []
+    sparse_rank, rank_over_field = topology.sparse_rank, geometry.rank_over_field
+
+    def counting_sparse(rows, width, field):
+        sparse.append(width)
+        return sparse_rank(rows, width, field)
+
+    def counting_dense(*args):
+        dense.append(args)
+        return rank_over_field(*args)
+
+    monkeypatch.setattr(topology, "sparse_rank", counting_sparse)
+    monkeypatch.setattr(geometry, "rank_over_field", counting_dense)
+    monkeypatch.setattr(topology, "rank_over_field", counting_dense, raising=False)
+    slab = cubical_complex([(x, y, 0) for x in range(6) for y in range(6)])
+    assert len(slab.vertices_used()) == 98
+    assert is_cohen_macaulay(slab, QQ) == CMCertificate(True)
+    assert len(sparse) == 2 + 98 and dense == []
+
+
+def oracle_is_connected(sc):
+    """The former connectivity test: a graph search from the first vertex."""
+    verts = sc.vertices_used()
+    if not verts:
+        return False
+    adjacency = {v: set() for v in verts}
+    for f in sc.facets:
+        for a, b in combinations(f, 2):
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+    seen = {verts[0]}
+    stack = [verts[0]]
+    while stack:
+        v = stack.pop()
+        for u in adjacency[v]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == len(verts)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(random_complexes(), st.integers(0, 3))
+def test_components_match_the_former_search(sc, isolated):
+    # also with extra isolated vertices, and on the empty graph
+    n = sc.n_vertices
+    extra = SimplicialComplex(n + isolated, sc.facets + tuple((n + i,) for i in range(isolated)))
+    counts = []
+    for c in (sc, extra, SimplicialComplex(0, ())):
+        edges = [e for f in c.facets for e in combinations(f, 2)]
+        counts.append(_components(c.vertices_used(), edges))
+        assert (counts[-1] == 1) == oracle_is_connected(c)
+    assert counts[1:] == [counts[0] + isolated, 0]
 
 
 def test_cm_impure_complex_with_a_maximal_edge_fails_at_a_vertex():
