@@ -584,17 +584,6 @@ class ColonReport:
         }
 
 
-def _facet_interior_witness(cone, facet_index, w, cap):
-    """Smallest lattice point in the relative interior of one facet."""
-    for p in _cone_points(cone, w, cap):
-        values = cone.facet_values(p)
-        if values[facet_index] == 0 and all(
-            v > 0 for i, v in enumerate(values) if i != facet_index
-        ):
-            return p
-    return None
-
-
 def verify_colon_identity(selection: FacetSelection, bound: int = 6, grading=None) -> ColonReport:
     """Degreewise scan of the colon-ideal description of one reciprocal side.
 
@@ -604,10 +593,11 @@ def verify_colon_identity(selection: FacetSelection, bound: int = 6, grading=Non
     > 0 for every facet f, the minima over all such a and over all such b.
     This always holds (f >= 0 on the cone, f(a) > 0 on the unselected facets,
     f(b) > 0 on the selected ones); a failure raises InvariantViolation.
-    Otherwise ``a`` sits on some unselected facet, and a relative-interior
-    point of that facet is produced as an explicit witness whose sum with
-    ``a`` stays on the facet.  Witness search is capped at degree 3 * bound;
-    running out signals a bound too small, not a mathematical failure."""
+    Otherwise ``a`` sits on some unselected facet, and the first point, in
+    (degree, lex) order, on that facet alone is a witness whose sum with
+    ``a`` stays on the facet.  One scan to degree 3 * bound finds each
+    facet's witness; a facet with none signals a bound too small, not a
+    mathematical failure."""
     cone = selection.cone
     w = _grading(cone, grading)
     if bound < 0:
@@ -620,17 +610,19 @@ def verify_colon_identity(selection: FacetSelection, bound: int = 6, grading=Non
     ]
     member_points = []
     witnesses = {}
-    witness_cache: dict[int, tuple | None] = {}
+    interior_points = {}
     for a in points:
         if all(cone.facets[i](a) > 0 for i in complement):
             member_points.append(a)
         else:
             facet_index = next(i for i in sorted(complement) if cone.facets[i](a) == 0)
-            if facet_index not in witness_cache:
-                witness_cache[facet_index] = _facet_interior_witness(
-                    cone, facet_index, w, 3 * bound
-                )
-            b = witness_cache[facet_index]
+            if not interior_points:
+                # a cone point on one facet alone is in its relative interior
+                for p in _cone_points(cone, w, 3 * bound):
+                    on = [i for i, v in enumerate(cone.facet_values(p)) if v == 0]
+                    if len(on) == 1:
+                        interior_points.setdefault(on[0], p)
+            b = interior_points.get(facet_index)
             if b is None:
                 raise WitnessSearchExhausted(
                     f"no relative-interior point on facet {facet_index} up to degree {3 * bound}"

@@ -18,10 +18,10 @@ coordinates is the integer vector adj(G).D.(P - P_0).  The facets come from
 the integer double-description kernel :func:`~recdom.geometry.extreme_rays`
 on those vectors, and the hull equations from the fraction-free
 :func:`~recdom.geometry.integer_kernel` on D.  Only maximal cells become
-polytopes, which the embedding check intersects pairwise and the
-subdivision cuts; every other cell is tested as a face of a maximal cell,
-combinatorially: a vertex set is a face when the facets through it meet in
-exactly that set.
+polytopes, built once per complex and kept on it, which the embedding check
+intersects pairwise and the subdivision cuts; every other cell is tested as
+a face of a maximal cell, combinatorially: a vertex set is a face when the
+facets through it meet in exactly that set.
 
 The covering arrangement is the set of the cells' hull equations, read
 straight off each cell's points.  The complex is closed under faces, so each
@@ -250,6 +250,13 @@ class _Polytope:
         return tuple(sorted(meet)) == target
 
 
+def _polytope(pc: PolyhedralComplex, cell: Cell) -> _Polytope:
+    """The cell's polytope, kept on the complex once built."""
+    if cell not in pc._polytopes:
+        pc._polytopes[cell] = _Polytope(pc.cell_points(cell))
+    return pc._polytopes[cell]
+
+
 def _cone_vertices(equalities, inequalities, dim):
     """Vertices of {x : eq.(x, 1) == 0, ineq.(x, 1) >= 0}, sorted, from
     integer rows.
@@ -266,10 +273,11 @@ def embedded_complex(vertices, maximal_cells) -> PolyhedralComplex:
     """Build a polyhedral complex from maximal cells, closing under faces.
 
     Face structure comes from each cell's exact convex geometry; shared faces
-    are deduplicated by vertex set.  Raises ``ValueError`` when a cell's
-    listed points are not the distinct vertices of their hull."""
+    are deduplicated by vertex set; the complex keeps the cells' polytopes.
+    Raises ``ValueError`` when a cell's listed points are not the distinct
+    vertices of their hull."""
     pts = tuple(tuple(Fraction(x) for x in p) for p in vertices)
-    cells = {}
+    cells, polys = {}, {}
     for cell in maximal_cells:
         ids = tuple(sorted(cell))
         poly = _Polytope([pts[i] for i in ids])
@@ -279,19 +287,20 @@ def embedded_complex(vertices, maximal_cells) -> PolyhedralComplex:
         for local_vs, dim in faces.items():
             global_vs = tuple(sorted(ids[i] for i in local_vs))
             cells[global_vs] = dim
-    return PolyhedralComplex(pts, tuple(Cell(vs, dim) for vs, dim in cells.items()))
+        polys[Cell(ids, poly.dim)] = poly
+    pc = PolyhedralComplex(pts, tuple(Cell(vs, dim) for vs, dim in cells.items()))
+    pc._polytopes.update(polys)
+    return pc
 
 
-def _non_faces(pc: PolyhedralComplex, polys):
-    """The cells that are not maximal and not a face of the first maximal
-    cell holding their vertices; ``polys`` maps the maximal cells to their
-    polytopes."""
-    holders = [(set(cell.vertices), cell) for cell in polys]
+def _non_faces(pc: PolyhedralComplex):
+    """The cells that are not a face of the first maximal cell holding their
+    vertices (a maximal cell is a face of itself)."""
+    holders = [(set(cell.vertices), cell) for cell in pc.maximal_cells()]
     for cell in pc.cells:
-        if cell not in polys:
-            holder = next(m for vs, m in holders if vs.issuperset(cell.vertices))
-            if not polys[holder].is_face([holder.vertices.index(i) for i in cell.vertices]):
-                yield cell
+        holder = next(m for vs, m in holders if vs.issuperset(cell.vertices))
+        if not _polytope(pc, holder).is_face(map(holder.vertices.index, cell.vertices)):
+            yield cell
 
 
 def verify_embedding(pc: PolyhedralComplex) -> bool:
@@ -303,17 +312,16 @@ def verify_embedding(pc: PolyhedralComplex) -> bool:
     its vertices.  Two faces of a polytope meet in a face of both (Ziegler,
     *Lectures on Polytopes*, 5.1), so when maximal cells meet in a common face
     G, faces F and F' of theirs meet in (F & G) & (F' & G), a face of both."""
-    maximal = pc.maximal_cells()
-    polys = {cell: _Polytope(pc.cell_points(cell)) for cell in maximal}
-    if any(_non_faces(pc, polys)):
+    if any(_non_faces(pc)):
         return False
+    maximal = pc.maximal_cells()
     point_ids = {pt: i for i, pt in enumerate(pc.vertices)}
     # bounding boxes, as (min, max) per axis
     boxes = {cell: [(min(x), max(x)) for x in zip(*pc.cell_points(cell))] for cell in maximal}
     for a, b in combinations(maximal, 2):
         if any(hi_a < lo_b or hi_b < lo_a for (lo_a, hi_a), (lo_b, hi_b) in zip(boxes[a], boxes[b])):
             continue
-        pa, pb = polys[a], polys[b]
+        pa, pb = _polytope(pc, a), _polytope(pc, b)
         eqs = [h.coeffs + (-h.rhs,) for h in pa.hull_equations() + pb.hull_equations()]
         ineqs = [
             tuple(-x for x in c) + (r,)
@@ -557,14 +565,12 @@ def induced_subdivision(pc: PolyhedralComplex, arrangement: Arrangement) -> Poly
     the facets of P that contain F, and each facet of F lies on the
     hyperplane of a facet of P that misses F."""
     maximal = pc.maximal_cells()
-    polys = {cell: _Polytope(pc.cell_points(cell)) for cell in maximal}
-    polys.update([(cell, _Polytope(pc.cell_points(cell))) for cell in _non_faces(pc, polys)])
-    for cell, poly in polys.items():
-        if not _arrangement_covers(poly, arrangement):
+    for cell in (*maximal, *_non_faces(pc)):
+        if not _arrangement_covers(_polytope(pc, cell), arrangement):
             raise ArrangementDoesNotCover(f"cell {cell.vertices} is not covered")
     faces: dict[tuple[Point, ...], int] = {}
     for cell in maximal:
-        for region in _cut_regions(_region(polys[cell]), arrangement):
+        for region in _cut_regions(_region(_polytope(pc, cell)), arrangement):
             faces.update(_region_faces(region))
     all_points = sorted({p for key in faces for p in key})
     index = {p: i for i, p in enumerate(all_points)}

@@ -10,7 +10,7 @@ and Euler characteristic (the classification of compact surfaces).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -74,6 +74,8 @@ class PolyhedralComplex:
 
     vertices: tuple[tuple[Fraction, ...], ...]
     cells: tuple[Cell, ...]
+    # each cell's exact polytope, kept by lifting and built once per complex
+    _polytopes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         verts = tuple(tuple(Fraction(x) for x in p) for p in self.vertices)

@@ -661,10 +661,10 @@ def test_colon_quadrant_examples():
     )
 
 
-def _cone_scan(cone, bound):
+def _cone_scan(cone, bound, w=None):
     from recdom.enumerator import _cone_points
 
-    return _cone_points(cone, default_grading(cone), bound)
+    return _cone_points(cone, w or default_grading(cone), bound)
 
 
 def test_colon_square_cone_instances():
@@ -686,11 +686,33 @@ def test_colon_witness_exhaustion_error():
     sel = FacetSelection(cone, frozenset({0}))
     with pytest.raises(WitnessSearchExhausted):
         verify_colon_identity(sel, 0)
+    # under the grading (1, 5) the scan to degree 3 finds (1, 0) inside the
+    # facet y = 0, and no point inside the facet x = 0, which the origin needs
+    x_facet = next(i for i, f in enumerate(cone.facets) if f((0, 1)) == 0)
+    sel = FacetSelection(cone, frozenset({1 - x_facet}))
+    assert oracle_facet_interior_witness(cone, 1 - x_facet, (1, 5), 3) == (1, 0)
+    assert oracle_facet_interior_witness(cone, x_facet, (1, 5), 3) is None
+    with pytest.raises(WitnessSearchExhausted, match=f"facet {x_facet} up to degree 3"):
+        verify_colon_identity(sel, 1, grading=(1, 5))
+
+
+def oracle_facet_interior_witness(cone, facet_index, w, cap):
+    """The former per-facet search: the first cone point, in (degree, lex)
+    order, up to degree ``cap`` in the relative interior of one facet."""
+    for p in _cone_scan(cone, cap, w):
+        values = cone.facet_values(p)
+        if values[facet_index] == 0 and all(
+            v > 0 for i, v in enumerate(values) if i != facet_index
+        ):
+            return p
+    return None
 
 
 def test_colon_identity_every_corpus_cone():
     # the scan bound must leave room for facet-interior witnesses: the sum of
-    # a facet's rays is one, so a third of its largest degree always suffices
+    # a facet's rays is one, so a third of its largest degree always suffices;
+    # on every selection of one or two facets each witness is the one the
+    # former per-facet search finds
     for name, cone in corpus_cones().items():
         w = default_grading(cone)
         needed = max(
@@ -698,11 +720,17 @@ def test_colon_identity_every_corpus_cone():
             for facet in cone.facets
         )
         bound = max(6, -(-needed // 3))
-        for i in range(len(cone.facets)):
-            sel = FacetSelection(cone, frozenset({i}))
-            report = verify_colon_identity(sel, bound)
-            assert report.consistent, (name, i)
+        n = len(cone.facets)
+        searched = {}
+        for chosen in (c for k in (1, 2) if k < n for c in combinations(range(n), k)):
+            report = verify_colon_identity(FacetSelection(cone, frozenset(chosen)), bound)
+            assert report.consistent, (name, chosen)
             assert len(report.witnesses) == report.points_scanned - report.members
+            for a, data in report.witnesses.items():
+                facet = data["facet"]
+                if facet not in searched:
+                    searched[facet] = oracle_facet_interior_witness(cone, facet, w, 3 * bound)
+                assert data["ideal_point"] == searched[facet], (name, chosen, a)
 
 
 def oracle_colon_pairs(selection, bound):

@@ -366,52 +366,75 @@ def _lift_and_check(pc):
 
 
 def test_lift_work_is_pinned(monkeypatch):
-    # One _Polytope per maximal cell, built, cover-checked and cut by the
-    # subdivision (every other cell is a face of one, so needs none), one
-    # for the box and none in the cut loop or for the covering arrangement,
-    # which reads hull equations off the points; one
-    # extreme_rays call per polytope of dimension >= 1 (its facets) and one
-    # for the lifted polytope's vertices.  Neither building the inputs, nor
-    # the lift and its check, nor a Schlegel projection makes a Fraction row
-    # reduction.
+    # The maximal cells' polytopes, which the subdivision cover-checks and
+    # cuts (every other cell is a face of one, so needs none), are the ones
+    # embedded_complex built and the complex keeps.  The lift builds one
+    # _Polytope, for the box, and none in the cut loop or for the covering
+    # arrangement, which reads hull equations off the points; one
+    # extreme_rays call for the box's facets and one for the lifted
+    # polytope's vertices.  Neither building the inputs, nor the lift and
+    # its check, nor a Schlegel projection makes a Fraction row reduction.
     counts, (triangles, tetrahedron) = _work(monkeypatch, _pinned_inputs, names=())
     assert counts == {"rref": 0}
     counts, verified = _work(monkeypatch, _lift_and_check, triangles)
-    assert verified and counts == {"extreme_rays": 2 + 1 + 1, "_Polytope": 2 + 1, "rref": 0}
+    assert verified and counts == {"extreme_rays": 1 + 1, "_Polytope": 1, "rref": 0}
     counts, verified = _work(monkeypatch, _lift_and_check, tetrahedron)
-    assert verified and counts == {"extreme_rays": 1 + 1 + 1, "_Polytope": 1 + 1, "rref": 0}
+    assert verified and counts == {"extreme_rays": 1 + 1, "_Polytope": 1, "rref": 0}
     counts, out = _work(monkeypatch, schlegel, cube_vertices(), [(0, 2, 4, 6), (0, 1, 4, 5)], 5, names=())
     assert len(out.maximal_cells()) == 2 and counts == {"rref": 0}
 
 
 def test_verify_embedding_work_is_pinned(monkeypatch):
-    # One _Polytope per maximal cell, whose facets and hull equations every
-    # pair reuses, and a combinatorial face test for every other cell: one
-    # extreme_rays call per polytope of dimension >= 1, one H-to-V pass per
-    # pair of maximal cells whose bounding boxes meet (the one pair of the
-    # triangles, none for the lone tetrahedron), one integer_kernel call per
-    # cell in such a pair, and no Fraction row reduction.
+    # The maximal cells' polytopes, kept on the complex by embedded_complex,
+    # whose facets and hull equations every pair reuses, and a combinatorial
+    # face test for every cell: no _Polytope built, one H-to-V pass (one
+    # extreme_rays call) per pair of maximal cells whose bounding boxes meet
+    # (the one pair of the triangles, none for the lone tetrahedron), one
+    # integer_kernel call per cell in such a pair, and no Fraction row
+    # reduction.
     names = ("extreme_rays", "_Polytope", "integer_kernel")
     triangles, tetrahedron = _pinned_inputs()
     counts, embedded = _work(monkeypatch, verify_embedding, triangles, names=names)
     assert embedded and counts == {
-        "extreme_rays": 2 + 1, "_Polytope": 2, "integer_kernel": 2, "rref": 0
+        "extreme_rays": 1, "_Polytope": 0, "integer_kernel": 2, "rref": 0
     }
     counts, embedded = _work(monkeypatch, verify_embedding, tetrahedron, names=names)
     assert embedded and counts == {
-        "extreme_rays": 1, "_Polytope": 1, "integer_kernel": 0, "rref": 0
+        "extreme_rays": 0, "_Polytope": 0, "integer_kernel": 0, "rref": 0
     }
 
 
-def test_cube_slab_is_embedded_and_lifts(monkeypatch):
-    # the 2x2x1 slab of unit cubes, each split into six tetrahedra: 24
-    # tetrahedra and 163 cells, of which the embedding check builds the 24
+def _embed_verify_lift(vertices, cells):
+    pc = embedded_complex(vertices, cells)
+    return pc, verify_embedding(pc) and verify_lower_hull(lift(pc))
+
+
+def test_embed_verify_lift_builds_each_maximal_cell_once(monkeypatch):
+    # embedded_complex builds the maximal cells' polytopes and the complex
+    # keeps them, so the embedding check and the lift build only the box
+    triangles = ([(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 1, 2), (1, 2, 3)])
+    tetrahedron = ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2, 3)])
+    for vertices, cells in (triangles, tetrahedron, _cube_slab()):
+        counts, (pc, verified) = _work(
+            monkeypatch, _embed_verify_lift, vertices, cells, names=("_Polytope",)
+        )
+        assert verified and counts == {"_Polytope": len(pc.maximal_cells()) + 1, "rref": 0}
+
+
+def _cube_slab():
+    """The 2x2x1 slab of unit cubes, each split into six tetrahedra."""
     sc = cubical_complex([(x, y, 0) for x in range(2) for y in range(2)])
     corners = sorted({(x, y, z) for x in range(3) for y in range(3) for z in range(2)})
-    pc = embedded_complex(corners, sorted(sc.facets))
+    return corners, sorted(sc.facets)
+
+
+def test_cube_slab_is_embedded_and_lifts(monkeypatch):
+    # 24 tetrahedra and 163 cells, whose 24 polytopes the embedding check
+    # reads off the complex, where embedded_complex left them
+    pc = embedded_complex(*_cube_slab())
     assert len(pc.maximal_cells()) == 24 and len(pc.cells) == 163
     counts, embedded = _work(monkeypatch, verify_embedding, pc, names=("_Polytope",))
-    assert embedded and counts == {"_Polytope": 24, "rref": 0}
+    assert embedded and counts == {"_Polytope": 0, "rref": 0}
     result = lift(pc)
     assert verify_lower_hull(result)
     assert support_measure(result.subdivision) == support_measure(pc) == 4

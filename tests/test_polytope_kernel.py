@@ -24,7 +24,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from recdom.corpus import corpus_cones, cubical_complex
+from recdom.corpus import (
+    corpus_cones,
+    cubical_complex,
+    one_point_1d,
+    segment_2d,
+    two_segments_1d,
+    two_triangles_2d,
+    unit_square_2d,
+)
 from recdom.geometry import (
     Cone,
     Face,
@@ -982,6 +990,46 @@ def test_verify_embedding_matches_all_pairs_oracle_on_lift_shapes():
     for vertices, cells in LIFT_SHAPES + (cube_slab(),):
         pc = embedded_complex(vertices, cells)
         assert verify_embedding(pc) and oracle_verify_embedding(pc)
+
+
+def same_verdict_and_lift_as_a_fresh_complex(pc, lift_dims=(1, 2, 3)):
+    """A complex from embedded_complex keeps its maximal cells' polytopes,
+    each the one a fresh build on the cell's points gives; the same cells in
+    a new complex, which starts with none, get the same embedding verdict
+    and, when embedded in R^d for d in ``lift_dims``, the same lift."""
+    assert set(pc._polytopes) == set(pc.maximal_cells())
+    for cell, poly in pc._polytopes.items():
+        built = _Polytope(pc.cell_points(cell))
+        assert (poly.vertices, poly.rows, poly.facets, poly.ambient_inequalities) == (
+            built.vertices, built.rows, built.facets, built.ambient_inequalities
+        )
+    fresh = PolyhedralComplex(pc.vertices, pc.cells)
+    assert not fresh._polytopes
+    embedded = verify_embedding(pc)
+    assert verify_embedding(fresh) == embedded
+    if embedded and pc.ambient_dim in lift_dims:
+        kept, rebuilt = lift(pc), lift(fresh)
+        assert kept.subdivision.vertices == rebuilt.subdivision.vertices
+        assert kept.subdivision.cells == rebuilt.subdivision.cells
+        assert kept.lift_values == rebuilt.lift_values
+        assert kept.polytope_vertices == rebuilt.polytope_vertices
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(embedding_cases())
+def test_kept_polytopes_change_no_verdict_and_no_lift(case):
+    # the maximal cells of a case are the corners of their hulls; a lift of
+    # a random cell in R^3 can take seconds, so the corpus lifts those
+    pc = embedded_complex(case.vertices, [c.vertices for c in case.maximal_cells()])
+    same_verdict_and_lift_as_a_fresh_complex(pc, lift_dims=(1, 2))
+
+
+def test_kept_polytopes_change_no_verdict_and_no_lift_on_the_corpus():
+    corpus = [two_segments_1d(), one_point_1d(), two_triangles_2d(), unit_square_2d(), segment_2d()]
+    for vertices, cells in LIFT_SHAPES + (cube_slab(),):
+        corpus.append(embedded_complex(vertices, cells))
+    for pc in corpus:
+        same_verdict_and_lift_as_a_fresh_complex(pc)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
