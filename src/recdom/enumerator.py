@@ -46,10 +46,10 @@ class BadGrading(ValueError):
 
 
 class BoxTooLarge(ValueError):
-    """The degree box to scan holds more than ``BOX_LIMIT`` lattice points."""
+    """A box of lattice points to walk holds more than ``BOX_LIMIT`` points."""
 
 
-# Largest degree box a lattice-point scan walks before it gives up.
+# Largest box a walk takes: a scan's degree box, or a parallelepiped's cosets.
 BOX_LIMIT = 10**6
 
 
@@ -318,12 +318,15 @@ def _parallelepiped_points(generators):
     lattice among them (Beck-Robins, *Computing the Continuous Discretely*,
     ch. 3): the coset of a has coefficients frac(Q D^-1 a), held as integer
     numerators over the last diagonal entry, and its point is V times those.
-    That is |det| points, each found on integers."""
+    That is |det| = prod d_i points, at most BOX_LIMIT, found on integers."""
     d, k = len(generators[0]), len(generators)
     rows = [[v[i] for v in generators] for i in range(d)]
     _, diagonal, q = smith_normal_form(rows)
     if k > d or not diagonal[-1]:
         raise ValueError("generators must be linearly independent")
+    size = prod(diagonal)
+    if size > BOX_LIMIT:
+        raise BoxTooLarge(f"parallelepiped of {size} points exceeds the limit of {BOX_LIMIT}")
     denom = diagonal[-1]
     steps = [denom // di for di in diagonal]
     points = []
@@ -379,20 +382,26 @@ def _face_gf(cone: Cone, face: Face) -> RationalGF:
     over the cone's canonical denominator (all rays of the cone).
 
     Each half-open piece's numerator is multiplied by (1 - x^v) for the rays
-    missing from its denominator; the origin's numerator is the whole product
-    of (1 - x^v)."""
+    missing from its denominator."""
     denom = tuple(sorted(cone.rays))
-    if face.dim == 0:
-        parts = [RationalGF(LaurentPoly.monomial((0,) * cone.dim), ())]
-    else:
-        parts = [
-            simplicial_gf(piece.generators, piece.open_walls)
-            for piece in _face_decomposition(cone, face)
-        ]
     total = LaurentPoly.zero()
-    for part in parts:
-        total = total + _numerator_over(part, denom)
+    for piece in _face_decomposition(cone, face):
+        total = total + _numerator_over(simplicial_gf(piece.generators, piece.open_walls), denom)
     return RationalGF(total, denom)
+
+
+def _reciprocal_gf(spec: DomainSpec) -> RationalGF:
+    """The domain's generating function at 1/x over the canonical
+    denominator: the sum of (-1)^dim G sigma_G(x) over its open faces G (see
+    ``domain_gf``).  The origin lies on every facet and is never open."""
+    cone = spec.cone
+    total: dict[tuple, int] = {}
+    for face in faces_of(cone):
+        if not face.tight_facets & spec.strict_facets:
+            sign = (-1) ** face.dim
+            for e, c in _face_gf(cone, face).numerator.terms.items():
+                total[e] = total.get(e, 0) + sign * c
+    return RationalGF(LaurentPoly(total), tuple(sorted(cone.rays)))
 
 
 def domain_gf(spec: DomainSpec) -> RationalGF:
@@ -400,21 +409,12 @@ def domain_gf(spec: DomainSpec) -> RationalGF:
 
     A cone point lies in the domain exactly when the smallest face holding it
     lies on no strict facet, so the domain is the disjoint union of the
-    relative interiors of those open faces G.  By Moebius inversion on the
-    face lattice, whose Moebius function is (-1)^(dim G - dim H), the closed
-    face H enters with coefficient the sum of (-1)^(dim G - dim H) over the
-    open faces G containing it (Stanley, "Combinatorial reciprocity
-    theorems", 1974).  The sum is written over the canonical denominator."""
-    cone = spec.cone
-    faces = faces_of(cone)
-    open_faces = [g for g in faces if not g.tight_facets & spec.strict_facets]
-    total: dict[tuple, int] = {}
-    for face in faces:
-        coeff = sum((-1) ** (g.dim - face.dim) for g in open_faces if face.rays <= g.rays)
-        if coeff:
-            for e, c in _face_gf(cone, face).numerator.terms.items():
-                total[e] = total.get(e, 0) + coeff * c
-    return RationalGF(LaurentPoly(total), tuple(sorted(cone.rays)))
+    relative interiors of those open faces G.  By Stanley reciprocity for
+    each closed face, sigma_G(1/x) = (-1)^dim G sigma_relint(G)(x) (Stanley,
+    "Combinatorial reciprocity theorems", Adv. Math. 14, 1974), the domain's
+    function at 1/x is the sum of (-1)^dim G sigma_G(x) over the open faces,
+    over the canonical denominator; x -> 1/x takes it back."""
+    return invert_variables(_reciprocal_gf(spec))
 
 
 def _ray_degrees(gf: RationalGF, w):
@@ -510,17 +510,16 @@ def reciprocity_check(selection: FacetSelection, fields=(QQ, GF2), grading=None)
     """Check F_complement(1/x) == (-1)^d F_selected(x) as rational functions.
 
     The report carries per-field Cohen-Macaulay verdicts for the removed
-    boundary part's cross-section.  Both sides are written over the canonical
-    denominator (all cone rays), so the identity is decided by comparing
-    numerators.  When it holds the witness is the shared canonical form of
-    both sides; otherwise it is the smallest grading degree where the
-    expansions disagree, with both per-degree totals."""
+    boundary part's cross-section.  The left side is read off the
+    complement's open faces (see ``domain_gf``), with no inversion.  Both
+    sides are over the canonical denominator (all cone rays), so the identity
+    is decided by comparing numerators.  When it holds the witness is the
+    shared canonical form of both sides; otherwise it is the smallest grading
+    degree where the expansions disagree, with both per-degree totals."""
     cone = selection.cone
     w = _grading(cone, grading)
-    g_selected = domain_gf(DomainSpec(selection, SELECTED))
-    g_complement = domain_gf(DomainSpec(selection, COMPLEMENT))
-    lhs = invert_variables(g_complement)
-    rhs = gf_scale(g_selected, (-1) ** cone.dim)
+    rhs = gf_scale(domain_gf(DomainSpec(selection, SELECTED)), (-1) ** cone.dim)
+    lhs = _reciprocal_gf(DomainSpec(selection, COMPLEMENT))
     if lhs.denom_rays != rhs.denom_rays:
         raise InvariantViolation("the two sides are not over the canonical denominator")
     holds = gf_equal(lhs, rhs)

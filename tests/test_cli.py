@@ -94,6 +94,18 @@ def test_enumerate_box_above_the_limit_exit_code(capsys):
     assert f"box of {(10**8 + 1) ** 2} points exceeds the limit of {BOX_LIMIT}" in err
 
 
+@pytest.mark.parametrize("n", [10**30, 10**12])
+def test_reciprocity_parallelepiped_above_the_limit_exit_code(capsys, tmp_path, n):
+    # the ray (n, 1, 1) gives a simplicial piece with about 2n parallelepiped
+    # points; they are counted from the Smith diagonal and refused before any
+    # is made, not an OverflowError (10^30) or a MemoryError (10^12)
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({"dim": 3, "rays": [[0, 0, 1], [n, 1, 1], [1, 0, 1], [1, 2, 1], [2, 1, 1]]}))
+    assert main(["reciprocity", str(path), "--select", "0"]) == 2
+    err = capsys.readouterr().err
+    assert f"exceeds the limit of {BOX_LIMIT}" in err and "Traceback" not in err
+
+
 def test_separate_exit_codes(capsys, adjacent, opposite):
     assert main(["separate", data_path("square_cone.json"), "--select", adjacent]) == 0
     capsys.readouterr()

@@ -14,6 +14,7 @@ from recdom.corpus import (
     corpus_cones,
     facet_pairs_sharing_a_ray,
     facet_pairs_sharing_no_ray,
+    pentagon_cone,
     quadrant,
     square_cone,
 )
@@ -27,6 +28,7 @@ from recdom.enumerator import (
     FacetSelection,
     LaurentPoly,
     RationalGF,
+    ReciprocityReport,
     WitnessSearchExhausted,
     _box_points,
     _first_disagreement,
@@ -45,6 +47,8 @@ from recdom.enumerator import (
     verify_colon_identity,
 )
 from recdom.geometry import (
+    GF2,
+    QQ,
     Cone,
     InvariantViolation,
     NotFullDimensional,
@@ -52,6 +56,7 @@ from recdom.geometry import (
     faces_of,
     vadd,
 )
+from recdom.topology import barycentric, boundary_subcomplex, is_cohen_macaulay
 
 
 def quadrant_selection():
@@ -171,6 +176,17 @@ def test_box_above_the_limit_is_refused():
     with pytest.raises(BoxTooLarge, match=f"of {BOX_LIMIT}"):
         lattice_points(spec, None, 10**8)
     assert issubclass(BoxTooLarge, ValueError)
+
+
+def test_parallelepiped_at_and_past_the_limit(monkeypatch):
+    # generators of determinant 3: the Smith diagonal counts three
+    # parallelepiped points before any is made
+    generators = ((1, 0), (1, 3))
+    monkeypatch.setattr(enumerator, "BOX_LIMIT", 3)
+    assert len(simplicial_gf(generators).numerator.terms) == 3
+    monkeypatch.setattr(enumerator, "BOX_LIMIT", 2)
+    with pytest.raises(BoxTooLarge, match="parallelepiped of 3 points exceeds the limit of 2"):
+        simplicial_gf(generators)
 
 
 def test_default_grading_positive_on_rays():
@@ -366,7 +382,11 @@ def oracle_domain_gf(spec):
             tight_rays = all_rays
             for j in subset:
                 tight_rays &= cone.facets[j].incident_rays
-            gf = enumerator._face_gf(cone, faces_by_rays[tight_rays])
+            if tight_rays:
+                gf = enumerator._face_gf(cone, faces_by_rays[tight_rays])
+            else:
+                # the origin's closed generating function is 1
+                gf = RationalGF(LaurentPoly.monomial((0,) * cone.dim), ())
             num = _numerator_over(gf, denom)
             total = total + num if size % 2 == 0 else total - num
     return RationalGF(total, denom)
@@ -582,8 +602,6 @@ def test_reciprocity_square_opposite_fails():
 def test_reciprocity_soundness_on_corpus():
     # CM over either field forces the identity: exhaustively over all proper
     # selections of the small cones, single facets elsewhere
-    from recdom.corpus import pentagon_cone
-
     exhaustive = {"quadrant": quadrant(), "square": square_cone(), "pentagon": pentagon_cone()}
     for name, cone in exhaustive.items():
         n = len(cone.facets)
@@ -639,6 +657,66 @@ def test_invariant_violation_is_not_an_input_error():
     with pytest.raises(InvariantViolation):
         _numerator_over(RationalGF(LaurentPoly.monomial((0,)), ((2,),)), [(1,)])
     assert not issubclass(InvariantViolation, (ValueError, KeyError, RuntimeError))
+
+
+# -- the one-sided check against the two-sided path -----------------------------
+
+def oracle_reciprocity_check(selection, fields=(QQ, GF2)):
+    """Both domains' generating functions, the complement's inverted back to
+    1/x, compared by ``gf_equal``, with the library's witness."""
+    cone = selection.cone
+    lhs = invert_variables(domain_gf(DomainSpec(selection, COMPLEMENT)))
+    rhs = gf_scale(domain_gf(DomainSpec(selection, SELECTED)), (-1) ** cone.dim)
+    holds = gf_equal(lhs, rhs)
+    subdivided = barycentric(boundary_subcomplex(selection))
+    cm_over = {f.label: is_cohen_macaulay(subdivided, f).is_cm for f in fields}
+    if holds:
+        witness = {
+            "kind": "identity",
+            "denominator_rays": [list(v) for v in rhs.denom_rays],
+            "numerator": sorted((list(e), c) for e, c in rhs.numerator.terms.items()),
+        }
+    else:
+        witness = _first_disagreement(lhs, rhs, default_grading(cone))
+    return ReciprocityReport(holds, cm_over, witness)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(domain_specs())
+def test_reciprocity_check_matches_two_sided_path(spec):
+    got, want = reciprocity_check(spec.selection), oracle_reciprocity_check(spec.selection)
+    assert got.to_json() == want.to_json()
+    assert got.witness == want.witness
+
+
+def test_reciprocity_check_reads_the_complement_without_inverting(monkeypatch):
+    # Work pin: per selection one domain_gf (the selected side) and the one
+    # inversion inside it; no face generating function is asked for the origin.
+    cone = pentagon_cone()
+    counts = Counter()
+    face_gf, domain, invert = enumerator._face_gf, enumerator.domain_gf, enumerator.invert_variables
+
+    def counted_face_gf(cone, face):
+        counts["origin"] += face.dim == 0
+        return face_gf(cone, face)
+
+    def counted_domain_gf(spec):
+        counts["domain_gf"] += 1
+        return domain(spec)
+
+    def counted_invert(gf):
+        counts["invert_variables"] += 1
+        return invert(gf)
+
+    monkeypatch.setattr(enumerator, "_face_gf", counted_face_gf)
+    monkeypatch.setattr(enumerator, "domain_gf", counted_domain_gf)
+    monkeypatch.setattr(enumerator, "invert_variables", counted_invert)
+    n = len(cone.facets)
+    for size in range(1, n):
+        for subset in combinations(range(n), size):
+            counts.clear()
+            reciprocity_check(FacetSelection(cone, frozenset(subset)), fields=())
+            assert counts == {"domain_gf": 1, "invert_variables": 1, "origin": 0}, subset
 
 
 # -- colon identity -------------------------------------------------------------
