@@ -81,6 +81,7 @@ from .topology import (
     barycentric,
     boundary_inequality_check,
     boundary_subcomplex,
+    cm_on_upper_intervals,
     is_cohen_macaulay,
     is_manifold_with_boundary,
     link,

@@ -34,7 +34,7 @@ from .geometry import (
     smith_normal_form,
     vadd,
 )
-from .topology import barycentric, boundary_subcomplex, is_cohen_macaulay
+from .topology import cm_on_upper_intervals
 
 SELECTED = "selected"      # strict inequalities on the selected facets
 COMPLEMENT = "complement"  # strict inequalities on the complementary facets
@@ -506,37 +506,62 @@ class ReciprocityReport:
         return {"holds": self.holds, "cm": dict(self.cm_over), "first_disagreement": first}
 
 
+def _lattice_verdict(selection: FacetSelection) -> bool:
+    """Whether F_complement(1/x) == (-1)^d F_selected(x), read off the face
+    lattice.
+
+    The closed faces' generating functions sigma_K are linearly independent,
+    so the identity holds exactly when both sides give every face K, the
+    origin included, the same coefficient.  The left side sums
+    (-1)^dim G sigma_G over the complement's open faces G (see
+    ``_reciprocal_gf``): K gets (-1)^dim K if it lies on no complement facet
+    and 0 otherwise.  The right side sums sigma_relint(G) over the selected
+    side's open faces G, and the face lattice is Eulerian, so
+    sigma_relint(G) = sum of (-1)^(dim G - dim K) sigma_K over the faces
+    K of G: K gets (-1)^d times that sign summed over the open faces
+    G containing it."""
+    cone = selection.cone
+    faces = faces_of(cone)
+    open_selected = [g for g in faces if not g.tight_facets & selection.selected]
+    for k in faces:
+        lhs = 0 if k.tight_facets & selection.complement else (-1) ** k.dim
+        rhs = (-1) ** cone.dim * sum(
+            (-1) ** (g.dim - k.dim) for g in open_selected if k.rays <= g.rays
+        )
+        if lhs != rhs:
+            return False
+    return True
+
+
 def reciprocity_check(selection: FacetSelection, fields=(QQ, GF2), grading=None) -> ReciprocityReport:
     """Check F_complement(1/x) == (-1)^d F_selected(x) as rational functions.
 
-    The report carries per-field Cohen-Macaulay verdicts for the removed
-    boundary part's cross-section.  The left side is read off the
-    complement's open faces (see ``domain_gf``), with no inversion.  Both
-    sides are over the canonical denominator (all cone rays), so the identity
-    is decided by comparing numerators.  When it holds the witness is the
-    shared canonical form of both sides; otherwise it is the smallest grading
-    degree where the expansions disagree, with both per-degree totals."""
+    Both verdicts are read off the cone's face lattice.  The identity is
+    decided face by face (see ``_lattice_verdict``; Stanley, "Combinatorial
+    reciprocity theorems", Adv. Math. 14, 1974), and the per-field
+    Cohen-Macaulay verdicts for the removed boundary part's cross-section
+    from its upper intervals (see ``topology.cm_on_upper_intervals``).
+    Generating functions are built only for the witness, over the canonical
+    denominator (all cone rays).  When the identity holds both sides share
+    one numerator, and the witness is the complement's, read off its open
+    faces with no inversion.  Otherwise both sides are built and the witness
+    is the smallest grading degree where their expansions disagree, with
+    both per-degree totals."""
     cone = selection.cone
     w = _grading(cone, grading)
-    rhs = gf_scale(domain_gf(DomainSpec(selection, SELECTED)), (-1) ** cone.dim)
+    cm_over = {label: c.is_cm for label, c in cm_on_upper_intervals(selection, fields).items()}
     lhs = _reciprocal_gf(DomainSpec(selection, COMPLEMENT))
-    if lhs.denom_rays != rhs.denom_rays:
-        raise InvariantViolation("the two sides are not over the canonical denominator")
-    holds = gf_equal(lhs, rhs)
-
-    cross_section = boundary_subcomplex(selection)
-    subdivided = barycentric(cross_section)
-    cm_over = {f.label: is_cohen_macaulay(subdivided, f).is_cm for f in fields}
-
-    if holds:
+    if _lattice_verdict(selection):
         witness = {
             "kind": "identity",
-            "denominator_rays": [list(v) for v in rhs.denom_rays],
-            "numerator": sorted((list(e), c) for e, c in rhs.numerator.terms.items()),
+            "denominator_rays": [list(v) for v in lhs.denom_rays],
+            "numerator": sorted((list(e), c) for e, c in lhs.numerator.terms.items()),
         }
-    else:
-        witness = _first_disagreement(lhs, rhs, w)
-    return ReciprocityReport(holds, cm_over, witness)
+        return ReciprocityReport(True, cm_over, witness)
+    rhs = gf_scale(domain_gf(DomainSpec(selection, SELECTED)), (-1) ** cone.dim)
+    if lhs.denom_rays != rhs.denom_rays:
+        raise InvariantViolation("the two sides are not over the canonical denominator")
+    return ReciprocityReport(False, cm_over, _first_disagreement(lhs, rhs, w))
 
 
 def _first_disagreement(lhs, rhs, w):
@@ -544,7 +569,10 @@ def _first_disagreement(lhs, rhs, w):
     # with D = lhs.numerator - rhs.numerator.  Every geometric factor is 1 plus
     # terms of positive w-degree, so the lowest-degree part of D survives
     # unchanged: the series first differ at the minimum w-degree of D.
-    degree = min(dot(w, e) for e in (lhs.numerator - rhs.numerator).terms)
+    difference = lhs.numerator - rhs.numerator
+    if not difference:
+        raise InvariantViolation("the two sides were judged to differ, but their numerators agree")
+    degree = min(dot(w, e) for e in difference.terms)
     lhs_total = sum(c for e, c in expand(lhs, w, degree).coeffs.items() if dot(w, e) == degree)
     rhs_total = sum(c for e, c in expand(rhs, w, degree).coeffs.items() if dot(w, e) == degree)
     return {"kind": "disagreement", "degree": degree, "lhs": lhs_total, "rhs": rhs_total}

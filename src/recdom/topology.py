@@ -110,11 +110,6 @@ class PolyhedralComplex:
         maximal = _maximal_sets(c.vertices for c in self.cells)
         return tuple(c for c in self.cells if c.vertices in maximal)
 
-    def covering_faces(self, cell: Cell) -> list[Cell]:
-        """Faces of ``cell`` of dimension exactly one less."""
-        target = set(cell.vertices)
-        return [c for c in self.cells if c.dim == cell.dim - 1 and set(c.vertices) < target]
-
 
 @dataclass(frozen=True)
 class SimplicialComplex:
@@ -196,17 +191,29 @@ def barycentric(pc: PolyhedralComplex) -> SimplicialComplex:
     One vertex per cell (its barycenter), one top simplex per maximal chain
     in the face poset of the cells.  The cells are sorted by dimension, so
     the chains of a cell's facets are known before its own; a loop, not a
-    recursive closure, so each call leaves no reference cycle behind."""
-    chains: dict[Cell, tuple] = {}
+    recursive closure, so each call leaves no reference cycle behind.  A
+    cell's facets are found among the cells one dimension down whose first
+    vertex is one of its own, through an index of the cells by (dimension,
+    first vertex)."""
+    chains: list[tuple] = []
+    by_first: dict[tuple[int, int], list[int]] = {}
     for i, cell in enumerate(pc.cells):
         if cell.dim == 0:
-            chains[cell] = ((i,),)
-            continue
-        covers = pc.covering_faces(cell)
-        if not covers:
-            raise ValueError(f"complex is not closed under faces: cell {cell.vertices} has no facet")
-        chains[cell] = tuple(ch + (i,) for f in covers for ch in chains[f])
-    facets = [ch for cell in pc.maximal_cells() for ch in chains[cell]]
+            chains.append(((i,),))
+        else:
+            target = set(cell.vertices)
+            covers = sorted(
+                j
+                for v in cell.vertices
+                for j in by_first.get((cell.dim - 1, v), ())
+                if target > set(pc.cells[j].vertices)
+            )
+            if not covers:
+                raise ValueError(f"complex is not closed under faces: cell {cell.vertices} has no facet")
+            chains.append(tuple(ch + (i,) for j in covers for ch in chains[j]))
+        by_first.setdefault((cell.dim, cell.vertices[0]), []).append(i)
+    maximal = set(pc.maximal_cells())
+    facets = [ch for cell, cell_chains in zip(pc.cells, chains) if cell in maximal for ch in cell_chains]
     return SimplicialComplex.from_faces(len(pc.cells), facets)
 
 
@@ -424,3 +431,65 @@ def boundary_subcomplex(selection: FacetSelection) -> PolyhedralComplex:
         Cell(tuple(sorted(relabel[i] for i in f.rays)), f.dim - 1) for f in used_faces
     ]
     return PolyhedralComplex(tuple(vertices), tuple(cells))
+
+
+def cm_on_upper_intervals(selection: FacetSelection, fields) -> dict[str, CMCertificate]:
+    """Per-field Cohen-Macaulay verdicts for the subdivided cross-section
+    ``barycentric(boundary_subcomplex(selection))``, read off the cone's
+    face lattice.
+
+    That subdivision is the order complex of the poset P of cone faces of
+    dimension at least 1 on a selected facet.  P is pure, since its maximal
+    elements are the selected facets, and every lower interval of P is a
+    polytope's face lattice, whose order complex is a sphere.  So the order
+    complex is Cohen-Macaulay exactly when, for the origin and for each x in
+    P, the order complex of P_{>x} has vanishing reduced homology below its
+    dimension t = d - 2 - dim x (Björner, Garsia and Stanley, "An
+    introduction to Cohen-Macaulay posets", 1982).  Nothing is checked where
+    t <= 0, and where t = 1 the check is connectivity, the same over every
+    field.  The scan runs from the highest-dimensional faces down and takes
+    the origin last, so the small intervals come first.  A failure names the
+    cone face x by its rays (the origin by ()), the homology index and the
+    Betti number."""
+    cone = selection.cone
+    faces = faces_of(cone)
+    nodes = [faces[0], *(f for f in faces if f.dim >= 1 and f.tight_facets & selection.selected)]
+    # the maximal chains of {y} + P_{>y} for the origin and each y of P; the
+    # nodes are sorted by dimension, so the chains above y are known before
+    # its own, and the scan below takes the origin, node 0, last
+    chains_up: list[tuple] = [()] * len(nodes)
+    for i in reversed(range(len(nodes))):
+        y = nodes[i]
+        if y.dim == cone.dim - 1:
+            chains_up[i] = ((i,),)
+        else:
+            chains_up[i] = tuple(
+                (i,) + ch
+                for j in range(i + 1, len(nodes))
+                if nodes[j].dim == y.dim + 1 and y.rays < nodes[j].rays
+                for ch in chains_up[j]
+            )
+    certificates: dict[str, CMCertificate] = {}
+    pending = list(fields)
+    for i in reversed(range(len(nodes))):
+        if not pending:
+            break
+        t = cone.dim - 2 - nodes[i].dim
+        if t <= 0:
+            continue
+        chains = [ch[1:] for ch in chains_up[i]]
+        face = tuple(sorted(nodes[i].rays))
+        if t == 1:
+            b0 = _components({v for ch in chains for v in ch}, chains) - 1
+            if b0:
+                certificates.update((f.label, CMCertificate(False, face, 0, b0)) for f in pending)
+                pending = []
+            continue
+        interval = SimplicialComplex(len(nodes), tuple(chains))
+        for f in list(pending):
+            betti = reduced_homology(interval, f).betti
+            failing = next((k for k in range(t) if betti[k]), None)
+            if failing is not None:
+                certificates[f.label] = CMCertificate(False, face, failing, betti[failing])
+                pending.remove(f)
+    return {f.label: certificates.get(f.label, CMCertificate(True)) for f in fields}

@@ -10,11 +10,11 @@ from itertools import combinations
 
 import pytest
 
-from recdom import cli, jsonio
+from recdom import cli, enumerator, jsonio
 from recdom.cli import main
 from recdom.corpus import facet_pairs_sharing_a_ray, facet_pairs_sharing_no_ray, square_cone
 from recdom.enumerator import BOX_LIMIT
-from recdom.geometry import InvariantViolation
+from recdom.geometry import FacetSelection, InvariantViolation
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
@@ -427,6 +427,18 @@ def test_invariant_violation_exit_code(monkeypatch, capsys, adjacent):
     monkeypatch.setattr(cli, "reciprocity_check", broken)
     assert main(["reciprocity", data_path("square_cone.json"), "--select", adjacent]) == 3
     assert "internal error: planted defect" in capsys.readouterr().err
+
+
+def test_lattice_verdict_against_agreeing_numerators_exit_code(monkeypatch, capsys, adjacent):
+    # the lattice says "fails" on a selection where the identity holds, so the
+    # two numerators agree and no degree can witness a disagreement: an
+    # internal fault, not an input error
+    monkeypatch.setattr(enumerator, "_lattice_verdict", lambda selection: False)
+    selection = FacetSelection(square_cone(), frozenset(map(int, adjacent.split(","))))
+    with pytest.raises(InvariantViolation, match="numerators agree"):
+        enumerator.reciprocity_check(selection)
+    assert main(["reciprocity", data_path("square_cone.json"), "--select", adjacent]) == 3
+    assert "numerators agree" in capsys.readouterr().err
 
 
 def test_corpus_json_is_byte_stable(capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from recdom import enumerator
+from recdom import enumerator, topology
 from recdom.corpus import (
     corpus_cones,
     facet_pairs_sharing_a_ray,
@@ -689,34 +689,55 @@ def test_reciprocity_check_matches_two_sided_path(spec):
     assert got.witness == want.witness
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(domain_specs())
+def test_lattice_verdict_matches_the_numerators(spec):
+    selection = spec.selection
+    lhs = enumerator._reciprocal_gf(DomainSpec(selection, COMPLEMENT))
+    rhs = gf_scale(domain_gf(DomainSpec(selection, SELECTED)), (-1) ** spec.cone.dim)
+    assert enumerator._lattice_verdict(selection) == gf_equal(lhs, rhs)
+
+
 def test_reciprocity_check_reads_the_complement_without_inverting(monkeypatch):
-    # Work pin: per selection one domain_gf (the selected side) and the one
-    # inversion inside it; no face generating function is asked for the origin.
+    # Work pin, per selection: a holding identity builds the complement's
+    # numerator alone, with no domain_gf, inversion or cross-section; a failing
+    # one adds the selected side's domain_gf and the one inversion inside it.
+    # No face generating function is asked for the origin.
     cone = pentagon_cone()
     counts = Counter()
-    face_gf, domain, invert = enumerator._face_gf, enumerator.domain_gf, enumerator.invert_variables
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    face_gf = enumerator._face_gf
 
     def counted_face_gf(cone, face):
         counts["origin"] += face.dim == 0
         return face_gf(cone, face)
 
-    def counted_domain_gf(spec):
-        counts["domain_gf"] += 1
-        return domain(spec)
-
-    def counted_invert(gf):
-        counts["invert_variables"] += 1
-        return invert(gf)
-
     monkeypatch.setattr(enumerator, "_face_gf", counted_face_gf)
-    monkeypatch.setattr(enumerator, "domain_gf", counted_domain_gf)
-    monkeypatch.setattr(enumerator, "invert_variables", counted_invert)
+    count(enumerator, "domain_gf")
+    count(enumerator, "invert_variables")
+    count(topology, "boundary_subcomplex")
+    count(topology, "barycentric")
     n = len(cone.facets)
+    outcomes = Counter()
     for size in range(1, n):
         for subset in combinations(range(n), size):
             counts.clear()
-            reciprocity_check(FacetSelection(cone, frozenset(subset)), fields=())
-            assert counts == {"domain_gf": 1, "invert_variables": 1, "origin": 0}, subset
+            report = reciprocity_check(FacetSelection(cone, frozenset(subset)))
+            outcomes[report.holds] += 1
+            if report.holds:
+                assert counts == {"origin": 0}, subset
+            else:
+                assert counts == {"domain_gf": 1, "invert_variables": 1, "origin": 0}, subset
+    assert outcomes[True] and outcomes[False]
 
 
 # -- colon identity -------------------------------------------------------------

@@ -31,7 +31,7 @@ from recdom.corpus import (
     two_triangles,
 )
 from recdom.enumerator import FacetSelection
-from recdom.geometry import GF2, QQ, FieldSpec, InvariantViolation
+from recdom.geometry import GF2, QQ, Cone, FieldSpec, InvariantViolation, NotFullDimensional
 from recdom.topology import (
     Cell,
     CMCertificate,
@@ -44,6 +44,7 @@ from recdom.topology import (
     barycentric,
     boundary_inequality_check,
     boundary_subcomplex,
+    cm_on_upper_intervals,
     is_cohen_macaulay,
     is_manifold_with_boundary,
     link,
@@ -773,15 +774,22 @@ def test_barycentric_path():
     assert len(sd.facets) == 4
 
 
+def scanned_covering_faces(pc, cell):
+    """The faces of ``cell`` one dimension down, by a scan of every cell."""
+    target = set(cell.vertices)
+    return [c for c in pc.cells if c.dim == cell.dim - 1 and set(c.vertices) < target]
+
+
 def oracle_barycentric_facets(pc):
-    """The former subdivision: a memoized recursive closure from each maximal cell down."""
+    """The former subdivision: a memoized recursive closure from each maximal
+    cell down, finding each cell's facets by a scan of every cell."""
     index = {cell: i for i, cell in enumerate(pc.cells)}
     memo = {}
 
     def chains(cell):
         if cell not in memo:
             memo[cell] = ((index[cell],),) if cell.dim == 0 else tuple(
-                ch + (index[cell],) for f in pc.covering_faces(cell) for ch in chains(f)
+                ch + (index[cell],) for f in scanned_covering_faces(pc, cell) for ch in chains(f)
             )
         return memo[cell]
 
@@ -794,6 +802,14 @@ def test_barycentric_matches_the_recursive_oracle():
     for pc in complexes:
         expected = SimplicialComplex.from_faces(len(pc.cells), oracle_barycentric_facets(pc))
         assert barycentric(pc).facets == expected.facets
+
+
+def test_barycentric_of_slab_matches_the_cell_scan():
+    # 1,251 cells: the vertex index finds the same facets as the scan of every cell
+    slab = simplicial_as_polyhedral(cubical_complex([(x, y, 0) for x in range(6) for y in range(6)]))
+    assert len(slab.cells) == 1251
+    expected = SimplicialComplex.from_faces(len(slab.cells), oracle_barycentric_facets(slab))
+    assert barycentric(slab) == expected
 
 
 def test_barycentric_leaves_no_reference_cycle():
@@ -848,3 +864,65 @@ def test_boundary_subcomplex_quadrant_point():
     pc = boundary_subcomplex(sel)
     assert len(pc.vertices) == 1 and pc.cells == (Cell((0,), 0),)
     assert is_cohen_macaulay(barycentric(pc), QQ).is_cm
+
+
+# -- Cohen-Macaulay cross-sections from the face lattice -----------------------
+
+@st.composite
+def cone_selections(draw):
+    """A random pointed cone, d = 2..5 and at most 8 generators, each with a
+    positive last coordinate, and a random proper selection of its facets."""
+    d = draw(st.integers(2, 5))
+    ray = st.tuples(*[st.integers(-2, 2)] * (d - 1), st.integers(1, 2))
+    rays = draw(st.lists(ray, min_size=d, max_size=8, unique=True))
+    try:
+        cone = Cone.from_rays(rays)
+    except NotFullDimensional:
+        assume(False)
+    n = len(cone.facets)
+    selected = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    return FacetSelection(cone, frozenset(selected))
+
+
+def _selection(rays, selected):
+    return FacetSelection(Cone.from_rays(rays), frozenset(selected))
+
+
+# Selections whose cross-section fails to be CM only at upper intervals of
+# rays (d = 4 and 5) or of 2-faces (d = 5), not at the origin's
+@example(_selection(
+    [(-2, 1, 2, 1), (-1, -1, -1, 2), (-1, 2, 1, 1), (1, -1, 0, 2), (2, -1, -2, 2), (2, 1, -2, 1)],
+    {5, 7},
+))
+@example(_selection(
+    [(-2, -2, -2, -2, 1), (-2, -1, -2, -2, 2), (-1, -1, -1, 1, 1),
+     (0, 2, 2, 2, 2), (2, -1, 1, -1, 2), (2, 0, 0, -2, 1)],
+    {0, 7},
+))
+@example(_selection(
+    [(-2, -1, -1, 1, 1), (-1, 1, -1, -2, 2), (-1, 1, 0, 2, 2), (0, 2, -2, 0, 1),
+     (1, 2, 1, -2, 1), (1, 2, 1, -2, 2), (2, 0, 1, 2, 2), (2, 1, -1, 2, 2)],
+    {0, 1, 2, 4, 6, 8, 10, 11, 12},
+))
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(cone_selections())
+def test_cm_on_upper_intervals_matches_the_subdivided_cross_section(selection):
+    subdivided = barycentric(boundary_subcomplex(selection))
+    got = cm_on_upper_intervals(selection, (QQ, GF2))
+    assert list(got) == ["Q", "F2"]
+    for field in (QQ, GF2):
+        assert got[field.label].is_cm == is_cohen_macaulay(subdivided, field).is_cm
+
+
+def test_cm_on_upper_intervals_names_the_failing_cone_face():
+    # opposite sides of the square cone: the cross-section is two points, so
+    # the order complex of the whole poset, above the origin, has b_0 = 1
+    cone = square_cone()
+    selection = FacetSelection(cone, facet_pairs_sharing_no_ray(cone)[0])
+    certificates = cm_on_upper_intervals(selection, (QQ, GF2))
+    assert certificates == {
+        "Q": CMCertificate(False, (), 0, 1),
+        "F2": CMCertificate(False, (), 0, 1),
+    }
+    adjacent = FacetSelection(cone, facet_pairs_sharing_a_ray(cone)[0])
+    assert cm_on_upper_intervals(adjacent, (QQ,)) == {"Q": CMCertificate(True)}
