@@ -15,8 +15,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, product
+from itertools import compress, count, product, repeat
 from math import prod
+from operator import add, sub
+from threading import Lock
 
 from .geometry import (
     GF2,
@@ -390,18 +392,119 @@ def _face_gf(cone: Cone, face: Face) -> RationalGF:
     return RationalGF(total, denom)
 
 
+class _FaceTable:
+    """What the face-by-face sums read, for one cone: ``faces_of(cone)``,
+    each face's tight facets as a bitmask and sign (-1)^dim, the faces
+    containing it (itself included) as a bitmask over the face list, the
+    faces of even dimension as one such bitmask, one dense integer row per
+    face, and the degree of each exponent under each grading asked for.
+
+    A face's row holds the numerator of its closed generating function over
+    the canonical denominator (all cone rays): ``_face_gf`` for a face of
+    positive dimension, and prod (1 - x^v) for the origin, whose closed
+    function is 1.  Rows are indexed by one append-only exponent list and
+    built the first time a sum needs them, under the table's lock; when a new
+    row adds exponents, every row is replaced by one padded with zeros to the
+    new length.  Rows are tuples, which the garbage collector stops tracking
+    once it sees they hold only integers, so the rows of live cones add no
+    work to its full collections.  The cone is passed in rather than kept,
+    since the cone keeps the table."""
+
+    __slots__ = (
+        "faces", "masks", "signs", "uppers", "even",
+        "exponents", "_index", "_rows", "_degrees", "_lock",
+    )
+
+    def __init__(self, cone: Cone):
+        self.faces = faces_of(cone)
+        self.masks = [_bitmask(f.tight_facets) for f in self.faces]
+        self.signs = [(-1) ** f.dim for f in self.faces]
+        self.uppers = [
+            _bitmask(j for j, g in enumerate(self.faces) if k.rays <= g.rays) for k in self.faces
+        ]
+        self.even = _bitmask(k for k, s in enumerate(self.signs) if s > 0)
+        self.exponents: list[tuple] = []
+        self._index: dict[tuple, int] = {}
+        self._rows: dict[int, tuple[int, ...]] = {}
+        self._degrees: dict[tuple, list[int]] = {}
+        self._lock = Lock()
+
+    def _build_row(self, cone: Cone, k: int) -> None:
+        face = self.faces[k]
+        if face.dim:
+            terms = _face_gf(cone, face).numerator.terms
+        else:
+            origin = RationalGF(LaurentPoly.monomial((0,) * cone.dim), ())
+            terms = _numerator_over(origin, sorted(cone.rays)).terms
+        n = len(self.exponents)
+        for e in terms:
+            if e not in self._index:
+                self._index[e] = len(self.exponents)
+                self.exponents.append(e)
+        padding = (0,) * (len(self.exponents) - n)
+        for j, other in self._rows.items():
+            self._rows[j] = other + padding
+        row = [0] * len(self.exponents)
+        for e, c in terms.items():
+            row[self._index[e]] = c
+        self._rows[k] = tuple(row)
+
+    def signed_sum(self, cone: Cone, coefficients) -> list[int]:
+        """The sum of c_K times row_K, with c_K = coefficients[K] over the
+        faces in order, as a row over the exponents indexed so far."""
+        with self._lock:
+            picked = [(c, k) for k, c in enumerate(coefficients) if c]
+            for _, k in picked:
+                if k not in self._rows:
+                    self._build_row(cone, k)
+            rows = [(c, self._rows[k]) for c, k in picked]
+            n = len(self.exponents)
+        total = repeat(0, n)
+        for c, row in rows:
+            for _ in range(abs(c)):
+                total = map(add if c > 0 else sub, total, row)
+        return list(total)
+
+    def terms(self, row) -> dict[tuple, int]:
+        """A row's nonzero terms {exponent: coefficient}."""
+        return dict(zip(compress(self.exponents, row), filter(None, row)))
+
+    def degrees(self, w) -> list[int]:
+        """The w-degree of each indexed exponent, in index order."""
+        with self._lock:
+            known = self._degrees.setdefault(w, [])
+            known.extend(dot(w, e) for e in self.exponents[len(known):])
+        return known
+
+
+def _bitmask(indices) -> int:
+    return sum(1 << i for i in indices)
+
+
+def _face_table(cone: Cone) -> _FaceTable:
+    """The cone's face table, made on first use and kept on the cone."""
+    table = cone._face_table
+    if table is None:
+        table = _FaceTable(cone)
+        object.__setattr__(cone, "_face_table", table)
+    return table
+
+
+def _open_face_signs(table: _FaceTable, strict_facets) -> list[int]:
+    """(-1)^dim G for the faces G on no strict facet (the open faces), 0 for
+    the others: the coefficients of sigma_G in a domain's function at 1/x."""
+    strict = _bitmask(strict_facets)
+    return [0 if m & strict else s for m, s in zip(table.masks, table.signs)]
+
+
 def _reciprocal_gf(spec: DomainSpec) -> RationalGF:
     """The domain's generating function at 1/x over the canonical
     denominator: the sum of (-1)^dim G sigma_G(x) over its open faces G (see
     ``domain_gf``).  The origin lies on every facet and is never open."""
     cone = spec.cone
-    total: dict[tuple, int] = {}
-    for face in faces_of(cone):
-        if not face.tight_facets & spec.strict_facets:
-            sign = (-1) ** face.dim
-            for e, c in _face_gf(cone, face).numerator.terms.items():
-                total[e] = total.get(e, 0) + sign * c
-    return RationalGF(LaurentPoly(total), tuple(sorted(cone.rays)))
+    table = _face_table(cone)
+    row = table.signed_sum(cone, _open_face_signs(table, spec.strict_facets))
+    return RationalGF(LaurentPoly(table.terms(row)), tuple(sorted(cone.rays)))
 
 
 def domain_gf(spec: DomainSpec) -> RationalGF:
@@ -506,31 +609,38 @@ class ReciprocityReport:
         return {"holds": self.holds, "cm": dict(self.cm_over), "first_disagreement": first}
 
 
+def _lattice_sides(selection: FacetSelection) -> tuple[list[int], list[int]]:
+    """The coefficients of each face's sigma_K, faces in ``faces_of`` order,
+    in F_complement(1/x) and in (-1)^d F_selected(x).
+
+    The left side sums (-1)^dim G sigma_G over the complement's open faces G
+    (see ``_reciprocal_gf``): K gets (-1)^dim K if it lies on no complement
+    facet and 0 otherwise.  The right side sums sigma_relint(G) over the
+    selected side's open faces G, and the face lattice is Eulerian, so
+    sigma_relint(G) = sum of (-1)^(dim G - dim K) sigma_K over the faces K of
+    G: K gets (-1)^d times that sign summed over the open faces G containing
+    it."""
+    cone = selection.cone
+    table = _face_table(cone)
+    selected = _bitmask(selection.selected)
+    open_selected = _bitmask(k for k, m in enumerate(table.masks) if not m & selected)
+    sign = (-1) ** cone.dim
+    rhs = []
+    for s, above in zip(table.signs, table.uppers):
+        # the open faces G above K, each with sign (-1)^(dim G - dim K)
+        up = above & open_selected
+        rhs.append(sign * s * (2 * (up & table.even).bit_count() - up.bit_count()))
+    return _open_face_signs(table, selection.complement), rhs
+
+
 def _lattice_verdict(selection: FacetSelection) -> bool:
     """Whether F_complement(1/x) == (-1)^d F_selected(x), read off the face
-    lattice.
-
-    The closed faces' generating functions sigma_K are linearly independent,
-    so the identity holds exactly when both sides give every face K, the
-    origin included, the same coefficient.  The left side sums
-    (-1)^dim G sigma_G over the complement's open faces G (see
-    ``_reciprocal_gf``): K gets (-1)^dim K if it lies on no complement facet
-    and 0 otherwise.  The right side sums sigma_relint(G) over the selected
-    side's open faces G, and the face lattice is Eulerian, so
-    sigma_relint(G) = sum of (-1)^(dim G - dim K) sigma_K over the faces
-    K of G: K gets (-1)^d times that sign summed over the open faces
-    G containing it."""
-    cone = selection.cone
-    faces = faces_of(cone)
-    open_selected = [g for g in faces if not g.tight_facets & selection.selected]
-    for k in faces:
-        lhs = 0 if k.tight_facets & selection.complement else (-1) ** k.dim
-        rhs = (-1) ** cone.dim * sum(
-            (-1) ** (g.dim - k.dim) for g in open_selected if k.rays <= g.rays
-        )
-        if lhs != rhs:
-            return False
-    return True
+    lattice.  The closed faces' generating functions sigma_K are linearly
+    independent, so the identity holds exactly when both sides give every
+    face K, the origin included, the same coefficient (see
+    ``_lattice_sides``)."""
+    lhs, rhs = _lattice_sides(selection)
+    return lhs == rhs
 
 
 def reciprocity_check(selection: FacetSelection, fields=(QQ, GF2), grading=None) -> ReciprocityReport:
@@ -541,41 +651,64 @@ def reciprocity_check(selection: FacetSelection, fields=(QQ, GF2), grading=None)
     reciprocity theorems", Adv. Math. 14, 1974), and the per-field
     Cohen-Macaulay verdicts for the removed boundary part's cross-section
     from its upper intervals (see ``topology.cm_on_upper_intervals``).
-    Generating functions are built only for the witness, over the canonical
-    denominator (all cone rays).  When the identity holds both sides share
-    one numerator, and the witness is the complement's, read off its open
-    faces with no inversion.  Otherwise both sides are built and the witness
-    is the smallest grading degree where their expansions disagree, with
-    both per-degree totals."""
+    The witness is a signed sum of the cone's face rows, over the canonical
+    denominator (all cone rays), with no inversion and no series in several
+    variables.  When the identity holds both sides share one numerator, and
+    the witness is the complement's: the sum of its open faces' rows.
+    Otherwise the sum of the rows weighted by the two sides' coefficient
+    differences is the difference of the numerators, and the witness is the
+    smallest grading degree where the series disagree, with both per-degree
+    totals (see ``_first_disagreement``), read off the two rows and the
+    degrees of the exponents they are indexed by."""
     cone = selection.cone
     w = _grading(cone, grading)
     cm_over = {label: c.is_cm for label, c in cm_on_upper_intervals(selection, fields).items()}
-    lhs = _reciprocal_gf(DomainSpec(selection, COMPLEMENT))
+    table = _face_table(cone)
+    numerator = table.signed_sum(cone, _open_face_signs(table, selection.complement))
+    denom = tuple(sorted(cone.rays))
     if _lattice_verdict(selection):
+        terms = table.terms(numerator)
         witness = {
             "kind": "identity",
-            "denominator_rays": [list(v) for v in lhs.denom_rays],
-            "numerator": sorted((list(e), c) for e, c in lhs.numerator.terms.items()),
+            "denominator_rays": [list(v) for v in denom],
+            "numerator": [(list(e), terms[e]) for e in sorted(terms)],
         }
         return ReciprocityReport(True, cm_over, witness)
-    rhs = gf_scale(domain_gf(DomainSpec(selection, SELECTED)), (-1) ** cone.dim)
-    if lhs.denom_rays != rhs.denom_rays:
-        raise InvariantViolation("the two sides are not over the canonical denominator")
-    return ReciprocityReport(False, cm_over, _first_disagreement(lhs, rhs, w))
+    lhs, rhs = _lattice_sides(selection)
+    difference = table.signed_sum(cone, [a - b for a, b in zip(lhs, rhs)])
+    witness = _first_disagreement(
+        table.degrees(w), numerator, difference, [dot(w, v) for v in denom]
+    )
+    return ReciprocityReport(False, cm_over, witness)
 
 
-def _first_disagreement(lhs, rhs, w):
-    # Over a shared denominator the series difference is D * prod 1/(1 - x^v)
-    # with D = lhs.numerator - rhs.numerator.  Every geometric factor is 1 plus
-    # terms of positive w-degree, so the lowest-degree part of D survives
-    # unchanged: the series first differ at the minimum w-degree of D.
-    difference = lhs.numerator - rhs.numerator
-    if not difference:
+def _first_disagreement(degrees, lhs, difference, ray_degrees) -> dict:
+    """The smallest grading degree where the series of two functions over
+    one denominator differ, with both per-degree totals.
+
+    ``lhs`` and ``difference`` are coefficient sequences over one list of
+    exponents, whose grading degrees are ``degrees``: the left numerator and
+    D = left numerator - right numerator.  ``ray_degrees`` are the degrees of
+    the denominator rays.  The series difference is D * prod 1/(1 - x^v), and
+    every geometric factor is 1 plus terms of positive degree, so the
+    lowest-degree part of D survives unchanged: the series first differ at
+    the minimum degree of D's support, where the right side's total is the
+    left side's minus D's total of that degree.  The left side's total is a
+    coefficient of its specialisation x_i -> t^(w_i): its numerator summed
+    by degree, times one geometric series in t per denominator ray."""
+    support = list(compress(degrees, difference))
+    if not support:
         raise InvariantViolation("the two sides were judged to differ, but their numerators agree")
-    degree = min(dot(w, e) for e in difference.terms)
-    lhs_total = sum(c for e, c in expand(lhs, w, degree).coeffs.items() if dot(w, e) == degree)
-    rhs_total = sum(c for e, c in expand(rhs, w, degree).coeffs.items() if dot(w, e) == degree)
-    return {"kind": "disagreement", "degree": degree, "lhs": lhs_total, "rhs": rhs_total}
+    degree = min(support)
+    part = sum(c for d, c in zip(degrees, difference) if d == degree)
+    low = min(compress(degrees, lhs), default=degree)
+    # ways[n]: the ways to write n as a sum of denominator degrees
+    ways = [1] + [0] * (degree - low)
+    for a in ray_degrees:
+        for n in range(a, len(ways)):
+            ways[n] += ways[n - a]
+    total = sum(c * ways[degree - d] for d, c in zip(degrees, lhs) if c and d <= degree)
+    return {"kind": "disagreement", "degree": degree, "lhs": total, "rhs": total - part}
 
 
 @dataclass

@@ -8,7 +8,7 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -485,11 +485,21 @@ class Cone:
     inequality covectors, each recording the rays it vanishes on.  Build
     instances with :func:`dual_description` / ``Cone.from_rays``; they are
     immutable and safe to share between threads.
+
+    ``_face_table`` is a memo, not part of the value: equality, hashing and
+    the repr read the three fields above only, and pickles and copies leave
+    it out.  ``recdom.enumerator`` sets it on first use to the cone's face
+    table, which fills its face rows lazily under its own lock.
     """
 
     dim: int
     rays: tuple[Vector, ...]
     facets: tuple[FacetFunctional, ...]
+    _face_table: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        # the table holds a lock, which does not pickle; a copy rebuilds it
+        return {k: v for k, v in self.__dict__.items() if k != "_face_table"}
 
     @classmethod
     def from_rays(cls, rays) -> "Cone":

@@ -372,15 +372,18 @@ def schlegel(vertices, cells, avoid: int) -> PolyhedralComplex:
     central projection happens from an exactly computed point just beyond it,
     and the image is returned in affine coordinates of the facet hyperplane
     (one dimension down), checked to be an embedded complex."""
-    pts = tuple(tuple(Fraction(x) for x in v) for v in vertices)
-    poly = _Polytope(pts)
+    return _schlegel(_Polytope(vertices), cells, avoid)
+
+
+def _schlegel(poly: _Polytope, cells, avoid: int) -> PolyhedralComplex:
+    """:func:`schlegel` on a polytope already built."""
     if not 0 <= avoid < len(poly.inequalities):
         raise ValueError(f"facet index {avoid} out of range")
     avoid_vertices = set(poly.facets[avoid])
     kept = []
     for cell in cells:
         ids = tuple(sorted(cell))
-        if not poly.is_face(ids) or len(ids) == len(pts):
+        if not poly.is_face(ids) or len(ids) == len(poly.vertices):
             raise ValueError(f"{ids} is not a proper boundary face of the polytope")
         if avoid_vertices <= set(ids):
             # distinct proper faces meet only along boundary faces, so the
@@ -437,8 +440,7 @@ def schlegel_of_selection(selection, avoid_facet: int) -> PolyhedralComplex:
     cone = selection.cone
     if not 0 <= avoid_facet < len(cone.facets):
         raise ValueError(f"facet index {avoid_facet} out of range")
-    vertices = cross_section_vertices(cone)
-    poly = _Polytope(vertices)
+    poly = _Polytope(cross_section_vertices(cone))
     target = set(cone.facets[avoid_facet].incident_rays)
     avoid = next(
         (i for i, tight in enumerate(poly.facets) if set(tight) == target),
@@ -447,7 +449,7 @@ def schlegel_of_selection(selection, avoid_facet: int) -> PolyhedralComplex:
     if avoid is None:
         raise InvariantViolation(f"cone facet {avoid_facet} has no cross-section facet")
     cells = [tuple(sorted(cone.facets[i].incident_rays)) for i in sorted(selection.selected)]
-    return schlegel(vertices, cells, avoid)
+    return _schlegel(poly, cells, avoid)
 
 
 def covering_arrangement(pc: PolyhedralComplex) -> Arrangement:

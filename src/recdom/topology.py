@@ -310,7 +310,9 @@ def is_cohen_macaulay(sc: SimplicialComplex, field: FieldSpec = QQ) -> CMCertifi
     Faces are scanned by size, and the scan stops at the first face with at
     least dim(sc) vertices: from there on the bound is at most 0, so no Betti
     number has to vanish and an empty link is allowed, and no later face can
-    fail."""
+    fail.  Where the bound is 1 only b_0 has to vanish, and b_0 is the
+    number of connected components of the link's facets less one, the same
+    over every field."""
     d = sc.dim
     if d < 0:
         return CMCertificate(True)
@@ -321,6 +323,12 @@ def is_cohen_macaulay(sc: SimplicialComplex, field: FieldSpec = QQ) -> CMCertifi
         lk = link(sc, face)
         if lk.dim < 0:
             return CMCertificate(False, face, -1, 1)
+        if required_below == 1:
+            edges = (e for f in lk.facets for e in combinations(f, 2))
+            b0 = _components(lk.vertices_used(), edges) - 1
+            if b0:
+                return CMCertificate(False, face, 0, b0)
+            continue
         profile = reduced_homology(lk, field)
         for i, b in enumerate(profile.betti):
             if i < required_below and b:

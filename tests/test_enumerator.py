@@ -1,9 +1,13 @@
 """Enumerator tests: lattice points, generating functions, reciprocity, colon scan."""
 
+import copy
+import pickle
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor
+from threading import Thread
 
 import pytest
 from hypothesis import assume, given, settings
@@ -618,12 +622,37 @@ def test_reciprocity_soundness_on_corpus():
                 assert report.holds, (name, i)
 
 
+def first_disagreement(lhs, rhs, w):
+    """``_first_disagreement`` of two functions over one denominator, given
+    the union of their numerators' exponents and those exponents' degrees."""
+    exponents = sorted(set(lhs.numerator.terms) | set(rhs.numerator.terms))
+    left = [lhs.numerator.terms.get(e, 0) for e in exponents]
+    right = [rhs.numerator.terms.get(e, 0) for e in exponents]
+    return _first_disagreement(
+        [dot(w, e) for e in exponents],
+        left,
+        [a - b for a, b in zip(left, right)],
+        [dot(w, v) for v in lhs.denom_rays],
+    )
+
+
 def test_first_disagreement_beyond_degree_64():
     # 1/(1-x) against (1+x^70)/(1-x): the series first differ at degree 70
     lhs = RationalGF(LaurentPoly({(0,): 1}), ((1,),))
     rhs = RationalGF(LaurentPoly({(0,): 1, (70,): 1}), ((1,),))
-    witness = _first_disagreement(lhs, rhs, (1,))
+    witness = first_disagreement(lhs, rhs, (1,))
     assert witness == {"kind": "disagreement", "degree": 70, "lhs": 1, "rhs": 2}
+
+
+def test_first_disagreement_when_the_lowest_difference_cancels_in_total():
+    # (1 + x1) / ((1 - x1)(1 - x2)) against (1 + x2) / (same): the series
+    # first differ at degree 1, at x1 and x2 with opposite signs, so both
+    # sides count 3 points there although the exponents disagree
+    denom = ((1, 0), (0, 1))
+    lhs = RationalGF(LaurentPoly({(0, 0): 1, (1, 0): 1}), denom)
+    rhs = RationalGF(LaurentPoly({(0, 0): 1, (0, 1): 1}), denom)
+    witness = first_disagreement(lhs, rhs, (1, 1))
+    assert witness == {"kind": "disagreement", "degree": 1, "lhs": 3, "rhs": 3}
 
 
 def test_first_disagreement_degree_is_minimal_on_corpus():
@@ -677,7 +706,7 @@ def oracle_reciprocity_check(selection, fields=(QQ, GF2)):
             "numerator": sorted((list(e), c) for e, c in rhs.numerator.terms.items()),
         }
     else:
-        witness = _first_disagreement(lhs, rhs, default_grading(cone))
+        witness = first_disagreement(lhs, rhs, default_grading(cone))
     return ReciprocityReport(holds, cm_over, witness)
 
 
@@ -687,6 +716,86 @@ def test_reciprocity_check_matches_two_sided_path(spec):
     got, want = reciprocity_check(spec.selection), oracle_reciprocity_check(spec.selection)
     assert got.to_json() == want.to_json()
     assert got.witness == want.witness
+
+
+OCTAHEDRON_RAYS = [(1, 0, 0, 1), (-1, 0, 0, 1), (0, 1, 0, 1), (0, -1, 0, 1), (0, 0, 1, 1), (0, 0, -1, 1)]
+BIPYRAMID_RAYS = [(1, 0, 0, 1), (0, 1, 0, 1), (-1, -1, 0, 1), (0, 0, 1, 1), (0, 0, -1, 1)]
+
+
+@pytest.mark.parametrize("rays", [OCTAHEDRON_RAYS, BIPYRAMID_RAYS], ids=["octahedron", "bipyramid"])
+def test_reciprocity_check_matches_two_sided_path_on_every_selection(rays):
+    # every selection of two cones whose failing witnesses include positive
+    # degrees (8 on the octahedron, 6 on the bipyramid), all on one cone
+    # object, so later selections read the face rows that earlier ones built
+    cone = Cone.from_rays(rays)
+    n = len(cone.facets)
+    degrees = Counter()
+    for size in range(1, n):
+        for subset in combinations(range(n), size):
+            selection = FacetSelection(cone, frozenset(subset))
+            got, want = reciprocity_check(selection), oracle_reciprocity_check(selection)
+            assert got.to_json() == want.to_json(), subset
+            assert got.witness == want.witness, subset
+            degrees[got.witness.get("degree")] += 1
+    assert any(d for d in degrees if d), degrees
+
+
+def test_face_table_leaves_cone_equality_hash_and_repr_alone():
+    cone, fresh = pentagon_cone(), pentagon_cone()
+    before = (hash(cone), repr(cone))
+    assert cone._face_table is None
+    report = reciprocity_check(FacetSelection(cone, frozenset({0, 2})), fields=())
+    assert cone._face_table is not None and fresh._face_table is None
+    assert (hash(cone), repr(cone)) == before == (hash(fresh), repr(fresh))
+    assert cone == fresh and "_face_table" not in repr(cone)
+    # copies leave the memo, and its lock, behind and build their own
+    for other in (pickle.loads(pickle.dumps(cone)), copy.deepcopy(cone)):
+        assert other == cone and other._face_table is None
+        again = reciprocity_check(FacetSelection(other, frozenset({0, 2})), fields=())
+        assert again.witness == report.witness
+
+
+TWELVE_GON = [(-4, -4), (-3, -4), (0, -3), (2, -2), (3, -1), (4, 1),
+              (5, 4), (4, 4), (1, 3), (-1, 2), (-2, 1), (-3, -1)]
+
+
+def test_face_table_fills_safely_from_many_threads():
+    # Eight threads, more than the cores, share one fresh cone over a 12-gon
+    # (rows of about 2,500 exponents) and start at different selections, so
+    # they build face rows and grow the exponent index at the same time,
+    # under a short switch interval.  Every witness must equal the one
+    # computed alone, and each exponent be indexed once.
+    rays = [(x, y, 1) for x, y in TWELVE_GON]
+    selections = [frozenset({i, j}) for i in range(12) for j in (i, (i + 5) % 12)]
+    alone = Cone.from_rays(rays)
+    expected = [reciprocity_check(FacetSelection(alone, s), fields=()).witness for s in selections]
+    shared = Cone.from_rays(rays)
+    got, errors = {}, []
+
+    def work(offset):
+        try:
+            for i in range(offset, offset + len(selections)):
+                k = i % len(selections)
+                witness = reciprocity_check(FacetSelection(shared, selections[k]), fields=()).witness
+                got.setdefault(k, []).append(witness)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [Thread(target=work, args=(3 * t,)) for t in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert all(got[k] == [expected[k]] * len(threads) for k in range(len(selections)))
+    table = shared._face_table
+    assert len(set(table.exponents)) == len(table.exponents)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -699,10 +808,11 @@ def test_lattice_verdict_matches_the_numerators(spec):
 
 
 def test_reciprocity_check_reads_the_complement_without_inverting(monkeypatch):
-    # Work pin, per selection: a holding identity builds the complement's
-    # numerator alone, with no domain_gf, inversion or cross-section; a failing
-    # one adds the selected side's domain_gf and the one inversion inside it.
-    # No face generating function is asked for the origin.
+    # Work pin, per selection, holding or failing: the witness is a signed sum
+    # of the cone's face rows, with no domain_gf, inversion, rescaling, series
+    # expansion or cross-section.  Each face's generating function is asked
+    # for once per cone, when a sum first needs its row, and never for the
+    # origin.
     cone = pentagon_cone()
     counts = Counter()
 
@@ -716,14 +826,15 @@ def test_reciprocity_check_reads_the_complement_without_inverting(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     face_gf = enumerator._face_gf
+    asked = Counter()
 
     def counted_face_gf(cone, face):
-        counts["origin"] += face.dim == 0
+        asked[face] += 1
         return face_gf(cone, face)
 
     monkeypatch.setattr(enumerator, "_face_gf", counted_face_gf)
-    count(enumerator, "domain_gf")
-    count(enumerator, "invert_variables")
+    for name in ("domain_gf", "invert_variables", "gf_scale", "expand"):
+        count(enumerator, name)
     count(topology, "boundary_subcomplex")
     count(topology, "barycentric")
     n = len(cone.facets)
@@ -733,11 +844,10 @@ def test_reciprocity_check_reads_the_complement_without_inverting(monkeypatch):
             counts.clear()
             report = reciprocity_check(FacetSelection(cone, frozenset(subset)))
             outcomes[report.holds] += 1
-            if report.holds:
-                assert counts == {"origin": 0}, subset
-            else:
-                assert counts == {"domain_gf": 1, "invert_variables": 1, "origin": 0}, subset
+            assert not counts, subset
     assert outcomes[True] and outcomes[False]
+    assert set(asked.values()) == {1}
+    assert all(face.dim for face in asked)
 
 
 # -- colon identity -------------------------------------------------------------

@@ -440,6 +440,20 @@ def test_cube_slab_is_embedded_and_lifts(monkeypatch):
     assert support_measure(result.subdivision) == support_measure(pc) == 4
 
 
+def test_schlegel_of_selection_builds_the_cross_section_once(monkeypatch):
+    # one _Polytope for the cone's cross-section, which both finds the
+    # avoided facet and is projected, and one for each of the image's two
+    # maximal cells in the embedding check
+    from recdom.corpus import pentagon_cone
+    from recdom.enumerator import FacetSelection
+    from recdom.lifting import schlegel_of_selection
+
+    selection = FacetSelection(pentagon_cone(), frozenset({0, 1}))
+    counts, out = _work(monkeypatch, schlegel_of_selection, selection, 3, names=("_Polytope",))
+    assert len(out.maximal_cells()) == 2
+    assert counts == {"_Polytope": 3, "rref": 0}
+
+
 def test_lift_height_convexity_seeded():
     for source in (two_segments_1d(), two_triangles_2d()):
         result = lift(source)

@@ -343,6 +343,32 @@ def test_cm_certificates_match_full_scan(sc, field):
     assert is_cohen_macaulay(sc, field) == oracle_is_cohen_macaulay(sc, field)
 
 
+# The cube-slab pictures of the benchmark's ``complexes`` workload ("#" a unit
+# square, rows separated by spaces): two disks and one non-disk per grid.
+SLAB_PICTURES = (
+    "### #.# ..#", "### .## ..#", "##. ..# ###",
+    ".#. ### ### .#.", ".## ..# .## ###", "#.# .## .#. ###",
+    "#.## ###. #.#.", "##.# .### .##.", "#### ...# #.##",
+    "###. .### .#.. ####", "#.#. #.## #### .##.", "##.# ##.# ##.. #.##",
+)
+
+
+@pytest.mark.parametrize("picture", SLAB_PICTURES)
+def test_cm_b0_from_components_matches_full_scan_on_slabs(picture):
+    # where only b_0 of a link has to vanish the scan counts the link's
+    # components instead of computing its homology; the certificate is the
+    # one the homology of every link gives
+    squares = [
+        (x, y, 0)
+        for y, row in enumerate(picture.split())
+        for x, cell in enumerate(row)
+        if cell == "#"
+    ]
+    slab = cubical_complex(squares)
+    for field in (QQ, GF2):
+        assert is_cohen_macaulay(slab, field) == oracle_is_cohen_macaulay(slab, field)
+
+
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(random_complexes())
 @example(projective_plane())
