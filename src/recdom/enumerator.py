@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count, product, repeat
 from math import prod
-from operator import add, sub
+from operator import add, mul, sub
 from threading import Lock
 
 from .geometry import (
@@ -461,8 +461,12 @@ class _FaceTable:
             n = len(self.exponents)
         total = repeat(0, n)
         for c, row in rows:
-            for _ in range(abs(c)):
-                total = map(add if c > 0 else sub, total, row)
+            if c == 1:
+                total = map(add, total, row)
+            elif c == -1:
+                total = map(sub, total, row)
+            else:
+                total = map(add, total, map(mul, repeat(c), row))
         return list(total)
 
     def terms(self, row) -> dict[tuple, int]:
@@ -664,9 +668,9 @@ def reciprocity_check(selection: FacetSelection, fields=(QQ, GF2), grading=None)
     w = _grading(cone, grading)
     cm_over = {label: c.is_cm for label, c in cm_on_upper_intervals(selection, fields).items()}
     table = _face_table(cone)
-    numerator = table.signed_sum(cone, _open_face_signs(table, selection.complement))
     denom = tuple(sorted(cone.rays))
     if _lattice_verdict(selection):
+        numerator = table.signed_sum(cone, _open_face_signs(table, selection.complement))
         terms = table.terms(numerator)
         witness = {
             "kind": "identity",
@@ -675,6 +679,7 @@ def reciprocity_check(selection: FacetSelection, fields=(QQ, GF2), grading=None)
         }
         return ReciprocityReport(True, cm_over, witness)
     lhs, rhs = _lattice_sides(selection)
+    numerator = table.signed_sum(cone, lhs)
     difference = table.signed_sum(cone, [a - b for a, b in zip(lhs, rhs)])
     witness = _first_disagreement(
         table.degrees(w), numerator, difference, [dot(w, v) for v in denom]

@@ -655,31 +655,59 @@ def test_first_disagreement_when_the_lowest_difference_cancels_in_total():
     assert witness == {"kind": "disagreement", "degree": 1, "lhs": 3, "rhs": 3}
 
 
+OCTAHEDRON_RAYS = [(1, 0, 0, 1), (-1, 0, 0, 1), (0, 1, 0, 1), (0, -1, 0, 1), (0, 0, 1, 1), (0, 0, -1, 1)]
+BIPYRAMID_RAYS = [(1, 0, 0, 1), (0, 1, 0, 1), (-1, -1, 0, 1), (0, 0, 1, 1), (0, 0, -1, 1)]
+
+
+def _check_witnesses_by_expansion(cone, grading=None):
+    """Expand both sides of every failing selection of ``cone`` up to the
+    witness's degree, independently of the witness's own arithmetic, and
+    check the degree is the first where the series differ and both totals
+    are the series' counts there.  Returns the failing witnesses."""
+    w = default_grading(cone) if grading is None else grading
+    n = len(cone.facets)
+    witnesses = []
+    for size in range(1, n):
+        for subset in combinations(range(n), size):
+            sel = FacetSelection(cone, frozenset(subset))
+            report = reciprocity_check(sel, fields=(), grading=grading)
+            if report.holds:
+                continue
+            degree = report.witness["degree"]
+            lhs = invert_variables(domain_gf(DomainSpec(sel, COMPLEMENT)))
+            rhs = gf_scale(domain_gf(DomainSpec(sel, SELECTED)), (-1) ** cone.dim)
+            sa, sb = expand(lhs, w, degree), expand(rhs, w, degree)
+            differing = {
+                dot(w, e)
+                for e in set(sa.coeffs) | set(sb.coeffs)
+                if sa.coefficient(e) != sb.coefficient(e)
+            }
+            assert min(differing) == degree, subset
+            totals = (sa.degree_counts().get(degree, 0), sb.degree_counts().get(degree, 0))
+            assert totals == (report.witness["lhs"], report.witness["rhs"]), subset
+            witnesses.append(report.witness)
+    return witnesses
+
+
 def test_first_disagreement_degree_is_minimal_on_corpus():
     failing = 0
-    for name, cone in corpus_cones(0).items():
-        w = default_grading(cone)
-        n = len(cone.facets)
-        for size in range(1, n):
-            for subset in combinations(range(n), size):
-                sel = FacetSelection(cone, frozenset(subset))
-                report = reciprocity_check(sel, fields=())
-                if report.holds:
-                    continue
-                failing += 1
-                degree = report.witness["degree"]
-                lhs = invert_variables(domain_gf(DomainSpec(sel, COMPLEMENT)))
-                rhs = gf_scale(domain_gf(DomainSpec(sel, SELECTED)), (-1) ** cone.dim)
-                sa, sb = expand(lhs, w, degree), expand(rhs, w, degree)
-                differing = {
-                    dot(w, e)
-                    for e in set(sa.coeffs) | set(sb.coeffs)
-                    if sa.coefficient(e) != sb.coefficient(e)
-                }
-                assert min(differing) == degree, (name, subset)
-                totals = (sa.degree_counts().get(degree, 0), sb.degree_counts().get(degree, 0))
-                assert totals == (report.witness["lhs"], report.witness["rhs"]), (name, subset)
+    for cone in corpus_cones(0).values():
+        failing += len(_check_witnesses_by_expansion(cone))
     assert failing > 0
+
+
+@pytest.mark.parametrize("rays", [OCTAHEDRON_RAYS, BIPYRAMID_RAYS], ids=["octahedron", "bipyramid"])
+@pytest.mark.parametrize("grading", [None, (1, 2, 3, 4)], ids=["default", "skew"])
+def test_first_disagreement_degree_is_minimal_at_positive_degree(rays, grading):
+    # The corpus fails only at degree 0.  These cones fail at degrees 8 and 6
+    # under the default grading, where the totals are 0 and 1; under the skew
+    # grading they fail at degrees up to 7 with totals up to 4 and 5, so the
+    # count of ways to reach a degree from the denominator is checked too.
+    witnesses = _check_witnesses_by_expansion(Cone.from_rays(rays), grading)
+    positive = [x for x in witnesses if x["degree"] > 0]
+    assert positive
+    if grading is not None:
+        assert any(x["lhs"] > 0 for x in positive)
 
 
 def test_invariant_violation_is_not_an_input_error():
@@ -716,10 +744,6 @@ def test_reciprocity_check_matches_two_sided_path(spec):
     got, want = reciprocity_check(spec.selection), oracle_reciprocity_check(spec.selection)
     assert got.to_json() == want.to_json()
     assert got.witness == want.witness
-
-
-OCTAHEDRON_RAYS = [(1, 0, 0, 1), (-1, 0, 0, 1), (0, 1, 0, 1), (0, -1, 0, 1), (0, 0, 1, 1), (0, 0, -1, 1)]
-BIPYRAMID_RAYS = [(1, 0, 0, 1), (0, 1, 0, 1), (-1, -1, 0, 1), (0, 0, 1, 1), (0, 0, -1, 1)]
 
 
 @pytest.mark.parametrize("rays", [OCTAHEDRON_RAYS, BIPYRAMID_RAYS], ids=["octahedron", "bipyramid"])
