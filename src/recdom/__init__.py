@@ -60,6 +60,7 @@ from .lifting import (
     verify_embedding,
 )
 from .separation import (
+    ArrangementTooLarge,
     DegeneratePoint,
     SeparationResult,
     ShellingOrder,

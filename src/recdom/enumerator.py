@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count, product, repeat
 from math import prod
@@ -312,7 +311,8 @@ def _face_decomposition(cone: Cone, face: Face) -> tuple[HalfOpenCone, ...]:
 
 def _parallelepiped_points(generators):
     """Integer points of {sum l_i v_i : 0 <= l_i < 1} with their coefficients,
-    in lexicographic order of the points.
+    in lexicographic order of the points; each coefficient l_i is given as
+    its integer numerator over the last Smith diagonal entry.
 
     Let P V Q = D be the Smith normal form of the matrix V whose columns are
     the k generators.  The lattice points in the span of V are P^-1 (Z^k x 0),
@@ -336,7 +336,7 @@ def _parallelepiped_points(generators):
         scaled = [ai * step for ai, step in zip(a, steps)]
         nums = [dot(row, scaled) % denom for row in q]
         z = tuple(dot(row, nums) // denom for row in rows)
-        points.append((z, tuple(Fraction(n, denom) for n in nums)))
+        points.append((z, tuple(nums)))
     points.sort()
     return points
 
@@ -354,10 +354,10 @@ def simplicial_gf(generators, open_walls=None) -> RationalGF:
     if len(flags) != len(gens):
         raise ValueError(f"{len(flags)} wall flags for {len(gens)} generators")
     terms: dict[tuple, int] = {}
-    for z, lam in _parallelepiped_points(gens):
+    for z, nums in _parallelepiped_points(gens):
         pt = z
         for i, is_open in enumerate(flags):
-            if is_open and lam[i] == 0:
+            if is_open and not nums[i]:
                 pt = vadd(pt, gens[i])
         terms[pt] = terms.get(pt, 0) + 1
     return RationalGF(LaurentPoly(terms), gens)

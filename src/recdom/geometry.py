@@ -486,20 +486,29 @@ class Cone:
     instances with :func:`dual_description` / ``Cone.from_rays``; they are
     immutable and safe to share between threads.
 
-    ``_face_table`` is a memo, not part of the value: equality, hashing and
-    the repr read the three fields above only, and pickles and copies leave
-    it out.  ``recdom.enumerator`` sets it on first use to the cone's face
-    table, which fills its face rows lazily under its own lock.
+    ``_face_table`` and ``_arrangement`` are memos, not part of the value:
+    equality, hashing and the repr read the three fields above only, and
+    pickles and copies leave them out.  ``recdom.enumerator`` sets
+    ``_face_table`` on first use to the cone's face table, which fills its
+    face rows lazily under its own lock.  ``recdom.separation`` sets
+    ``_arrangement`` on first use to the cone's facet arrangement: the
+    default grading, the cross-section centroid with the facet values there
+    and, from the first separation on, the arrangement's 1-D flats with their
+    sign vectors, which every selection's separation reads.
     """
 
     dim: int
     rays: tuple[Vector, ...]
     facets: tuple[FacetFunctional, ...]
     _face_table: object = field(default=None, init=False, repr=False, compare=False)
+    _arrangement: object = field(default=None, init=False, repr=False, compare=False)
 
     def __getstate__(self):
-        # the table holds a lock, which does not pickle; a copy rebuilds it
-        return {k: v for k, v in self.__dict__.items() if k != "_face_table"}
+        # memos stay with their cone (the table holds a lock, which does not
+        # pickle); a copy rebuilds its own
+        return {
+            k: v for k, v in self.__dict__.items() if k not in ("_face_table", "_arrangement")
+        }
 
     @classmethod
     def from_rays(cls, rays) -> "Cone":

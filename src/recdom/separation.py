@@ -1,11 +1,16 @@
 """Strict linear separation and line shellings of cross-section polytopes.
 
-Separation is decided on the integer double-description kernel: the selected
-facet covectors, with the others negated, cut out a cone that is
+Every selection of a cone is read off one arrangement, the cone's facet
+hyperplanes, which each cone keeps as a private memo.  The selection's signed
+cone {x : f_i.x >= 0 on the selected facets, <= 0 on the others} is pointed,
+since the facet covectors span the space, so its extreme rays are exactly the
+arrangement's 1-D flats, taken with either sign, whose sign vectors are
+conformal to the selection's (Bjorner-Las Vergnas-Sturmfels-White-Ziegler,
+*Oriented Matroids*, 1999): two mask tests per flat.  The signed cone is
 full-dimensional exactly when the strict system is feasible, and the sum of
 its extreme rays is then a primitive lattice witness.  Shellings order the
 facets of the cross-section polytope by crossing times of an oriented generic
-line.
+line (Bruggesser-Mani, Math. Scand. 29, 1971), compared on integers.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import combinations
+from math import comb, lcm
 
 from .geometry import (
     Cone,
@@ -23,14 +29,22 @@ from .geometry import (
     common_denominator,
     default_grading,
     dot,
-    extreme_rays,
     primitive,
     rank_over_field,
 )
 
+# Sign tests, C(facets, d - 1) x facets, that listing one cone's flats may
+# take: about a second at roughly half a microsecond each.
+ARRANGEMENT_LIMIT = 2_000_000
+
 
 class DegeneratePoint(ValueError):
     """Steering point on a facet hyperplane, or tied / missing crossings."""
+
+
+class ArrangementTooLarge(ValueError):
+    """Listing the flats of a cone's facet arrangement would exceed
+    ``ARRANGEMENT_LIMIT`` sign tests."""
 
 
 @dataclass(frozen=True)
@@ -39,27 +53,146 @@ class SeparationResult:
     witness: Vector | None = None
 
 
+def _det(matrix) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination; each division is exact."""
+    m = [list(r) for r in matrix]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot, row_k = m[k][k], m[k]
+        for row in m[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - f * row_k[j]) // prev
+        prev = pivot
+    return sign * m[-1][-1]
+
+
+def _cofactor_line(rows) -> Vector:
+    """The cofactor vector of d - 1 integer rows of length d: entry j is
+    (-1)^j times the minor without column j.  It is orthogonal to every row,
+    and zero exactly when the rows are dependent; else it spans their
+    kernel.  In R^3 it is the cross product."""
+    if len(rows) == 2:
+        (a0, a1, a2), (b0, b1, b2) = rows
+        return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    return tuple(
+        (-1) ** j * _det([r[:j] + r[j + 1:] for r in rows]) for j in range(len(rows) + 1)
+    )
+
+
+def _flats(cone: Cone) -> tuple[tuple[Vector, int, int], ...]:
+    """The 1-D flats of the facet arrangement, each once, as (u, positive,
+    negative): a primitive direction u of the flat and the bitmasks of the
+    facets positive and negative on it.
+
+    A flat is the kernel of d - 1 independent facet covectors, so each
+    (d - 1)-subset is tried by cofactors; its zero mask, the facets through
+    the flat, tells repeats apart.  The C(n, d - 1) n sign tests are counted
+    against ``ARRANGEMENT_LIMIT`` before any is made."""
+    normals = [f.coeffs for f in cone.facets]
+    tests = comb(len(normals), cone.dim - 1) * len(normals)
+    if tests > ARRANGEMENT_LIMIT:
+        raise ArrangementTooLarge(
+            f"the facet arrangement takes {tests} sign tests, above the limit of "
+            f"{ARRANGEMENT_LIMIT} (ARRANGEMENT_LIMIT)"
+        )
+    full = (1 << len(normals)) - 1
+    flats = {}
+    for subset in combinations(normals, cone.dim - 1):
+        u = _cofactor_line(subset)
+        if not any(u):
+            continue
+        positive = negative = 0
+        for bit, normal in enumerate(normals):
+            value = dot(normal, u)
+            if value > 0:
+                positive |= 1 << bit
+            elif value < 0:
+                negative |= 1 << bit
+        flats.setdefault(full ^ (positive | negative), (primitive(u), positive, negative))
+    return tuple(flats.values())
+
+
+def _centroid(cone: Cone, w):
+    """The cross-section centroid as C / N, C an integer vector and N > 0.
+
+    With the ray heights h = w.r and L their least common multiple, the
+    cross-section vertex r / h is r.(L / h) / L, so the n vertices average to
+    C / (n.L) with C the sum of the r.(L / h)."""
+    heights = [dot(w, r) for r in cone.rays]
+    big = lcm(*heights)
+    total = tuple(
+        sum(r[i] * (big // h) for r, h in zip(cone.rays, heights)) for i in range(cone.dim)
+    )
+    return total, len(cone.rays) * big
+
+
+class _Arrangement:
+    """One cone's facet arrangement, kept on the cone as ``_arrangement``:
+    the default grading, the cross-section centroid (C, N), the facet values
+    f_i.C at it and, from the first separation on, the 1-D flats of
+    :func:`_flats`.
+
+    Nothing is changed after it is set, so threads share it without a lock;
+    two threads that fill it at once build equal values and one is kept."""
+
+    __slots__ = ("grading", "centroid", "at_centroid", "_flats")
+
+    def __init__(self, cone: Cone):
+        self.grading = default_grading(cone)
+        self.centroid = _centroid(cone, self.grading)
+        self.at_centroid = tuple(f(self.centroid[0]) for f in cone.facets)
+        self._flats = None
+
+    def flats(self, cone: Cone):
+        flats = self._flats
+        if flats is None:
+            flats = self._flats = _flats(cone)
+        return flats
+
+
+def _arrangement(cone: Cone) -> _Arrangement:
+    """The cone's arrangement memo, made on first use and kept on the cone."""
+    memo = cone._arrangement
+    if memo is None:
+        memo = _Arrangement(cone)
+        object.__setattr__(cone, "_arrangement", memo)
+    return memo
+
+
 def separation_witness(selection: FacetSelection) -> SeparationResult:
     """Strict feasibility of: positive on selected facets, negative on the rest.
 
-    The signed covectors cut out a cone C that has a strictly feasible point
-    exactly when it is full-dimensional.  Its extreme rays then span the
-    space, so every row, nonnegative on each ray and zero on not all of them,
-    is positive on their sum: that sum, made primitive, is the witness.  It is
-    re-verified against every facet covector."""
+    The signed covectors cut out a pointed cone C that has a strictly feasible
+    point exactly when it is full-dimensional.  Its extreme rays are the flats
+    u (or -u) of the arrangement positive only on selected facets and
+    negative only on the others.  When they span the space, every row,
+    nonnegative on each ray and zero on not all of them, is positive on their
+    sum: that sum, made primitive, is the witness.  It is re-verified against
+    every facet covector."""
     cone = selection.cone
-    rows = [
-        f.coeffs if i in selection.selected else tuple(-a for a in f.coeffs)
-        for i, f in enumerate(cone.facets)
-    ]
-    lineality, rays = extreme_rays([], rows, cone.dim)
+    selected = sum(1 << i for i in selection.selected)
+    others = ((1 << len(cone.facets)) - 1) ^ selected
+    rays = []
+    for u, positive, negative in _arrangement(cone).flats(cone):
+        if not (positive & others or negative & selected):
+            rays.append(u)
+        elif not (positive & selected or negative & others):
+            rays.append(tuple(-a for a in u))
     # C is never (d - 1)-dimensional.  The rows vanishing on such a C would
     # all be multiples of one covector a.  Were they all positive multiples,
     # a small step from a relative-interior point of C along some v with
     # a.v > 0 would stay in C and make them positive.  So two of them would
     # be opposite primitive rows, f_i = +-f_j, and no two facets of a
     # full-dimensional pointed cone are.  The rank is d, or at most d - 2.
-    if rank_over_field(lineality + rays) < cone.dim:
+    if len(rays) < cone.dim or rank_over_field(rays) < cone.dim:
         return SeparationResult(False)
     point = primitive(tuple(map(sum, zip(*rays))))
     for i, facet in enumerate(cone.facets):
@@ -77,20 +210,6 @@ class ShellingOrder:
     source_point: tuple[Fraction, ...]
 
 
-def _centroid(cone: Cone, w):
-    """The cross-section centroid as C / N, C an integer vector and N > 0.
-
-    With the ray heights h = w.r and L their least common multiple, the
-    cross-section vertex r / h is r.(L / h) / L, so the n vertices average to
-    C / (n.L) with C the sum of the r.(L / h)."""
-    heights = [dot(w, r) for r in cone.rays]
-    big = lcm(*heights)
-    total = tuple(
-        sum(r[i] * (big // h) for r, h in zip(cone.rays, heights)) for i in range(cone.dim)
-    )
-    return total, len(cone.rays) * big
-
-
 def line_shelling(cone: Cone, point) -> ShellingOrder:
     """Order the facets by oriented crossing times of the line from the
     cross-section centroid toward ``point``.
@@ -103,43 +222,47 @@ def line_shelling(cone: Cone, point) -> ShellingOrder:
     wrong length raises a plain ValueError.
 
     The point x = P / D and the centroid C / N are held as integer rows, so
-    every facet product is an integer; only the crossing times are
-    fractions.  For w.P = 0 the line runs from the centroid along x, and for
-    w.P != 0 from the centroid to the projected point P / (w.P), along
-    U = N.P - (w.P).C up to the factor 1 / ((w.P).N)."""
+    every facet product is an integer.  For w.P = 0 the line runs from the
+    centroid along x, and for w.P != 0 from the centroid to the projected
+    point P / (w.P), along U = N.P - (w.P).C up to the factor 1 / ((w.P).N),
+    so f_i.U = N (f_i.P) - (w.P)(f_i.C) with f_i.C kept on the cone.  Facet i
+    is crossed at time -(f_i.C) / (f_i.U) times one factor that has the sign
+    of w.P (positive for w.P = 0), and f_i.C > 0 at the interior centroid.
+    So the sign of f_i.U picks the half of the line, and within a half the
+    times are ordered, and tied, as the integers (f_i.C) L / |f_i.U|, with L
+    the lcm of the |f_i.U|.  Only the reported source point is made of
+    fractions."""
     pt = tuple(Fraction(a) for a in point)
     if len(pt) != cone.dim:
         raise ValueError(f"point has {len(pt)} coordinates, the cone has dimension {cone.dim}")
     den, (row,) = common_denominator([pt])
-    for facet in cone.facets:
-        if dot(facet.coeffs, row) == 0:
-            raise DegeneratePoint("point lies on a facet hyperplane")
-    w = default_grading(cone)
-    centroid, scale = _centroid(cone, w)
-    wp = dot(w, row)
+    values = [dot(f.coeffs, row) for f in cone.facets]
+    if not all(values):
+        raise DegeneratePoint("point lies on a facet hyperplane")
+    memo = _arrangement(cone)
+    centroid, scale = memo.centroid
+    wp = dot(memo.grading, row)
     if wp == 0:
-        direction = row
+        direction, along = row, values
         source = tuple(Fraction(c * den + a * scale, scale * den) for c, a in zip(centroid, row))
-        # time -(f.C / N) / (f.P / D)
-        factor, divisor = den, scale
     else:
         source = tuple(Fraction(a, wp) for a in row)
         direction = tuple(scale * a - wp * c for a, c in zip(row, centroid))
-        # time -(f.C / N) / (f.U / ((w.P).N))
-        factor, divisor = wp, 1
+        along = [scale * v - wp * h for v, h in zip(values, memo.at_centroid)]
     if not any(direction):
         raise DegeneratePoint("point projects onto the centroid")
-    times = []
-    for idx, facet in enumerate(cone.facets):
-        at_centroid = dot(facet.coeffs, centroid)  # interior, hence positive
-        along = dot(facet.coeffs, direction)
-        if along == 0:
-            raise DegeneratePoint(f"line is parallel to facet {idx}")
-        times.append((Fraction(-at_centroid * factor, along * divisor), idx))
-    if len({t for t, _ in times}) < len(times):
-        raise DegeneratePoint("two facet hyperplanes crossed simultaneously")
-    outgoing = sorted((t, i) for t, i in times if t > 0)
-    returning = sorted((t, i) for t, i in times if t < 0)
+    if not all(along):
+        raise DegeneratePoint(f"line is parallel to facet {along.index(0)}")
+    big = lcm(*along)
+    outgoing, returning = [], []
+    for idx, (height, value) in enumerate(zip(memo.at_centroid, along)):
+        key = height * (big // abs(value))
+        (outgoing if (value > 0) == (wp < 0) else returning).append((key, idx))
+    for half in (outgoing, returning):
+        if len({key for key, _ in half}) < len(half):
+            raise DegeneratePoint("two facet hyperplanes crossed simultaneously")
+    outgoing.sort()
+    returning.sort(reverse=True)
     order = tuple(i for _, i in outgoing) + tuple(i for _, i in returning)
     return ShellingOrder(order, source)
 
@@ -159,8 +282,9 @@ def shelling_through_witness(selection: FacetSelection, witness) -> ShellingOrde
     group.  Degenerate lines are retried with shrinking seeded offsets that
     keep the witness sign pattern."""
     cone = selection.cone
-    w = default_grading(cone)
-    centroid, scale = _centroid(cone, w)
+    memo = _arrangement(cone)
+    w = memo.grading
+    centroid, scale = memo.centroid
     base = tuple(Fraction(a) for a in witness)
     for attempt in range(32):
         if attempt == 0:

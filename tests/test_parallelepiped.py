@@ -112,7 +112,13 @@ def integer_matrices(draw):
 @example(((2, 0, 0), (0, 2, 2), (0, -2, 2)))
 def test_parallelepiped_points_match_box_scan(gens):
     assume(rank_over_field(gens) == len(gens))
-    assert _parallelepiped_points(gens) == oracle_parallelepiped_points(gens)
+    # the coefficients come as integer numerators over the last Smith
+    # diagonal entry of the generator matrix
+    denom = smith_normal_form([[v[i] for v in gens] for i in range(len(gens[0]))])[1][-1]
+    points = [
+        (z, tuple(Fraction(n, denom) for n in nums)) for z, nums in _parallelepiped_points(gens)
+    ]
+    assert points == oracle_parallelepiped_points(gens)
 
 
 @st.composite

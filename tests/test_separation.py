@@ -1,16 +1,21 @@
-"""Separation witnesses on the double-description kernel, checked against a
-Fourier-Motzkin oracle, and line shellings."""
+"""Separation witnesses read off each cone's facet arrangement, checked
+against a Fourier-Motzkin oracle and the former double-description pass, and
+line shellings."""
 
+import copy
+import pickle
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
+from threading import Thread
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from recdom import enumerator, separation
+from recdom import enumerator, geometry, separation
 from recdom.corpus import (
     corpus_cones,
     facet_pairs_sharing_a_ray,
@@ -25,21 +30,26 @@ from recdom.geometry import (
     GF2,
     QQ,
     Cone,
+    InvariantViolation,
     cross_section_vertices,
     dot,
     extreme_rays,
     faces_of,
     integer_kernel,
+    primitive,
     rank_over_field,
 )
 from recdom.separation import (
+    ArrangementTooLarge,
     DegeneratePoint,
+    SeparationResult,
     ShellingOrder,
     is_shelling_prefix,
     line_shelling,
     separation_witness,
     shelling_through_witness,
 )
+from recdom.separation import _flats as separation_flats
 from recdom.topology import (
     SimplicialComplex,
     _all_faces,
@@ -210,21 +220,171 @@ def test_verdicts_match_oracle_on_random_cones(selection):
     check_against_oracle(selection)
 
 
-def test_one_kernel_call_per_witness(monkeypatch):
-    calls = []
-    kernel = separation.extreme_rays
+def oracle_separation_witness(selection):
+    """The former separation: one double-description pass over the signed
+    facet rows per selection, then the same rank test, sum and signs."""
+    cone = selection.cone
+    lineality, rays = extreme_rays([], signed_rows(selection), cone.dim)
+    if rank_over_field(lineality + rays) < cone.dim:
+        return SeparationResult(False)
+    point = primitive(tuple(map(sum, zip(*rays))))
+    for i, facet in enumerate(cone.facets):
+        value = facet(point)
+        if not (value > 0 if i in selection.selected else value < 0):
+            raise InvariantViolation(f"the separation witness has the wrong sign on facet {i}")
+    return SeparationResult(True, point)
 
-    def counting(*args):
-        calls.append(args)
-        return kernel(*args)
 
-    monkeypatch.setattr(separation, "extreme_rays", counting)
-    selections = list(all_selections(pentagon_cone())) + [
-        FacetSelection(cyclic_cone(), frozenset({0, 3, 7}))
-    ]
+def _separation_outcome(witness_fn, selection):
+    try:
+        return witness_fn(selection)
+    except InvariantViolation as err:
+        return type(err), str(err)
+
+
+@st.composite
+def cones_with_selections(draw):
+    """A pointed full-dimensional cone in R^2..R^5 spanned by at most d + 3
+    integer rays, each with a positive last coordinate, and up to 16 of its
+    facet selections."""
+    dim = draw(st.integers(2, 5))
+    ray = st.tuples(*[st.integers(-2, 2)] * (dim - 1), st.integers(1, 2))
+    rays = draw(st.lists(ray, min_size=dim + 1, max_size=dim + 3, unique=True))
+    assume(rank_over_field(rays) == dim)
+    cone = Cone.from_rays(rays)
+    n = len(cone.facets)
+    subset = st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n - 1)
+    selected = draw(st.lists(subset, min_size=1, max_size=16, unique=True))
+    return [FacetSelection(cone, s) for s in selected]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, report_multiple_bugs=False)
+@given(cones_with_selections())
+def test_separation_matches_double_description_oracle(selections):
+    for selection in selections:
+        got = _separation_outcome(separation_witness, selection)
+        assert got == _separation_outcome(oracle_separation_witness, selection)
+
+
+def _drop_first_flat(cone):
+    return separation_flats(cone)[1:]
+
+
+def _flip_first_sign(cone):
+    # one facet's sign on the first flat flips, and with it the result of
+    # that flat's conformality test on every selection that differs from the
+    # flat's sign vector only at that facet
+    (u, positive, negative), *rest = separation_flats(cone)
+    bit = (positive or negative) & -(positive or negative)
+    return ((u, positive ^ bit, negative ^ bit), *rest)
+
+
+@pytest.mark.parametrize("mutant", [_drop_first_flat, _flip_first_sign])
+def test_oracle_property_catches_arrangement_mutants(monkeypatch, mutant):
+    # the property above on the same examples, only without shrinking the
+    # first failure it finds
+    unshrunk = settings(
+        derandomize=True, max_examples=120, deadline=None, phases=[Phase.generate]
+    )(given(cones_with_selections())(
+        test_separation_matches_double_description_oracle.hypothesis.inner_test
+    ))
+    monkeypatch.setattr(separation, "_flats", mutant)
+    with pytest.raises(AssertionError):
+        unshrunk()
+
+
+def test_separation_reads_one_arrangement_per_cone(monkeypatch):
+    # Work pin: no double-description pass per selection, one arrangement
+    # per cone, and C(n, d - 1) subsets tried to build it.
+    pentagon, cyclic = Cone.from_rays(pentagon_cone().rays), cyclic_cone()
+    selections = list(all_selections(pentagon)) + [FacetSelection(cyclic, frozenset({0, 3, 7}))]
+    kernel_calls, builds, subsets = [], [], []
+    build, cofactors = separation._flats, separation._cofactor_line
+
+    def counting_build(cone):
+        builds.append(cone)
+        return build(cone)
+
+    def counting_cofactors(rows):
+        subsets.append(rows)
+        return cofactors(rows)
+
+    assert "extreme_rays" not in vars(separation)
+    monkeypatch.setattr(geometry, "extreme_rays", lambda *args: kernel_calls.append(args))
+    monkeypatch.setattr(separation, "_flats", counting_build)
+    monkeypatch.setattr(separation, "_cofactor_line", counting_cofactors)
     for selection in selections:
         separation_witness(selection)
-    assert len(calls) == len(selections)
+    assert kernel_calls == []
+    assert builds == [pentagon, cyclic]
+    assert len(subsets) == comb(5, 2) + comb(16, 3)
+
+
+def test_arrangement_limit_is_counted_before_building(monkeypatch):
+    # C(5, 2) . 5 = 50 sign tests for the pentagon cone: at the limit it
+    # builds; one below, it is refused before a single flat is made
+    selection = FacetSelection(pentagon_cone(), frozenset({0, 1}))
+    monkeypatch.setattr(separation, "ARRANGEMENT_LIMIT", 50)
+    assert separation_witness(selection).separable
+    fresh = FacetSelection(pentagon_cone(), frozenset({0, 1}))
+    monkeypatch.setattr(separation, "ARRANGEMENT_LIMIT", 49)
+    monkeypatch.setattr(separation, "_cofactor_line", lambda rows: pytest.fail("built a flat"))
+    with pytest.raises(ArrangementTooLarge, match="50 sign tests, above the limit of 49"):
+        separation_witness(fresh)
+    assert issubclass(ArrangementTooLarge, ValueError)
+
+
+def test_arrangement_leaves_cone_equality_and_copies_alone():
+    cone, fresh = pentagon_cone(), pentagon_cone()
+    before = (hash(cone), repr(cone))
+    result = separation_witness(FacetSelection(cone, frozenset({0, 1})))
+    assert cone._arrangement is not None and fresh._arrangement is None
+    assert cone == fresh and (hash(cone), repr(cone)) == before
+    for other in (pickle.loads(pickle.dumps(cone)), copy.deepcopy(cone)):
+        assert other._arrangement is None
+        assert separation_witness(FacetSelection(other, frozenset({0, 1}))) == result
+
+
+def test_arrangement_fills_safely_from_many_threads():
+    # Eight threads, more than the cores, share one fresh hexagon cone and
+    # start at different selections under a short switch interval, so they
+    # fill its arrangement at the same time.  Every separation and shelling
+    # must equal the one computed alone.
+    rays = [(-2, 1, 1), (-2, 2, 1), (-1, -2, 1), (0, 3, 1), (1, -1, 1), (3, 2, 1)]
+
+    def chain(selection):
+        result = separation_witness(selection)
+        if not result.separable:
+            return result, None
+        return result, shelling_through_witness(selection, result.witness)
+
+    alone = Cone.from_rays(rays)
+    subsets = [s.selected for s in all_selections(alone)]
+    expected = [chain(FacetSelection(alone, s)) for s in subsets]
+    shared = Cone.from_rays(rays)
+    got, errors = {}, []
+
+    def work(offset):
+        try:
+            for i in range(offset, offset + len(subsets)):
+                k = i % len(subsets)
+                got.setdefault(k, []).append(chain(FacetSelection(shared, subsets[k])))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [Thread(target=work, args=(7 * t,)) for t in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert all(got[k] == [expected[k]] * len(threads) for k in range(len(subsets)))
 
 
 def test_separable_iff_contiguous_arc_on_polygon_cones():
