@@ -60,7 +60,6 @@ from .lifting import (
     verify_embedding,
 )
 from .separation import (
-    ArrangementTooLarge,
     DegeneratePoint,
     SeparationResult,
     ShellingOrder,

@@ -491,10 +491,11 @@ class Cone:
     pickles and copies leave them out.  ``recdom.enumerator`` sets
     ``_face_table`` on first use to the cone's face table, which fills its
     face rows lazily under its own lock.  ``recdom.separation`` sets
-    ``_arrangement`` on first use to the cone's facet arrangement: the
-    default grading, the cross-section centroid with the facet values there
-    and, from the first separation on, the arrangement's 1-D flats with their
-    sign vectors, which every selection's separation reads.
+    ``_arrangement`` on first use to the cone's facet arrangement: once the
+    cone's double-description passes have cost as much as listing them, the
+    arrangement's 1-D flats with their sign vectors, which every later
+    separation reads, and, from the first shelling on, the default grading
+    and the cross-section centroid with the facet values there.
     """
 
     dim: int

@@ -1,16 +1,21 @@
 """Strict linear separation and line shellings of cross-section polytopes.
 
-Every selection of a cone is read off one arrangement, the cone's facet
-hyperplanes, which each cone keeps as a private memo.  The selection's signed
-cone {x : f_i.x >= 0 on the selected facets, <= 0 on the others} is pointed,
-since the facet covectors span the space, so its extreme rays are exactly the
-arrangement's 1-D flats, taken with either sign, whose sign vectors are
-conformal to the selection's (Bjorner-Las Vergnas-Sturmfels-White-Ziegler,
-*Oriented Matroids*, 1999): two mask tests per flat.  The signed cone is
-full-dimensional exactly when the strict system is feasible, and the sum of
-its extreme rays is then a primitive lattice witness.  Shellings order the
-facets of the cross-section polytope by crossing times of an oriented generic
-line (Bruggesser-Mani, Math. Scand. 29, 1971), compared on integers.
+A selection's signed cone {x : f_i.x >= 0 on the selected facets, <= 0 on
+the others} is full-dimensional exactly when the strict system is feasible,
+and the sum of its extreme rays is then a primitive lattice witness.  The
+rays come from one double-description pass over the signed facet rows, or
+from the cone's facet arrangement, which each cone keeps as a private memo:
+the signed cone is pointed, since the facet covectors span the space, so its
+extreme rays are exactly the arrangement's 1-D flats, taken with either
+sign, whose sign vectors are conformal to the selection's (Bjorner-Las
+Vergnas-Sturmfels-White-Ziegler, *Oriented Matroids*, 1999): two mask tests
+per flat.  Listing the flats takes C(n, d - 1) kernels and sign vectors for
+n facets, far more than one pass once n grows, so a cone makes passes until
+they have cost about as much as the listing, and only then lists its flats.
+A cone with a few facets lists them on its first selection; one selection of
+a many-facet cone costs one pass.  Shellings order the facets of the
+cross-section polytope by crossing times of an oriented generic line
+(Bruggesser-Mani, Math. Scand. 29, 1971), compared on integers.
 """
 
 from __future__ import annotations
@@ -29,22 +34,24 @@ from .geometry import (
     common_denominator,
     default_grading,
     dot,
+    extreme_rays,
     primitive,
     rank_over_field,
 )
 
-# Sign tests, C(facets, d - 1) x facets, that listing one cone's flats may
-# take: about a second at roughly half a microsecond each.
+# Listing a cone's flats tries C(n, d - 1) subsets of its n facets, each by
+# d minors of size d - 1 and n sign tests; the minors are weighed as d^3 / 2
+# sign tests, which made the listing 0.2-0.5 microseconds a test on cones of
+# 4 to 40 facets in R^3..R^5.  One double-description pass over the signed
+# rows was worth 80-550 tests there.
+PASS_TESTS = 300
+# Sign tests above which a cone never lists its flats, however many
+# selections it serves: about a second, and up to C(n, d - 1) flats held.
 ARRANGEMENT_LIMIT = 2_000_000
 
 
 class DegeneratePoint(ValueError):
     """Steering point on a facet hyperplane, or tied / missing crossings."""
-
-
-class ArrangementTooLarge(ValueError):
-    """Listing the flats of a cone's facet arrangement would exceed
-    ``ARRANGEMENT_LIMIT`` sign tests."""
 
 
 @dataclass(frozen=True)
@@ -94,15 +101,8 @@ def _flats(cone: Cone) -> tuple[tuple[Vector, int, int], ...]:
 
     A flat is the kernel of d - 1 independent facet covectors, so each
     (d - 1)-subset is tried by cofactors; its zero mask, the facets through
-    the flat, tells repeats apart.  The C(n, d - 1) n sign tests are counted
-    against ``ARRANGEMENT_LIMIT`` before any is made."""
+    the flat, tells repeats apart."""
     normals = [f.coeffs for f in cone.facets]
-    tests = comb(len(normals), cone.dim - 1) * len(normals)
-    if tests > ARRANGEMENT_LIMIT:
-        raise ArrangementTooLarge(
-            f"the facet arrangement takes {tests} sign tests, above the limit of "
-            f"{ARRANGEMENT_LIMIT} (ARRANGEMENT_LIMIT)"
-        )
     full = (1 << len(normals)) - 1
     flats = {}
     for subset in combinations(normals, cone.dim - 1):
@@ -136,24 +136,43 @@ def _centroid(cone: Cone, w):
 
 class _Arrangement:
     """One cone's facet arrangement, kept on the cone as ``_arrangement``:
-    the default grading, the cross-section centroid (C, N), the facet values
-    f_i.C at it and, from the first separation on, the 1-D flats of
-    :func:`_flats`.
+    the cost ``tests`` of listing the 1-D flats of :func:`_flats`, in sign
+    tests, the flats once listed and, from the first shelling on, the frame
+    of its shellings: the default grading, the cross-section centroid (C, N)
+    and the facet values f_i.C there.
 
-    Nothing is changed after it is set, so threads share it without a lock;
-    two threads that fill it at once build equal values and one is kept."""
+    The flats are listed on the selection at which ``PASS_TESTS`` per
+    double-description pass made on the cone, this one included, reach
+    ``tests``, and never above ``ARRANGEMENT_LIMIT``.  Nothing else is changed
+    after it is set, so threads share it without a lock: two threads that
+    list the flats at once build equal values and one is kept, and a pass
+    count lost to a race only delays the listing."""
 
-    __slots__ = ("grading", "centroid", "at_centroid", "_flats")
+    __slots__ = ("tests", "passes", "_flats", "_frame")
 
     def __init__(self, cone: Cone):
-        self.grading = default_grading(cone)
-        self.centroid = _centroid(cone, self.grading)
-        self.at_centroid = tuple(f(self.centroid[0]) for f in cone.facets)
-        self._flats = None
+        n, d = len(cone.facets), cone.dim
+        self.tests = comb(n, d - 1) * (n + d**3 // 2)
+        self.passes = 0
+        self._flats = self._frame = None
+
+    def frame(self, cone: Cone):
+        """The shelling frame (w, (C, N), f_i.C), made on first use."""
+        frame = self._frame
+        if frame is None:
+            w = default_grading(cone)
+            centroid = _centroid(cone, w)
+            frame = self._frame = (w, centroid, tuple(f(centroid[0]) for f in cone.facets))
+        return frame
 
     def flats(self, cone: Cone):
+        """The flats, or None while a double-description pass is the cheaper
+        way to this selection's extreme rays; a None counts one pass."""
         flats = self._flats
         if flats is None:
+            if self.tests > min(ARRANGEMENT_LIMIT, PASS_TESTS * (self.passes + 1)):
+                self.passes += 1
+                return None
             flats = self._flats = _flats(cone)
         return flats
 
@@ -173,19 +192,29 @@ def separation_witness(selection: FacetSelection) -> SeparationResult:
     The signed covectors cut out a pointed cone C that has a strictly feasible
     point exactly when it is full-dimensional.  Its extreme rays are the flats
     u (or -u) of the arrangement positive only on selected facets and
-    negative only on the others.  When they span the space, every row,
-    nonnegative on each ray and zero on not all of them, is positive on their
-    sum: that sum, made primitive, is the witness.  It is re-verified against
-    every facet covector."""
+    negative only on the others, or, before the cone has listed its flats,
+    the rays of one double-description pass over the signed rows.  When they
+    span the space, every row, nonnegative on each ray and zero on not all of
+    them, is positive on their sum: that sum, made primitive, is the witness.
+    It is re-verified against every facet covector."""
     cone = selection.cone
-    selected = sum(1 << i for i in selection.selected)
-    others = ((1 << len(cone.facets)) - 1) ^ selected
-    rays = []
-    for u, positive, negative in _arrangement(cone).flats(cone):
-        if not (positive & others or negative & selected):
-            rays.append(u)
-        elif not (positive & selected or negative & others):
-            rays.append(tuple(-a for a in u))
+    flats = _arrangement(cone).flats(cone)
+    if flats is None:
+        rows = [
+            f.coeffs if i in selection.selected else tuple(-a for a in f.coeffs)
+            for i, f in enumerate(cone.facets)
+        ]
+        lineality, rays = extreme_rays([], rows, cone.dim)
+        rays = lineality + rays
+    else:
+        selected = sum(1 << i for i in selection.selected)
+        others = ((1 << len(cone.facets)) - 1) ^ selected
+        rays = []
+        for u, positive, negative in flats:
+            if not (positive & others or negative & selected):
+                rays.append(u)
+            elif not (positive & selected or negative & others):
+                rays.append(tuple(-a for a in u))
     # C is never (d - 1)-dimensional.  The rows vanishing on such a C would
     # all be multiples of one covector a.  Were they all positive multiples,
     # a small step from a relative-interior point of C along some v with
@@ -239,23 +268,22 @@ def line_shelling(cone: Cone, point) -> ShellingOrder:
     values = [dot(f.coeffs, row) for f in cone.facets]
     if not all(values):
         raise DegeneratePoint("point lies on a facet hyperplane")
-    memo = _arrangement(cone)
-    centroid, scale = memo.centroid
-    wp = dot(memo.grading, row)
+    w, (centroid, scale), at_centroid = _arrangement(cone).frame(cone)
+    wp = dot(w, row)
     if wp == 0:
         direction, along = row, values
         source = tuple(Fraction(c * den + a * scale, scale * den) for c, a in zip(centroid, row))
     else:
         source = tuple(Fraction(a, wp) for a in row)
         direction = tuple(scale * a - wp * c for a, c in zip(row, centroid))
-        along = [scale * v - wp * h for v, h in zip(values, memo.at_centroid)]
+        along = [scale * v - wp * h for v, h in zip(values, at_centroid)]
     if not any(direction):
         raise DegeneratePoint("point projects onto the centroid")
     if not all(along):
         raise DegeneratePoint(f"line is parallel to facet {along.index(0)}")
     big = lcm(*along)
     outgoing, returning = [], []
-    for idx, (height, value) in enumerate(zip(memo.at_centroid, along)):
+    for idx, (height, value) in enumerate(zip(at_centroid, along)):
         key = height * (big // abs(value))
         (outgoing if (value > 0) == (wp < 0) else returning).append((key, idx))
     for half in (outgoing, returning):
@@ -282,9 +310,7 @@ def shelling_through_witness(selection: FacetSelection, witness) -> ShellingOrde
     group.  Degenerate lines are retried with shrinking seeded offsets that
     keep the witness sign pattern."""
     cone = selection.cone
-    memo = _arrangement(cone)
-    w = memo.grading
-    centroid, scale = memo.centroid
+    w, (centroid, scale), _ = _arrangement(cone).frame(cone)
     base = tuple(Fraction(a) for a in witness)
     for attempt in range(32):
         if attempt == 0:

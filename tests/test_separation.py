@@ -1,6 +1,6 @@
-"""Separation witnesses read off each cone's facet arrangement, checked
-against a Fourier-Motzkin oracle and the former double-description pass, and
-line shellings."""
+"""Separation witnesses, from double-description passes or each cone's facet
+arrangement, checked against a Fourier-Motzkin oracle and the former
+double-description separation, and line shellings."""
 
 import copy
 import pickle
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from recdom import enumerator, geometry, separation
+from recdom import enumerator, separation
 from recdom.corpus import (
     corpus_cones,
     facet_pairs_sharing_a_ray,
@@ -40,7 +40,6 @@ from recdom.geometry import (
     rank_over_field,
 )
 from recdom.separation import (
-    ArrangementTooLarge,
     DegeneratePoint,
     SeparationResult,
     ShellingOrder,
@@ -258,9 +257,17 @@ def cones_with_selections(draw):
     return [FacetSelection(cone, s) for s in selected]
 
 
+def listed(cone):
+    """The cone, with its flats listed up front whatever its size, so that
+    every separation reads them."""
+    separation._arrangement(cone)._flats = separation._flats(cone)
+    return cone
+
+
 @settings(derandomize=True, max_examples=120, deadline=None, report_multiple_bugs=False)
 @given(cones_with_selections())
 def test_separation_matches_double_description_oracle(selections):
+    listed(selections[0].cone)
     for selection in selections:
         got = _separation_outcome(separation_witness, selection)
         assert got == _separation_outcome(oracle_separation_witness, selection)
@@ -293,45 +300,61 @@ def test_oracle_property_catches_arrangement_mutants(monkeypatch, mutant):
         unshrunk()
 
 
-def test_separation_reads_one_arrangement_per_cone(monkeypatch):
-    # Work pin: no double-description pass per selection, one arrangement
-    # per cone, and C(n, d - 1) subsets tried to build it.
+def _counting(monkeypatch, name, calls):
+    inner = getattr(separation, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(separation, name, counted)
+
+
+def test_separation_lists_flats_once_passes_have_paid(monkeypatch):
+    # Work pin on every selection of the pentagon cone and the cyclic cone's
+    # {0, 3, 7}.  Listing the pentagon's flats costs C(5, 2) (5 + 13) = 180
+    # sign tests, less than one double-description pass is worth (300), so
+    # its first selection lists them from C(5, 2) subsets and no selection
+    # makes a pass.  The cyclic cone's cost C(16, 3) (16 + 32) = 26,880: one
+    # selection is one pass, and the flats are listed on the 90th, the first
+    # at which the passes are worth as much.
     pentagon, cyclic = Cone.from_rays(pentagon_cone().rays), cyclic_cone()
-    selections = list(all_selections(pentagon)) + [FacetSelection(cyclic, frozenset({0, 3, 7}))]
     kernel_calls, builds, subsets = [], [], []
-    build, cofactors = separation._flats, separation._cofactor_line
-
-    def counting_build(cone):
-        builds.append(cone)
-        return build(cone)
-
-    def counting_cofactors(rows):
-        subsets.append(rows)
-        return cofactors(rows)
-
-    assert "extreme_rays" not in vars(separation)
-    monkeypatch.setattr(geometry, "extreme_rays", lambda *args: kernel_calls.append(args))
-    monkeypatch.setattr(separation, "_flats", counting_build)
-    monkeypatch.setattr(separation, "_cofactor_line", counting_cofactors)
-    for selection in selections:
-        separation_witness(selection)
-    assert kernel_calls == []
-    assert builds == [pentagon, cyclic]
-    assert len(subsets) == comb(5, 2) + comb(16, 3)
+    _counting(monkeypatch, "extreme_rays", kernel_calls)
+    _counting(monkeypatch, "_flats", builds)
+    _counting(monkeypatch, "_cofactor_line", subsets)
+    for selection in all_selections(pentagon):
+        assert separation_witness(selection) == oracle_separation_witness(selection)
+    assert (kernel_calls, builds, len(subsets)) == ([], [(pentagon,)], comb(5, 2))
+    del builds[:], subsets[:]
+    for k, selection in enumerate(all_selections(cyclic)):
+        if k == 0:
+            selection = FacetSelection(cyclic, frozenset({0, 3, 7}))
+        assert separation_witness(selection) == oracle_separation_witness(selection)
+        assert len(builds) == (k >= 89) and len(kernel_calls) == min(k + 1, 89)
+        if k == 100:
+            break
+    assert len(subsets) == comb(16, 3)
 
 
-def test_arrangement_limit_is_counted_before_building(monkeypatch):
-    # C(5, 2) . 5 = 50 sign tests for the pentagon cone: at the limit it
-    # builds; one below, it is refused before a single flat is made
-    selection = FacetSelection(pentagon_cone(), frozenset({0, 1}))
-    monkeypatch.setattr(separation, "ARRANGEMENT_LIMIT", 50)
-    assert separation_witness(selection).separable
-    fresh = FacetSelection(pentagon_cone(), frozenset({0, 1}))
-    monkeypatch.setattr(separation, "ARRANGEMENT_LIMIT", 49)
+def test_arrangement_limit_caps_listing(monkeypatch):
+    # With passes worth any number of sign tests, only the cap decides.  The
+    # pentagon cone's listing, at 180 tests, is made at the limit; one past
+    # it, no flat is made and every selection is one double-description pass.
+    monkeypatch.setattr(separation, "PASS_TESTS", 10**9)
+    monkeypatch.setattr(separation, "ARRANGEMENT_LIMIT", 180)
+    listing = []
+    _counting(monkeypatch, "_flats", listing)
+    separation_witness(FacetSelection(pentagon_cone(), frozenset({0, 1})))
+    assert len(listing) == 1
+    monkeypatch.setattr(separation, "ARRANGEMENT_LIMIT", 179)
     monkeypatch.setattr(separation, "_cofactor_line", lambda rows: pytest.fail("built a flat"))
-    with pytest.raises(ArrangementTooLarge, match="50 sign tests, above the limit of 49"):
-        separation_witness(fresh)
-    assert issubclass(ArrangementTooLarge, ValueError)
+    kernel_calls = []
+    _counting(monkeypatch, "extreme_rays", kernel_calls)
+    selections = list(all_selections(pentagon_cone()))
+    for selection in selections:
+        assert separation_witness(selection) == oracle_separation_witness(selection)
+    assert len(kernel_calls) == len(selections)
 
 
 def test_arrangement_leaves_cone_equality_and_copies_alone():
@@ -345,11 +368,13 @@ def test_arrangement_leaves_cone_equality_and_copies_alone():
         assert separation_witness(FacetSelection(other, frozenset({0, 1}))) == result
 
 
-def test_arrangement_fills_safely_from_many_threads():
+def test_arrangement_fills_safely_from_many_threads(monkeypatch):
     # Eight threads, more than the cores, share one fresh hexagon cone and
     # start at different selections under a short switch interval, so they
-    # fill its arrangement at the same time.  Every separation and shelling
-    # must equal the one computed alone.
+    # count double-description passes and list its flats at the same time:
+    # at 10 tests a pass, its listing's 285 are paid on the 29th.  Every
+    # separation and shelling must equal the one computed alone.
+    monkeypatch.setattr(separation, "PASS_TESTS", 10)
     rays = [(-2, 1, 1), (-2, 2, 1), (-1, -2, 1), (0, 3, 1), (1, -1, 1), (3, 2, 1)]
 
     def chain(selection):
