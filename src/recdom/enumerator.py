@@ -353,14 +353,17 @@ def simplicial_gf(generators, open_walls=None) -> RationalGF:
     flags = tuple(open_walls) if open_walls is not None else (False,) * len(gens)
     if len(flags) != len(gens):
         raise ValueError(f"{len(flags)} wall flags for {len(gens)} generators")
-    terms: dict[tuple, int] = {}
-    for z, nums in _parallelepiped_points(gens):
-        pt = z
-        for i, is_open in enumerate(flags):
-            if is_open and not nums[i]:
-                pt = vadd(pt, gens[i])
-        terms[pt] = terms.get(pt, 0) + 1
-    return RationalGF(LaurentPoly(terms), gens)
+    return RationalGF(LaurentPoly(Counter(_half_open_points(gens, flags))), gens)
+
+
+def _half_open_points(generators, open_walls):
+    """The integer points of the fundamental parallelepiped, each shifted off
+    the open walls it sits on by the generators those walls omit."""
+    for z, nums in _parallelepiped_points(generators):
+        for v, is_open, num in zip(generators, open_walls, nums):
+            if is_open and not num:
+                z = vadd(z, v)
+        yield z
 
 
 def _numerator_over(gf: RationalGF, rays) -> LaurentPoly:
@@ -392,12 +395,41 @@ def _face_gf(cone: Cone, face: Face) -> RationalGF:
     return RationalGF(total, denom)
 
 
+def _graded_face_row(cone: Cone, face: Face, w) -> dict[int, int]:
+    """``_face_gf``'s numerator under x -> t^w, as a sparse {degree:
+    coefficient}, built without it: each half-open piece's points counted
+    by degree, times (1 - t^(w.v)) for each cone ray v missing from the
+    piece (the monomial substitution of a short rational generating
+    function; Barvinok-Woods, JAMS 16, 2003).  The origin's row is the
+    product of (1 - t^(w.v)) over all rays."""
+    if face.dim:
+        pieces = [
+            (Counter(dot(w, z) for z in _half_open_points(p.generators, p.open_walls)), p.generators)
+            for p in _face_decomposition(cone, face)
+        ]
+    else:
+        pieces = [({0: 1}, ())]
+    row: dict[int, int] = {}
+    for counts, generators in pieces:
+        for v in cone.rays:
+            if v not in generators:
+                a = dot(w, v)
+                shifted = dict(counts)
+                for d, c in counts.items():
+                    shifted[d + a] = shifted.get(d + a, 0) - c
+                counts = shifted
+        for d, c in counts.items():
+            row[d] = row.get(d, 0) + c
+    return {d: c for d, c in row.items() if c}
+
+
 class _FaceTable:
     """What the face-by-face sums read, for one cone: ``faces_of(cone)``,
     each face's tight facets as a bitmask and sign (-1)^dim, the faces
     containing it (itself included) as a bitmask over the face list, the
     faces of even dimension as one such bitmask, one dense integer row per
-    face, and the degree of each exponent under each grading asked for.
+    face, and, per grading asked for, each face's sparse graded row
+    (``_graded_face_row``) and the least degree of its relative interior.
 
     A face's row holds the numerator of its closed generating function over
     the canonical denominator (all cone rays): ``_face_gf`` for a face of
@@ -407,12 +439,13 @@ class _FaceTable:
     row adds exponents, every row is replaced by one padded with zeros to the
     new length.  Rows are tuples, which the garbage collector stops tracking
     once it sees they hold only integers, so the rows of live cones add no
-    work to its full collections.  The cone is passed in rather than kept,
-    since the cone keeps the table."""
+    work to its full collections.  Graded rows are built, and interior
+    degrees stored, under the same lock, keyed by (grading, face).  The cone
+    is passed in rather than kept, since the cone keeps the table."""
 
     __slots__ = (
         "faces", "masks", "signs", "uppers", "even",
-        "exponents", "_index", "_rows", "_degrees", "_lock",
+        "exponents", "_index", "_rows", "_graded", "_interior", "_lock",
     )
 
     def __init__(self, cone: Cone):
@@ -426,7 +459,8 @@ class _FaceTable:
         self.exponents: list[tuple] = []
         self._index: dict[tuple, int] = {}
         self._rows: dict[int, tuple[int, ...]] = {}
-        self._degrees: dict[tuple, list[int]] = {}
+        self._graded: dict[tuple, dict[int, int]] = {}
+        self._interior: dict[tuple, int] = {}
         self._lock = Lock()
 
     def _build_row(self, cone: Cone, k: int) -> None:
@@ -473,12 +507,39 @@ class _FaceTable:
         """A row's nonzero terms {exponent: coefficient}."""
         return dict(zip(compress(self.exponents, row), filter(None, row)))
 
-    def degrees(self, w) -> list[int]:
-        """The w-degree of each indexed exponent, in index order."""
+    def graded_sum(self, cone: Cone, w, coefficients) -> dict[int, int]:
+        """The sum of c_K times the graded row of K under w, with c_K =
+        coefficients[K] over the faces in order, as {degree: coefficient}."""
         with self._lock:
-            known = self._degrees.setdefault(w, [])
-            known.extend(dot(w, e) for e in self.exponents[len(known):])
-        return known
+            rows = []
+            for k, c in enumerate(coefficients):
+                if c:
+                    row = self._graded.get((w, k))
+                    if row is None:
+                        row = self._graded[w, k] = _graded_face_row(cone, self.faces[k], w)
+                    rows.append((c, row))
+        total: dict[int, int] = {}
+        for c, row in rows:
+            for d, a in row.items():
+                total[d] = total.get(d, 0) + c * a
+        return total
+
+    def interior_degree(self, cone: Cone, w, k: int) -> int:
+        """The least w-degree of a lattice point in the relative interior of
+        face k, F: the lowest degree of the numerator of sigma_relint(F), the
+        sum of (-1)^(dim F - dim K) times the graded row of K over the faces K
+        of F (the face lattice is Eulerian).  The series counts points, so
+        its lowest term cannot cancel, and each factor 1/(1 - t^a), a > 0, is
+        1 plus terms of higher degree, so the numerator's lowest degree is
+        the series'."""
+        low = self._interior.get((w, k))
+        if low is None:
+            bit, sign = 1 << k, self.signs[k]
+            below = [sign * s if up & bit else 0 for s, up in zip(self.signs, self.uppers)]
+            low = min(d for d, c in self.graded_sum(cone, w, below).items() if c)
+            with self._lock:
+                low = self._interior.setdefault((w, k), low)
+        return low
 
 
 def _bitmask(indices) -> int:
@@ -600,11 +661,32 @@ def specialize(gf: RationalGF, weights) -> RationalGF:
 
 @dataclass
 class ReciprocityReport:
-    """Outcome of the two-sided enumerator comparison."""
+    """Outcome of the two-sided enumerator comparison.
+
+    A holding report from ``reciprocity_check`` builds its witness, the
+    shared numerator, when ``witness`` is first read; equality and ``repr``
+    read it, and pickles and copies carry it built.  ``to_json()`` reads it
+    only when the identity fails."""
 
     holds: bool
     cm_over: dict[str, bool]
     witness: dict
+
+    @classmethod
+    def _built_on_read(cls, holds, cm_over, build) -> "ReciprocityReport":
+        report = cls.__new__(cls)
+        report.holds, report.cm_over, report._build = holds, cm_over, build
+        return report
+
+    def __getattr__(self, name):
+        # reached only while the instance has no ``witness`` of its own
+        build = self.__dict__.get("_build")
+        if name != "witness" or build is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return self.__dict__.setdefault("witness", build())
+
+    def __getstate__(self):
+        return {"holds": self.holds, "cm_over": self.cm_over, "witness": self.witness}
 
     def to_json(self) -> dict:
         first = None
@@ -655,64 +737,72 @@ def reciprocity_check(selection: FacetSelection, fields=(QQ, GF2), grading=None)
     reciprocity theorems", Adv. Math. 14, 1974), and the per-field
     Cohen-Macaulay verdicts for the removed boundary part's cross-section
     from its upper intervals (see ``topology.cm_on_upper_intervals``).
-    The witness is a signed sum of the cone's face rows, over the canonical
-    denominator (all cone rays), with no inversion and no series in several
-    variables.  When the identity holds both sides share one numerator, and
-    the witness is the complement's: the sum of its open faces' rows.
-    Otherwise the sum of the rows weighted by the two sides' coefficient
-    differences is the difference of the numerators, and the witness is the
+    When the identity holds both sides share one numerator over the
+    canonical denominator (all cone rays), and the witness is the
+    complement's: the signed sum of its open faces' rows, built when the
+    report's ``witness`` is first read.  Otherwise the witness is the
     smallest grading degree where the series disagree, with both per-degree
-    totals (see ``_first_disagreement``), read off the two rows and the
-    degrees of the exponents they are indexed by."""
+    totals, read off the faces' graded rows under the grading (see
+    ``_graded_disagreement``); no multivariate row is built."""
     cone = selection.cone
     w = _grading(cone, grading)
     cm_over = {label: c.is_cm for label, c in cm_on_upper_intervals(selection, fields).items()}
     table = _face_table(cone)
-    denom = tuple(sorted(cone.rays))
     if _lattice_verdict(selection):
-        numerator = table.signed_sum(cone, _open_face_signs(table, selection.complement))
-        terms = table.terms(numerator)
-        witness = {
-            "kind": "identity",
-            "denominator_rays": [list(v) for v in denom],
-            "numerator": [(list(e), terms[e]) for e in sorted(terms)],
-        }
-        return ReciprocityReport(True, cm_over, witness)
+        signs = _open_face_signs(table, selection.complement)
+
+        def identity():
+            terms = table.terms(table.signed_sum(cone, signs))
+            return {
+                "kind": "identity",
+                "denominator_rays": [list(v) for v in sorted(cone.rays)],
+                "numerator": [(list(e), terms[e]) for e in sorted(terms)],
+            }
+
+        return ReciprocityReport._built_on_read(True, cm_over, identity)
     lhs, rhs = _lattice_sides(selection)
-    numerator = table.signed_sum(cone, lhs)
-    difference = table.signed_sum(cone, [a - b for a, b in zip(lhs, rhs)])
-    witness = _first_disagreement(
-        table.degrees(w), numerator, difference, [dot(w, v) for v in denom]
-    )
-    return ReciprocityReport(False, cm_over, witness)
+    return ReciprocityReport(False, cm_over, _graded_disagreement(table, cone, w, lhs, rhs))
 
 
-def _first_disagreement(degrees, lhs, difference, ray_degrees) -> dict:
-    """The smallest grading degree where the series of two functions over
-    one denominator differ, with both per-degree totals.
+def _graded_disagreement(table: _FaceTable, cone: Cone, w, lhs, rhs) -> dict:
+    """The smallest w-degree where the series of the two sides differ, with
+    both sides' totals there, from the faces' graded rows.
 
-    ``lhs`` and ``difference`` are coefficient sequences over one list of
-    exponents, whose grading degrees are ``degrees``: the left numerator and
-    D = left numerator - right numerator.  ``ray_degrees`` are the degrees of
-    the denominator rays.  The series difference is D * prod 1/(1 - x^v), and
-    every geometric factor is 1 plus terms of positive degree, so the
-    lowest-degree part of D survives unchanged: the series first differ at
-    the minimum degree of D's support, where the right side's total is the
-    left side's minus D's total of that degree.  The left side's total is a
-    coefficient of its specialisation x_i -> t^(w_i): its numerator summed
-    by degree, times one geometric series in t per denominator ray."""
-    support = list(compress(degrees, difference))
-    if not support:
+    ``lhs`` and ``rhs`` are the coefficients L(K) and R(K) of each closed
+    face's sigma_K (see ``_lattice_sides``).  A closed face is the disjoint
+    union of the relative interiors of its faces, so the series difference
+    is the sum over the faces F of mu(F) sigma_relint(F), with mu(F) the sum
+    of (L - R)(K) over the faces K containing F.  Relative interiors are
+    disjoint, so the series differ at a lattice point exactly when mu is
+    nonzero on the face whose relative interior holds it: the first degree
+    where they differ is the least, over the faces F with mu(F) != 0, of the
+    lowest degree of sigma_relint(F)(t^w).  That series counts points, so
+    its lowest term cannot cancel (see ``_FaceTable.interior_degree``); the
+    lowest degree of the graded difference could.  Below that degree the
+    graded series difference vanishes, and its numerator is the series
+    times prod (1 - t^(w.v)), so at that degree the two agree: the right
+    side's total is the left side's minus the numerator difference there.
+    The left side's total is the t^degree coefficient of its graded
+    numerator times one geometric series per ray, counted from the lowest
+    term at most that degree, so a ray of huge degree builds no long list."""
+    difference = [a - b for a, b in zip(lhs, rhs)]
+    changed = [(j, c) for j, c in enumerate(difference) if c]
+    lows = [
+        table.interior_degree(cone, w, k)
+        for k, up in enumerate(table.uppers)
+        if sum(c for j, c in changed if up >> j & 1)
+    ]
+    if not lows:
         raise InvariantViolation("the two sides were judged to differ, but their numerators agree")
-    degree = min(support)
-    part = sum(c for d, c in zip(degrees, difference) if d == degree)
-    low = min(compress(degrees, lhs), default=degree)
-    # ways[n]: the ways to write n as a sum of denominator degrees
-    ways = [1] + [0] * (degree - low)
-    for a in ray_degrees:
+    degree = min(lows)
+    part = table.graded_sum(cone, w, difference).get(degree, 0)
+    left = [(d, c) for d, c in table.graded_sum(cone, w, lhs).items() if c and d <= degree]
+    # ways[n]: the ways to write n as a sum of ray degrees
+    ways = [1] + [0] * (degree - min((d for d, _ in left), default=degree))
+    for a in (dot(w, v) for v in cone.rays):
         for n in range(a, len(ways)):
             ways[n] += ways[n - a]
-    total = sum(c * ways[degree - d] for d, c in zip(degrees, lhs) if c and d <= degree)
+    total = sum(c * ways[degree - d] for d, c in left)
     return {"kind": "disagreement", "degree": degree, "lhs": total, "rhs": total - part}
 
 

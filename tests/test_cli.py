@@ -13,10 +13,13 @@ import pytest
 from recdom import cli, enumerator, jsonio
 from recdom.cli import main
 from recdom.corpus import facet_pairs_sharing_a_ray, facet_pairs_sharing_no_ray, square_cone
-from recdom.enumerator import BOX_LIMIT
-from recdom.geometry import FacetSelection, InvariantViolation
+from recdom.enumerator import BOX_LIMIT, BoxTooLarge
+from recdom.geometry import Cone, FacetSelection, InvariantViolation
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
+
+
+OCTAHEDRON_RAYS = [[1, 0, 0, 1], [-1, 0, 0, 1], [0, 1, 0, 1], [0, -1, 0, 1], [0, 0, 1, 1], [0, 0, -1, 1]]
 
 
 def data_path(name):
@@ -98,12 +101,49 @@ def test_enumerate_box_above_the_limit_exit_code(capsys):
 def test_reciprocity_parallelepiped_above_the_limit_exit_code(capsys, tmp_path, n):
     # the ray (n, 1, 1) gives a simplicial piece with about 2n parallelepiped
     # points; they are counted from the Smith diagonal and refused before any
-    # is made, not an OverflowError (10^30) or a MemoryError (10^12)
+    # is made, not an OverflowError (10^30) or a MemoryError (10^12).  The
+    # failing selection {0, 2} counts that piece's points by degree for its
+    # witness, and so does the enumerator on either selection.
     path = tmp_path / "cone.json"
     path.write_text(json.dumps({"dim": 3, "rays": [[0, 0, 1], [n, 1, 1], [1, 0, 1], [1, 2, 1], [2, 1, 1]]}))
-    assert main(["reciprocity", str(path), "--select", "0"]) == 2
-    err = capsys.readouterr().err
-    assert f"exceeds the limit of {BOX_LIMIT}" in err and "Traceback" not in err
+    for args in (["reciprocity", "--select", "0,2"], ["enumerate", "--select", "0"]):
+        assert main([args[0], str(path)] + args[1:]) == 2
+        err = capsys.readouterr().err
+        assert f"exceeds the limit of {BOX_LIMIT}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", [10**30, 10**12])
+def test_holding_verdict_walks_no_parallelepiped(capsys, tmp_path, n):
+    # on the same cone the selection {0} holds; the verdict is read off the
+    # face lattice, and only reading the witness walks the parallelepiped
+    rays = [(0, 0, 1), (n, 1, 1), (1, 0, 1), (1, 2, 1), (2, 1, 1)]
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({"dim": 3, "rays": rays}))
+    assert main(["reciprocity", str(path), "--select", "0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["holds"] is True
+    report = enumerator.reciprocity_check(FacetSelection(Cone.from_rays(rays), frozenset({0})))
+    assert report.holds
+    with pytest.raises(BoxTooLarge, match=f"exceeds the limit of {BOX_LIMIT}"):
+        report.witness
+
+
+@pytest.mark.parametrize(
+    "grading, first",
+    [
+        ("0,0,0,1000000000000000000000", {"degree": 10**21, "lhs": 0, "rhs": 1}),
+        ("1,0,0,100000000000", {"degree": 99999999999, "lhs": -1, "rhs": 0}),
+    ],
+    ids=["ray-degrees-1e21", "ray-degrees-near-1e11"],
+)
+def test_reciprocity_witness_under_huge_gradings(capsys, tmp_path, grading, first):
+    # the rays' degrees are far above the number of points counted, so the
+    # graded rows must be sparse and the count of ways to reach the witness's
+    # degree must start at the lowest term below it, not at degree 0
+    path = tmp_path / "octahedron_cone.json"
+    path.write_text(json.dumps({"dim": 4, "rays": OCTAHEDRON_RAYS}))
+    args = ["reciprocity", str(path), "--select", "0,1,2,5,6", "--grading", grading, "--json"]
+    assert main(args) == 1
+    assert json.loads(capsys.readouterr().out)["first_disagreement"] == first
 
 
 def test_separate_exit_codes(capsys, adjacent, opposite):

@@ -5,7 +5,7 @@ import pickle
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from math import ceil, floor
 from threading import Thread
 
@@ -35,7 +35,6 @@ from recdom.enumerator import (
     ReciprocityReport,
     WitnessSearchExhausted,
     _box_points,
-    _first_disagreement,
     _numerator_over,
     default_grading,
     domain_gf,
@@ -622,13 +621,43 @@ def test_reciprocity_soundness_on_corpus():
                 assert report.holds, (name, i)
 
 
+def oracle_first_disagreement(degrees, lhs, difference, ray_degrees) -> dict:
+    """The smallest grading degree where the series of two functions over
+    one denominator differ, with both per-degree totals, read off their
+    multivariate numerators.
+
+    ``lhs`` and ``difference`` are coefficient sequences over one list of
+    exponents, whose grading degrees are ``degrees``: the left numerator and
+    D = left numerator - right numerator.  ``ray_degrees`` are the degrees of
+    the denominator rays.  The series difference is D * prod 1/(1 - x^v), and
+    every geometric factor is 1 plus terms of positive degree, so the
+    lowest-degree part of D survives unchanged: the series first differ at
+    the minimum degree of D's support, where the right side's total is the
+    left side's minus D's total of that degree.  The left side's total is a
+    coefficient of its specialisation x_i -> t^(w_i): its numerator summed
+    by degree, times one geometric series in t per denominator ray."""
+    support = list(compress(degrees, difference))
+    if not support:
+        raise InvariantViolation("the two sides were judged to differ, but their numerators agree")
+    degree = min(support)
+    part = sum(c for d, c in zip(degrees, difference) if d == degree)
+    low = min(compress(degrees, lhs), default=degree)
+    # ways[n]: the ways to write n as a sum of denominator degrees
+    ways = [1] + [0] * (degree - low)
+    for a in ray_degrees:
+        for n in range(a, len(ways)):
+            ways[n] += ways[n - a]
+    total = sum(c * ways[degree - d] for d, c in zip(degrees, lhs) if c and d <= degree)
+    return {"kind": "disagreement", "degree": degree, "lhs": total, "rhs": total - part}
+
+
 def first_disagreement(lhs, rhs, w):
-    """``_first_disagreement`` of two functions over one denominator, given
-    the union of their numerators' exponents and those exponents' degrees."""
+    """``oracle_first_disagreement`` of two functions over one denominator,
+    given the union of their numerators' exponents and their degrees."""
     exponents = sorted(set(lhs.numerator.terms) | set(rhs.numerator.terms))
     left = [lhs.numerator.terms.get(e, 0) for e in exponents]
     right = [rhs.numerator.terms.get(e, 0) for e in exponents]
-    return _first_disagreement(
+    return oracle_first_disagreement(
         [dot(w, e) for e in exponents],
         left,
         [a - b for a, b in zip(left, right)],
@@ -764,6 +793,127 @@ def test_reciprocity_check_matches_two_sided_path_on_every_selection(rays):
     assert any(d for d in degrees if d), degrees
 
 
+def oracle_face_row_witness(selection, w):
+    """The multivariate failing path: the signed sums of the face table's
+    multivariate rows, read through ``oracle_first_disagreement`` with the
+    degree of every exponent indexed so far."""
+    cone = selection.cone
+    table = enumerator._face_table(cone)
+    lhs, rhs = enumerator._lattice_sides(selection)
+    numerator = table.signed_sum(cone, lhs)
+    difference = table.signed_sum(cone, [a - b for a, b in zip(lhs, rhs)])
+    return oracle_first_disagreement(
+        [dot(w, e) for e in table.exponents], numerator, difference, [dot(w, v) for v in cone.rays]
+    )
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(domain_specs(), st.data())
+def test_graded_witness_matches_the_multivariate_oracle(spec, data):
+    # the selection, its complement and up to 30 pairs of facets, under the
+    # default grading and under a random grading at least 1 on every ray
+    cone = spec.cone
+    head = data.draw(st.lists(st.integers(-3, 3), min_size=cone.dim - 1, max_size=cone.dim - 1))
+    least = max(-((dot(head, r[:-1]) - 1) // r[-1]) for r in cone.rays)
+    skew = tuple(head) + (max(least, 1) + data.draw(st.integers(0, 3)),)
+    chosen = [spec.selection.selected, spec.selection.complement]
+    chosen += [frozenset(pair) for pair in combinations(range(len(cone.facets)), 2)][:30]
+    for w in (default_grading(cone), skew):
+        for selected in chosen:
+            if len(selected) == len(cone.facets):
+                continue
+            selection = FacetSelection(cone, selected)
+            report = reciprocity_check(selection, fields=(), grading=w)
+            if not report.holds:
+                assert report.witness == oracle_face_row_witness(selection, w), w
+
+
+@pytest.mark.parametrize("grading", [None, (1, 2, 3, 4)], ids=["default", "skew"])
+def test_graded_rows_on_the_octahedron_cone(monkeypatch, grading):
+    # Work pin: every selection of the octahedron cone under one grading
+    # builds each face's graded row once, and no multivariate row; each
+    # graded row is the face's multivariate numerator summed by degree.
+    cone = Cone.from_rays(OCTAHEDRON_RAYS)
+    w = default_grading(cone) if grading is None else grading
+    built = Counter()
+    graded_face_row = enumerator._graded_face_row
+
+    def counted(cone, face, w):
+        built[face] += 1
+        return graded_face_row(cone, face, w)
+
+    monkeypatch.setattr(enumerator, "_graded_face_row", counted)
+    n = len(cone.facets)
+    failing = 0
+    for size in range(1, n):
+        for subset in combinations(range(n), size):
+            selection = FacetSelection(cone, frozenset(subset))
+            failing += not reciprocity_check(selection, fields=(), grading=grading).holds
+    table = cone._face_table
+    assert (failing, len(table.faces)) == (128, 28)
+    assert set(built.values()) == {1} and len(built) == 28
+    assert not table._rows and not table.exponents
+    origin = RationalGF(LaurentPoly.monomial((0,) * cone.dim), ())
+    for (key, k), row in table._graded.items():
+        face = table.faces[k]
+        gf = enumerator._face_gf(cone, face) if face.dim else origin
+        by_degree = Counter()
+        for e, c in _numerator_over(gf, sorted(cone.rays)).terms.items():
+            by_degree[dot(w, e)] += c
+        assert key == w and row == {d: c for d, c in by_degree.items() if c}, face
+
+
+def test_holding_selections_of_the_4_cube_cone_build_no_multivariate_row(monkeypatch):
+    # The cone over the 4-cube with vertices (+-1, ..., +-1) has 16 rays, 8
+    # facets and 82 faces (the origin included), and each holding witness
+    # has tens of thousands of terms.  Its first 4 two-facet and 36
+    # three-facet selections hold; their verdicts ask for no face's
+    # generating function and walk no parallelepiped.
+    cone = Cone.from_rays([c + (1,) for c in product((-1, 1), repeat=4)])
+    calls = Counter()
+    for name in ("_face_gf", "simplicial_gf", "_parallelepiped_points"):
+        original = getattr(enumerator, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(enumerator, name, counted)
+    subsets = list(combinations(range(8), 2))[:4] + list(combinations(range(8), 3))[:36]
+    reports = [reciprocity_check(FacetSelection(cone, frozenset(s))) for s in subsets]
+    assert len(cone._face_table.faces) == 82
+    assert all(r.holds for r in reports)
+    assert not calls and not cone._face_table._rows
+
+
+def test_holding_witness_is_built_on_read():
+    def unread():
+        report = reciprocity_check(FacetSelection(pentagon_cone(), frozenset({0, 1})))
+        assert report.holds and "witness" not in vars(report)
+        return report
+
+    first = unread()
+    witness = first.witness
+    assert witness["kind"] == "identity" and witness["numerator"]
+    assert vars(first)["witness"] is witness is first.witness
+    built = ReciprocityReport(True, dict(first.cm_over), witness)
+    # equality and repr read the witness first
+    report = unread()
+    assert repr(report) == repr(built) and "witness" in vars(report)
+    report = unread()
+    assert report == built and "witness" in vars(report)
+    assert unread() == unread()
+    # pickles and copies carry it built
+    for copied in (pickle.loads(pickle.dumps(unread())), copy.deepcopy(unread()), copy.copy(unread())):
+        assert set(vars(copied)) == {"holds", "cm_over", "witness"}
+        assert copied == built and copied.witness == witness
+    # the report's JSON does not read it
+    report = unread()
+    assert report.to_json() == built.to_json() and "witness" not in vars(report)
+    with pytest.raises(AttributeError, match="no attribute 'numerator'"):
+        report.numerator
+
+
 def test_face_table_leaves_cone_equality_hash_and_repr_alone():
     cone, fresh = pentagon_cone(), pentagon_cone()
     before = (hash(cone), repr(cone))
@@ -786,14 +936,20 @@ TWELVE_GON = [(-4, -4), (-3, -4), (0, -3), (2, -2), (3, -1), (4, 1),
 def test_face_table_fills_safely_from_many_threads():
     # Eight threads, more than the cores, share one fresh cone over a 12-gon
     # (rows of about 2,500 exponents) and start at different selections, so
-    # they build face rows and grow the exponent index at the same time,
-    # under a short switch interval.  Every witness must equal the one
-    # computed alone, and each exponent be indexed once.
+    # they build face rows and graded rows and grow the exponent index at
+    # the same time, under a short switch interval; they also read the
+    # witnesses of shared holding reports made on another cone and not yet
+    # read, so those are built at the same time too.  Every witness must
+    # equal the one computed alone, and each exponent be indexed once.
     rays = [(x, y, 1) for x, y in TWELVE_GON]
     selections = [frozenset({i, j}) for i in range(12) for j in (i, (i + 5) % 12)]
+    selections += [frozenset({i, (i + 2) % 12, (i + 7) % 12}) for i in range(12)]
     alone = Cone.from_rays(rays)
     expected = [reciprocity_check(FacetSelection(alone, s), fields=()).witness for s in selections]
+    assert sum(x["kind"] == "disagreement" for x in expected) > len(selections) // 3
     shared = Cone.from_rays(rays)
+    lazy = Cone.from_rays(rays)
+    unread = [reciprocity_check(FacetSelection(lazy, s), fields=()) for s in selections]
     got, errors = {}, []
 
     def work(offset):
@@ -802,6 +958,7 @@ def test_face_table_fills_safely_from_many_threads():
                 k = i % len(selections)
                 witness = reciprocity_check(FacetSelection(shared, selections[k]), fields=()).witness
                 got.setdefault(k, []).append(witness)
+                got.setdefault(k, []).append(unread[k].witness)
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -817,9 +974,10 @@ def test_face_table_fills_safely_from_many_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not errors
-    assert all(got[k] == [expected[k]] * len(threads) for k in range(len(selections)))
-    table = shared._face_table
-    assert len(set(table.exponents)) == len(table.exponents)
+    assert all(got[k] == [expected[k]] * 2 * len(threads) for k in range(len(selections)))
+    for cone in (shared, lazy):
+        table = cone._face_table
+        assert len(set(table.exponents)) == len(table.exponents)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -832,11 +990,12 @@ def test_lattice_verdict_matches_the_numerators(spec):
 
 
 def test_reciprocity_check_reads_the_complement_without_inverting(monkeypatch):
-    # Work pin, per selection, holding or failing: the witness is a signed sum
-    # of the cone's face rows, with no domain_gf, inversion, rescaling, series
-    # expansion or cross-section.  Each face's generating function is asked
-    # for once per cone, when a sum first needs its row, and never for the
-    # origin.
+    # Work pin, per selection, holding or failing: no domain_gf, inversion,
+    # rescaling, series expansion or cross-section, and no face's generating
+    # function: a failing witness is read off graded rows, and a holding one
+    # is built when first read, as a signed sum of the cone's face rows.
+    # Once the holding witnesses are read, each face's generating function
+    # has been asked for once per cone, and never for the origin.
     cone = pentagon_cone()
     counts = Counter()
 
@@ -857,19 +1016,23 @@ def test_reciprocity_check_reads_the_complement_without_inverting(monkeypatch):
         return face_gf(cone, face)
 
     monkeypatch.setattr(enumerator, "_face_gf", counted_face_gf)
-    for name in ("domain_gf", "invert_variables", "gf_scale", "expand"):
+    for name in ("domain_gf", "invert_variables", "gf_scale", "expand", "simplicial_gf"):
         count(enumerator, name)
     count(topology, "boundary_subcomplex")
     count(topology, "barycentric")
     n = len(cone.facets)
     outcomes = Counter()
+    reports = []
     for size in range(1, n):
         for subset in combinations(range(n), size):
             counts.clear()
             report = reciprocity_check(FacetSelection(cone, frozenset(subset)))
             outcomes[report.holds] += 1
-            assert not counts, subset
+            assert not counts and not asked, subset
+            reports.append(report)
     assert outcomes[True] and outcomes[False]
+    for report in reports:
+        report.witness
     assert set(asked.values()) == {1}
     assert all(face.dim for face in asked)
 
