@@ -27,9 +27,11 @@ from .geometry import (
     FacetSelection,
     InvariantViolation,
     Vector,
+    bitmask,
     default_grading,
     dot,
     dual_rows,
+    face_lattice,
     faces_of,
     pulling_simplices,
     smith_normal_form,
@@ -424,11 +426,10 @@ def _graded_face_row(cone: Cone, face: Face, w) -> dict[int, int]:
 
 
 class _FaceTable:
-    """What the face-by-face sums read, for one cone: ``faces_of(cone)``,
-    each face's tight facets as a bitmask and sign (-1)^dim, the faces
-    containing it (itself included) as a bitmask over the face list, the
-    faces of even dimension as one such bitmask, one dense integer row per
-    face, and, per grading asked for, each face's sparse graded row
+    """What the face-by-face sums read beyond the cone's face lattice
+    (``geometry.face_lattice``, which it keeps as ``lattice`` and whose face
+    order it follows), for one cone: one dense integer row per face, and,
+    per grading asked for, each face's sparse graded row
     (``_graded_face_row``) and the least degree of its relative interior.
 
     A face's row holds the numerator of its closed generating function over
@@ -443,19 +444,10 @@ class _FaceTable:
     degrees stored, under the same lock, keyed by (grading, face).  The cone
     is passed in rather than kept, since the cone keeps the table."""
 
-    __slots__ = (
-        "faces", "masks", "signs", "uppers", "even",
-        "exponents", "_index", "_rows", "_graded", "_interior", "_lock",
-    )
+    __slots__ = ("lattice", "exponents", "_index", "_rows", "_graded", "_interior", "_lock")
 
     def __init__(self, cone: Cone):
-        self.faces = faces_of(cone)
-        self.masks = [_bitmask(f.tight_facets) for f in self.faces]
-        self.signs = [(-1) ** f.dim for f in self.faces]
-        self.uppers = [
-            _bitmask(j for j, g in enumerate(self.faces) if k.rays <= g.rays) for k in self.faces
-        ]
-        self.even = _bitmask(k for k, s in enumerate(self.signs) if s > 0)
+        self.lattice = face_lattice(cone)
         self.exponents: list[tuple] = []
         self._index: dict[tuple, int] = {}
         self._rows: dict[int, tuple[int, ...]] = {}
@@ -464,7 +456,7 @@ class _FaceTable:
         self._lock = Lock()
 
     def _build_row(self, cone: Cone, k: int) -> None:
-        face = self.faces[k]
+        face = self.lattice.faces[k]
         if face.dim:
             terms = _face_gf(cone, face).numerator.terms
         else:
@@ -516,7 +508,7 @@ class _FaceTable:
                 if c:
                     row = self._graded.get((w, k))
                     if row is None:
-                        row = self._graded[w, k] = _graded_face_row(cone, self.faces[k], w)
+                        row = self._graded[w, k] = _graded_face_row(cone, self.lattice.faces[k], w)
                     rows.append((c, row))
         total: dict[int, int] = {}
         for c, row in rows:
@@ -534,16 +526,13 @@ class _FaceTable:
         the series'."""
         low = self._interior.get((w, k))
         if low is None:
-            bit, sign = 1 << k, self.signs[k]
-            below = [sign * s if up & bit else 0 for s, up in zip(self.signs, self.uppers)]
+            lattice = self.lattice
+            bit, sign = 1 << k, lattice.signs[k]
+            below = [sign * s if up & bit else 0 for s, up in zip(lattice.signs, lattice.uppers)]
             low = min(d for d, c in self.graded_sum(cone, w, below).items() if c)
             with self._lock:
                 low = self._interior.setdefault((w, k), low)
         return low
-
-
-def _bitmask(indices) -> int:
-    return sum(1 << i for i in indices)
 
 
 def _face_table(cone: Cone) -> _FaceTable:
@@ -555,11 +544,11 @@ def _face_table(cone: Cone) -> _FaceTable:
     return table
 
 
-def _open_face_signs(table: _FaceTable, strict_facets) -> list[int]:
+def _open_face_signs(lattice, strict_facets) -> list[int]:
     """(-1)^dim G for the faces G on no strict facet (the open faces), 0 for
     the others: the coefficients of sigma_G in a domain's function at 1/x."""
-    strict = _bitmask(strict_facets)
-    return [0 if m & strict else s for m, s in zip(table.masks, table.signs)]
+    strict = bitmask(strict_facets)
+    return [0 if m & strict else s for m, s in zip(lattice.masks, lattice.signs)]
 
 
 def _reciprocal_gf(spec: DomainSpec) -> RationalGF:
@@ -568,7 +557,7 @@ def _reciprocal_gf(spec: DomainSpec) -> RationalGF:
     ``domain_gf``).  The origin lies on every facet and is never open."""
     cone = spec.cone
     table = _face_table(cone)
-    row = table.signed_sum(cone, _open_face_signs(table, spec.strict_facets))
+    row = table.signed_sum(cone, _open_face_signs(table.lattice, spec.strict_facets))
     return RationalGF(LaurentPoly(table.terms(row)), tuple(sorted(cone.rays)))
 
 
@@ -707,16 +696,16 @@ def _lattice_sides(selection: FacetSelection) -> tuple[list[int], list[int]]:
     G: K gets (-1)^d times that sign summed over the open faces G containing
     it."""
     cone = selection.cone
-    table = _face_table(cone)
-    selected = _bitmask(selection.selected)
-    open_selected = _bitmask(k for k, m in enumerate(table.masks) if not m & selected)
+    lattice = face_lattice(cone)
+    selected = bitmask(selection.selected)
+    open_selected = bitmask(k for k, m in enumerate(lattice.masks) if not m & selected)
     sign = (-1) ** cone.dim
     rhs = []
-    for s, above in zip(table.signs, table.uppers):
+    for s, above in zip(lattice.signs, lattice.uppers):
         # the open faces G above K, each with sign (-1)^(dim G - dim K)
         up = above & open_selected
-        rhs.append(sign * s * (2 * (up & table.even).bit_count() - up.bit_count()))
-    return _open_face_signs(table, selection.complement), rhs
+        rhs.append(sign * s * (2 * (up & lattice.even).bit_count() - up.bit_count()))
+    return _open_face_signs(lattice, selection.complement), rhs
 
 
 def _lattice_verdict(selection: FacetSelection) -> bool:
@@ -749,7 +738,7 @@ def reciprocity_check(selection: FacetSelection, fields=(QQ, GF2), grading=None)
     cm_over = {label: c.is_cm for label, c in cm_on_upper_intervals(selection, fields).items()}
     table = _face_table(cone)
     if _lattice_verdict(selection):
-        signs = _open_face_signs(table, selection.complement)
+        signs = _open_face_signs(table.lattice, selection.complement)
 
         def identity():
             terms = table.terms(table.signed_sum(cone, signs))
@@ -789,7 +778,7 @@ def _graded_disagreement(table: _FaceTable, cone: Cone, w, lhs, rhs) -> dict:
     changed = [(j, c) for j, c in enumerate(difference) if c]
     lows = [
         table.interior_degree(cone, w, k)
-        for k, up in enumerate(table.uppers)
+        for k, up in enumerate(table.lattice.uppers)
         if sum(c for j, c in changed if up >> j & 1)
     ]
     if not lows:

@@ -477,6 +477,9 @@ class Face:
     dim: int
 
 
+_MEMOS = ("_face_lattice", "_face_table", "_arrangement")
+
+
 @dataclass(frozen=True)
 class Cone:
     """Pointed full-dimensional rational cone carried in both descriptions.
@@ -486,30 +489,33 @@ class Cone:
     instances with :func:`dual_description` / ``Cone.from_rays``; they are
     immutable and safe to share between threads.
 
-    ``_face_table`` and ``_arrangement`` are memos, not part of the value:
-    equality, hashing and the repr read the three fields above only, and
-    pickles and copies leave them out.  ``recdom.enumerator`` sets
-    ``_face_table`` on first use to the cone's face table, which fills its
-    face rows lazily under its own lock.  ``recdom.separation`` sets
-    ``_arrangement`` on first use to the cone's facet arrangement: once the
-    cone's double-description passes have cost as much as listing them, the
-    arrangement's 1-D flats with their sign vectors, which every later
-    separation reads, and, from the first shelling on, the default grading
-    and the cross-section centroid with the facet values there.
+    ``_face_lattice``, ``_face_table`` and ``_arrangement`` are memos, not
+    part of the value: equality, hashing and the repr read the three fields
+    above only, and pickles and copies leave them out.  :func:`face_lattice`
+    sets ``_face_lattice`` on first use to the cone's face lattice: its
+    faces with their tight facets, upper sets and covers with incidence
+    numbers, which the Cohen-Macaulay verdicts and the face-by-face sums
+    read.  ``recdom.enumerator`` sets ``_face_table`` on first use to the
+    cone's face table, which fills its face rows lazily under its own lock.
+    ``recdom.separation`` sets ``_arrangement`` on first use to the cone's
+    facet arrangement: once the cone's double-description passes have cost
+    as much as listing them, the arrangement's 1-D flats with their sign
+    vectors, which every later separation reads, and, from the first
+    shelling on, the default grading and the cross-section centroid with the
+    facet values there.
     """
 
     dim: int
     rays: tuple[Vector, ...]
     facets: tuple[FacetFunctional, ...]
+    _face_lattice: object = field(default=None, init=False, repr=False, compare=False)
     _face_table: object = field(default=None, init=False, repr=False, compare=False)
     _arrangement: object = field(default=None, init=False, repr=False, compare=False)
 
     def __getstate__(self):
         # memos stay with their cone (the table holds a lock, which does not
         # pickle); a copy rebuilds its own
-        return {
-            k: v for k, v in self.__dict__.items() if k not in ("_face_table", "_arrangement")
-        }
+        return {k: v for k, v in self.__dict__.items() if k not in _MEMOS}
 
     @classmethod
     def from_rays(cls, rays) -> "Cone":
@@ -662,3 +668,106 @@ def faces_of(cone: Cone) -> tuple[Face, ...]:
         for ray_set, dim in ranks.items()
     ]
     return tuple(sorted(faces, key=lambda f: (f.dim, sorted(f.rays))))
+
+
+def bitmask(indices) -> int:
+    """The integer with bit i set for each i in ``indices``."""
+    return sum(1 << i for i in indices)
+
+
+class _FaceLattice:
+    """One cone's face lattice, kept on the cone as ``_face_lattice``:
+    ``faces_of(cone)``, each face's tight facets as a bitmask and its sign
+    (-1)^dim, the faces containing it (itself included) as a bitmask over
+    the face list, the faces of even dimension as one such bitmask, per
+    facet the faces of dimension at least 1 on it as one such bitmask, and
+    each face's covers, the faces one dimension down inside it, as (index,
+    incidence) pairs with incidence +-1.
+
+    A face of dimension k is a (k - 1)-cell of the cross-section, the origin
+    its empty (-1)-cell, and the incidences make the augmented cellular
+    chain complex of the whole lattice exact where it must be: ∂∂ = 0.  A
+    ray's one cover is the origin, with +1.  A face y of dimension at least
+    2 gets +1 on its first cover, and the sign is carried along the covers
+    z, z' that share a face w one dimension further down, so that
+    [y : z][z : w] + [y : z'][z' : w] = 0.  The lattice is a polytope's, so
+    each such w lies in exactly two covers (the diamond property) and the
+    covers are connected through them (the facets of a polytope of
+    dimension at least 2 are connected through its ridges); a w in another
+    number of covers, a cover left unsigned or a pair that breaks the rule
+    raises InvariantViolation.  Every sum (∂∂y)_w is one such pair, so ∂∂ =
+    0.  It also holds on every upper interval [x, cone], with x as the
+    (-1)-cell, since every face between two faces of the interval lies in
+    it.  Built once per cone, without a lock: two threads that build it at
+    once make equal values and one is kept."""
+
+    __slots__ = ("faces", "masks", "signs", "uppers", "even", "on_facet", "covers")
+
+    def __init__(self, cone: Cone):
+        self.faces = faces = faces_of(cone)
+        self.masks = [bitmask(f.tight_facets) for f in faces]
+        self.signs = [(-1) ** f.dim for f in faces]
+        self.even = bitmask(k for k, s in enumerate(self.signs) if s > 0)
+        ray_masks = [bitmask(f.rays) for f in faces]
+        by_dim: dict[int, list[int]] = {}
+        covers: list[tuple[tuple[int, int], ...]] = []
+        for k, face in enumerate(faces):
+            inside = ray_masks[k]
+            below = [j for j in by_dim.get(face.dim - 1, ()) if ray_masks[j] | inside == inside]
+            if face.dim == 1:
+                covers.append(((below[0], 1),))
+            elif face.dim > 1:
+                covers.append(_oriented(face, below, covers))
+            else:
+                covers.append(())
+            by_dim.setdefault(face.dim, []).append(k)
+        self.covers = covers
+        # a face's upper set is itself and the upper sets of the faces that
+        # cover it, which come later in the list
+        uppers = [1 << k for k in range(len(faces))]
+        for k in reversed(range(len(faces))):
+            for j, _ in covers[k]:
+                uppers[j] |= uppers[k]
+        self.uppers = uppers
+        self.on_facet = on_facet = [0] * len(cone.facets)
+        for k, face in enumerate(faces):
+            if face.dim:
+                for i in face.tight_facets:
+                    on_facet[i] |= 1 << k
+
+
+def _oriented(face: Face, below, covers) -> tuple[tuple[int, int], ...]:
+    """The covers ``below`` of a face of dimension at least 2 with their
+    incidence numbers (see ``_FaceLattice``), from the covers' own."""
+    meets: dict[int, list[tuple[int, int]]] = {}
+    for z in below:
+        for w, s in covers[z]:
+            meets.setdefault(w, []).append((z, s))
+    if any(len(pair) != 2 for pair in meets.values()):
+        raise InvariantViolation(f"face {sorted(face.rays)} breaks the diamond property")
+    links: dict[int, list[tuple[int, int]]] = {z: [] for z in below}
+    for (z, a), (z2, b) in meets.values():
+        links[z].append((z2, a * b))
+        links[z2].append((z, a * b))
+    sign = {below[0]: 1}
+    stack = [below[0]]
+    while stack:
+        z = stack.pop()
+        for z2, ab in links[z]:
+            if z2 not in sign:
+                sign[z2] = -sign[z] * ab
+                stack.append(z2)
+    if len(sign) != len(below) or any(
+        sign[z] * a + sign[z2] * b for (z, a), (z2, b) in meets.values()
+    ):
+        raise InvariantViolation(f"no incidence numbers with ∂∂ = 0 on face {sorted(face.rays)}")
+    return tuple((z, sign[z]) for z in below)
+
+
+def face_lattice(cone: Cone) -> _FaceLattice:
+    """The cone's face lattice, made on first use and kept on the cone."""
+    lattice = cone._face_lattice
+    if lattice is None:
+        lattice = _FaceLattice(cone)
+        object.__setattr__(cone, "_face_lattice", lattice)
+    return lattice

@@ -9,9 +9,11 @@ the signed cone is pointed, since the facet covectors span the space, so its
 extreme rays are exactly the arrangement's 1-D flats, taken with either
 sign, whose sign vectors are conformal to the selection's (Bjorner-Las
 Vergnas-Sturmfels-White-Ziegler, *Oriented Matroids*, 1999): two mask tests
-per flat.  Listing the flats takes C(n, d - 1) kernels and sign vectors for
-n facets, far more than one pass once n grows, so a cone makes passes until
-they have cost about as much as the listing, and only then lists its flats.
+per flat, and the signed cone is full-dimensional exactly when their
+supports cover every facet.  Listing the flats takes C(n, d - 1) kernels
+and sign vectors for n facets, far more than one pass once n grows, so a
+cone makes passes until they have cost about as much as the listing, and
+only then lists its flats.
 A cone with a few facets lists them on its first selection; one selection of
 a many-facet cone costs one pass.  Shellings order the facets of the
 cross-section polytope by crossing times of an oriented generic line
@@ -24,13 +26,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .geometry import (
     Cone,
     FacetSelection,
     InvariantViolation,
     Vector,
+    bitmask,
     common_denominator,
     default_grading,
     dot,
@@ -190,13 +193,17 @@ def separation_witness(selection: FacetSelection) -> SeparationResult:
     """Strict feasibility of: positive on selected facets, negative on the rest.
 
     The signed covectors cut out a pointed cone C that has a strictly feasible
-    point exactly when it is full-dimensional.  Its extreme rays are the flats
-    u (or -u) of the arrangement positive only on selected facets and
-    negative only on the others, or, before the cone has listed its flats,
-    the rays of one double-description pass over the signed rows.  When they
-    span the space, every row, nonnegative on each ray and zero on not all of
-    them, is positive on their sum: that sum, made primitive, is the witness.
-    It is re-verified against every facet covector."""
+    point exactly when every row is positive on one of its extreme rays: a
+    row nonnegative on each ray and zero on not all of them is positive on
+    their sum, and a row zero on every ray is zero on C.  That sum, made
+    primitive, is then the witness, and it is re-verified against every
+    facet covector.  The extreme rays are the flats u (or -u) of the
+    arrangement positive only on selected facets and negative only on the
+    others, and a row is positive on such a flat exactly when its facet is
+    in the flat's support (positive | negative mask), so on listed flats the
+    test is that their supports cover every facet.  Before the cone has
+    listed its flats, the rays come from one double-description pass over
+    the signed rows, and the test is that they span the space."""
     cone = selection.cone
     flats = _arrangement(cone).flats(cone)
     if flats is None:
@@ -206,23 +213,30 @@ def separation_witness(selection: FacetSelection) -> SeparationResult:
         ]
         lineality, rays = extreme_rays([], rows, cone.dim)
         rays = lineality + rays
+        # C is never (d - 1)-dimensional.  The rows vanishing on such a C
+        # would all be multiples of one covector a.  Were they all positive
+        # multiples, a small step from a relative-interior point of C along
+        # some v with a.v > 0 would stay in C and make them positive.  So two
+        # of them would be opposite primitive rows, f_i = +-f_j, and no two
+        # facets of a full-dimensional pointed cone are.  The rank is d, or
+        # at most d - 2.
+        if len(rays) < cone.dim or rank_over_field(rays) < cone.dim:
+            return SeparationResult(False)
     else:
-        selected = sum(1 << i for i in selection.selected)
-        others = ((1 << len(cone.facets)) - 1) ^ selected
-        rays = []
+        full = (1 << len(cone.facets)) - 1
+        selected = bitmask(selection.selected)
+        others = full ^ selected
+        rays, support = [], 0
         for u, positive, negative in flats:
             if not (positive & others or negative & selected):
                 rays.append(u)
             elif not (positive & selected or negative & others):
                 rays.append(tuple(-a for a in u))
-    # C is never (d - 1)-dimensional.  The rows vanishing on such a C would
-    # all be multiples of one covector a.  Were they all positive multiples,
-    # a small step from a relative-interior point of C along some v with
-    # a.v > 0 would stay in C and make them positive.  So two of them would
-    # be opposite primitive rows, f_i = +-f_j, and no two facets of a
-    # full-dimensional pointed cone are.  The rank is d, or at most d - 2.
-    if len(rays) < cone.dim or rank_over_field(rays) < cone.dim:
-        return SeparationResult(False)
+            else:
+                continue
+            support |= positive | negative
+        if support != full:
+            return SeparationResult(False)
     point = primitive(tuple(map(sum, zip(*rays))))
     for i, facet in enumerate(cone.facets):
         value = facet(point)
@@ -265,6 +279,12 @@ def line_shelling(cone: Cone, point) -> ShellingOrder:
     if len(pt) != cone.dim:
         raise ValueError(f"point has {len(pt)} coordinates, the cone has dimension {cone.dim}")
     den, (row,) = common_denominator([pt])
+    return _line_shelling(cone, den, row)
+
+
+def _line_shelling(cone: Cone, den: int, row) -> ShellingOrder:
+    """``line_shelling`` at the point x = row / den, given as an integer row
+    over the least denominator den > 0."""
     values = [dot(f.coeffs, row) for f in cone.facets]
     if not all(values):
         raise DegeneratePoint("point lies on a facet hyperplane")
@@ -308,36 +328,44 @@ def shelling_through_witness(selection: FacetSelection, witness) -> ShellingOrde
     meets the selected facets' hyperplanes on one side and the others on the
     opposite side, so one of the two orientations starts with the selected
     group.  Degenerate lines are retried with shrinking seeded offsets that
-    keep the witness sign pattern."""
+    keep the witness sign pattern.  Candidates and steering points are
+    integer rows over a positive denominator, and each steering point is
+    reduced to its least denominator, the one ``line_shelling`` finds."""
     cone = selection.cone
     w, (centroid, scale), _ = _arrangement(cone).frame(cone)
-    base = tuple(Fraction(a) for a in witness)
+    base_den, (base,) = common_denominator([tuple(Fraction(a) for a in witness)])
     for attempt in range(32):
         if attempt == 0:
-            candidate = base
+            den, row = base_den, base
         else:
+            # the witness plus (k_i / 97) / 2^(attempt + 4), k_i seeded in 1..97
             rng = random.Random(attempt)
-            eps = Fraction(1, 2 ** (attempt + 4))
-            candidate = tuple(b + eps * Fraction(rng.randint(1, 97), 97) for b in base)
-        den, (row,) = common_denominator([candidate])
-        if attempt:
+            step = 97 << (attempt + 4)
+            den = base_den * step
+            row = tuple(b * step + base_den * rng.randint(1, 97) for b in base)
             values = [dot(f.coeffs, row) for f in cone.facets]
             if not all(v and (v > 0) == (i in selection.selected) for i, v in enumerate(values)):
                 continue
         # the steering point, with the candidate x = P / D and the centroid C / N
         wp = dot(w, row)
         if wp < 0:
-            steer = tuple(Fraction(a, wp) for a in row)
+            steer = _reduced(-wp, [-a for a in row])
         elif wp > 0:
             # twice the centroid minus the projected point P / (w.P)
-            steer = tuple(Fraction(2 * c * wp - a * scale, scale * wp) for c, a in zip(centroid, row))
+            steer = _reduced(scale * wp, [2 * c * wp - a * scale for c, a in zip(centroid, row)])
         else:
-            steer = tuple(Fraction(c * den - a * scale, scale * den) for c, a in zip(centroid, row))
+            steer = _reduced(scale * den, [c * den - a * scale for c, a in zip(centroid, row)])
         try:
-            shelling = line_shelling(cone, steer)
+            shelling = _line_shelling(cone, *steer)
         except DegeneratePoint:
             continue
         if not is_shelling_prefix(selection, shelling):
             raise InvariantViolation("the witness shelling does not start with the selection")
         return shelling
     raise DegeneratePoint("no generic steering point found for the witness")
+
+
+def _reduced(den: int, row) -> tuple[int, tuple[int, ...]]:
+    """The point row / den, den > 0, over its least denominator."""
+    g = gcd(den, *row)
+    return den // g, tuple(a // g for a in row)

@@ -21,6 +21,7 @@ from .geometry import (
     FieldSpec,
     InvariantViolation,
     cross_section_vertices,
+    face_lattice,
     faces_of,
     sparse_rank,
 )
@@ -444,7 +445,7 @@ def boundary_subcomplex(selection: FacetSelection) -> PolyhedralComplex:
 def cm_on_upper_intervals(selection: FacetSelection, fields) -> dict[str, CMCertificate]:
     """Per-field Cohen-Macaulay verdicts for the subdivided cross-section
     ``barycentric(boundary_subcomplex(selection))``, read off the cone's
-    face lattice.
+    face lattice (``geometry.face_lattice``).
 
     That subdivision is the order complex of the poset P of cone faces of
     dimension at least 1 on a selected facet.  P is pure, since its maximal
@@ -453,49 +454,69 @@ def cm_on_upper_intervals(selection: FacetSelection, fields) -> dict[str, CMCert
     complex is Cohen-Macaulay exactly when, for the origin and for each x in
     P, the order complex of P_{>x} has vanishing reduced homology below its
     dimension t = d - 2 - dim x (Björner, Garsia and Stanley, "An
-    introduction to Cohen-Macaulay posets", 1982).  Nothing is checked where
-    t <= 0, and where t = 1 the check is connectivity, the same over every
-    field.  The scan runs from the highest-dimensional faces down and takes
-    the origin last, so the small intervals come first.  A failure names the
-    cone face x by its rays (the origin by ()), the homology index and the
-    Betti number."""
+    introduction to Cohen-Macaulay posets", 1982).
+
+    P_{>x} is the face poset of a regular CW complex: the faces above x are
+    the faces of x's face figure, a polytope, and those on a selected facet
+    are closed under going down, so they form a subcomplex of its boundary,
+    a face y being a (dim y - dim x - 1)-cell.  The order complex is that
+    complex's barycentric subdivision, so its homology is the complex's
+    cellular homology (Björner, "Posets, regular CW complexes and Bruhat
+    order", Europ. J. Combin. 5, 1984), and any incidence function of ±1 on
+    the covers with ∂∂ = 0 computes it over every field (Massey, *A Basic
+    Course in Algebraic Topology*, 1991, ch. IX; Cooke and Finney,
+    *Homology of Cell Complexes*, 1967).  The lattice's incidences are one
+    (see ``geometry._FaceLattice``), with x as the empty (-1)-cell.  So the
+    cells are the faces of P above x, each boundary column is a cell's
+    covers with their incidences, kept where they are cells (or x), and
+    b_k = n_k - r_k - r_{k+1}, from the number n_k of k-cells and the ranks
+    r_k of the augmented boundary maps.
+
+    Nothing is checked where t <= 0, and where t = 1 the check is
+    connectivity of the 0- and 1-cells, the same over every field.  The
+    scan runs from the highest-dimensional faces down and takes the origin
+    last, so the small intervals come first.  A failure names the cone face
+    x by its rays (the origin by ()), the homology index and the Betti
+    number."""
     cone = selection.cone
-    faces = faces_of(cone)
-    nodes = [faces[0], *(f for f in faces if f.dim >= 1 and f.tight_facets & selection.selected)]
-    # the maximal chains of {y} + P_{>y} for the origin and each y of P; the
-    # nodes are sorted by dimension, so the chains above y are known before
-    # its own, and the scan below takes the origin, node 0, last
-    chains_up: list[tuple] = [()] * len(nodes)
-    for i in reversed(range(len(nodes))):
-        y = nodes[i]
-        if y.dim == cone.dim - 1:
-            chains_up[i] = ((i,),)
-        else:
-            chains_up[i] = tuple(
-                (i,) + ch
-                for j in range(i + 1, len(nodes))
-                if nodes[j].dim == y.dim + 1 and y.rays < nodes[j].rays
-                for ch in chains_up[j]
-            )
+    lattice = face_lattice(cone)
+    faces, covers = lattice.faces, lattice.covers
+    nodes = 1  # the origin, then the faces of P
+    for i in selection.selected:
+        nodes |= lattice.on_facet[i]
     certificates: dict[str, CMCertificate] = {}
     pending = list(fields)
-    for i in reversed(range(len(nodes))):
+    for x in reversed(range(len(faces))):
         if not pending:
             break
-        t = cone.dim - 2 - nodes[i].dim
-        if t <= 0:
+        t = cone.dim - 2 - faces[x].dim
+        if t <= 0 or not nodes >> x & 1:
             continue
-        chains = [ch[1:] for ch in chains_up[i]]
-        face = tuple(sorted(nodes[i].rays))
+        cells = lattice.uppers[x] & nodes
+        # levels[k + 1]: the k-cells, with x the one (-1)-cell
+        levels: list[list[int]] = [[] for _ in range(t + 2)]
+        for y in range(x, len(faces)):
+            if cells >> y & 1:
+                levels[faces[y].dim - faces[x].dim].append(y)
+        face = tuple(sorted(faces[x].rays))
         if t == 1:
-            b0 = _components({v for ch in chains for v in ch}, chains) - 1
+            edges = ((y, z) for y in levels[2] for z, _ in covers[y] if cells >> z & 1)
+            b0 = _components(levels[1] + levels[2], edges) - 1
             if b0:
                 certificates.update((f.label, CMCertificate(False, face, 0, b0)) for f in pending)
                 pending = []
             continue
-        interval = SimplicialComplex(len(nodes), tuple(chains))
+        position = {y: i for level in levels for i, y in enumerate(level)}
+        boundaries = [
+            ([{position[z]: s for z, s in covers[y] if z in position} for y in level], len(lower))
+            for lower, level in zip(levels, levels[1:])
+        ]
         for f in list(pending):
-            betti = reduced_homology(interval, f).betti
+            # ranks[k]: the rank of the boundary map from the k-cells
+            ranks = [sparse_rank(columns, width, f) for columns, width in boundaries]
+            betti = [len(levels[k + 1]) - ranks[k] - ranks[k + 1] for k in range(t)]
+            if min(betti) < 0:
+                raise InvariantViolation(f"negative Betti numbers {betti}: a boundary rank is wrong")
             failing = next((k for k in range(t) if betti[k]), None)
             if failing is not None:
                 certificates[f.label] = CMCertificate(False, face, failing, betti[failing])

@@ -7,13 +7,14 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, compress, product
 from math import ceil, floor
+from pathlib import Path
 from threading import Thread
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from recdom import enumerator, topology
+from recdom import enumerator, geometry, jsonio, topology
 from recdom.corpus import (
     corpus_cones,
     facet_pairs_sharing_a_ray,
@@ -53,13 +54,16 @@ from recdom.geometry import (
     GF2,
     QQ,
     Cone,
+    FieldSpec,
     InvariantViolation,
     NotFullDimensional,
     dot,
     faces_of,
     vadd,
 )
-from recdom.topology import barycentric, boundary_subcomplex, is_cohen_macaulay
+from recdom.topology import barycentric, boundary_subcomplex, cm_on_upper_intervals, is_cohen_macaulay
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 def quadrant_selection():
@@ -849,13 +853,13 @@ def test_graded_rows_on_the_octahedron_cone(monkeypatch, grading):
         for subset in combinations(range(n), size):
             selection = FacetSelection(cone, frozenset(subset))
             failing += not reciprocity_check(selection, fields=(), grading=grading).holds
-    table = cone._face_table
-    assert (failing, len(table.faces)) == (128, 28)
+    table, faces = cone._face_table, cone._face_lattice.faces
+    assert (failing, len(faces)) == (128, 28)
     assert set(built.values()) == {1} and len(built) == 28
     assert not table._rows and not table.exponents
     origin = RationalGF(LaurentPoly.monomial((0,) * cone.dim), ())
     for (key, k), row in table._graded.items():
-        face = table.faces[k]
+        face = faces[k]
         gf = enumerator._face_gf(cone, face) if face.dim else origin
         by_degree = Counter()
         for e, c in _numerator_over(gf, sorted(cone.rays)).terms.items():
@@ -881,7 +885,7 @@ def test_holding_selections_of_the_4_cube_cone_build_no_multivariate_row(monkeyp
         monkeypatch.setattr(enumerator, name, counted)
     subsets = list(combinations(range(8), 2))[:4] + list(combinations(range(8), 3))[:36]
     reports = [reciprocity_check(FacetSelection(cone, frozenset(s))) for s in subsets]
-    assert len(cone._face_table.faces) == 82
+    assert len(cone._face_lattice.faces) == 82
     assert all(r.holds for r in reports)
     assert not calls and not cone._face_table._rows
 
@@ -917,16 +921,17 @@ def test_holding_witness_is_built_on_read():
 def test_face_table_leaves_cone_equality_hash_and_repr_alone():
     cone, fresh = pentagon_cone(), pentagon_cone()
     before = (hash(cone), repr(cone))
-    assert cone._face_table is None
-    report = reciprocity_check(FacetSelection(cone, frozenset({0, 2})), fields=())
+    assert cone._face_table is None and cone._face_lattice is None
+    report = reciprocity_check(FacetSelection(cone, frozenset({0, 2})))
     assert cone._face_table is not None and fresh._face_table is None
+    assert cone._face_lattice is cone._face_table.lattice and fresh._face_lattice is None
     assert (hash(cone), repr(cone)) == before == (hash(fresh), repr(fresh))
-    assert cone == fresh and "_face_table" not in repr(cone)
-    # copies leave the memo, and its lock, behind and build their own
-    for other in (pickle.loads(pickle.dumps(cone)), copy.deepcopy(cone)):
-        assert other == cone and other._face_table is None
-        again = reciprocity_check(FacetSelection(other, frozenset({0, 2})), fields=())
-        assert again.witness == report.witness
+    assert cone == fresh and "_face_table" not in repr(cone) and "_face_lattice" not in repr(cone)
+    # copies leave the memos, and the table's lock, behind and build their own
+    for other in (pickle.loads(pickle.dumps(cone)), copy.deepcopy(cone), copy.copy(cone)):
+        assert other == cone and other._face_table is None and other._face_lattice is None
+        again = reciprocity_check(FacetSelection(other, frozenset({0, 2})))
+        assert again == report and other._face_lattice is not cone._face_lattice
 
 
 TWELVE_GON = [(-4, -4), (-3, -4), (0, -3), (2, -2), (3, -1), (4, 1),
@@ -936,29 +941,42 @@ TWELVE_GON = [(-4, -4), (-3, -4), (0, -3), (2, -2), (3, -1), (4, 1),
 def test_face_table_fills_safely_from_many_threads():
     # Eight threads, more than the cores, share one fresh cone over a 12-gon
     # (rows of about 2,500 exponents) and start at different selections, so
-    # they build face rows and graded rows and grow the exponent index at
-    # the same time, under a short switch interval; they also read the
-    # witnesses of shared holding reports made on another cone and not yet
-    # read, so those are built at the same time too.  Every witness must
-    # equal the one computed alone, and each exponent be indexed once.
+    # they build its face lattice, face rows and graded rows and grow the
+    # exponent index at the same time, under a short switch interval; they
+    # also read the witnesses of shared holding reports made on another cone
+    # and not yet read, so those are built at the same time too, and take
+    # Cohen-Macaulay verdicts over three fields on a fresh octahedron cone,
+    # whose origin interval is ranked.  Every witness and verdict must equal
+    # the one computed alone, and each exponent be indexed once.
     rays = [(x, y, 1) for x, y in TWELVE_GON]
     selections = [frozenset({i, j}) for i in range(12) for j in (i, (i + 5) % 12)]
     selections += [frozenset({i, (i + 2) % 12, (i + 7) % 12}) for i in range(12)]
     alone = Cone.from_rays(rays)
-    expected = [reciprocity_check(FacetSelection(alone, s), fields=()).witness for s in selections]
-    assert sum(x["kind"] == "disagreement" for x in expected) > len(selections) // 3
+    expected = [reciprocity_check(FacetSelection(alone, s)) for s in selections]
+    assert sum(x.witness["kind"] == "disagreement" for x in expected) > len(selections) // 3
+    assert {x.cm_over["Q"] for x in expected} == {True, False}
+    fields = (QQ, GF2, FieldSpec(3))
+    solid_selections = [frozenset(s) for size in (2, 6) for s in combinations(range(8), size)]
+    solid_alone = Cone.from_rays(OCTAHEDRON_RAYS)
+    expected_cm = [cm_on_upper_intervals(FacetSelection(solid_alone, s), fields) for s in solid_selections]
+    assert any(not c["Q"].is_cm for c in expected_cm) and any(c["Q"].is_cm for c in expected_cm)
     shared = Cone.from_rays(rays)
     lazy = Cone.from_rays(rays)
+    solid = Cone.from_rays(OCTAHEDRON_RAYS)
     unread = [reciprocity_check(FacetSelection(lazy, s), fields=()) for s in selections]
-    got, errors = {}, []
+    got, got_over, got_cm, errors = {}, {}, {}, []
 
     def work(offset):
         try:
             for i in range(offset, offset + len(selections)):
                 k = i % len(selections)
-                witness = reciprocity_check(FacetSelection(shared, selections[k]), fields=()).witness
-                got.setdefault(k, []).append(witness)
+                report = reciprocity_check(FacetSelection(shared, selections[k]))
+                got.setdefault(k, []).append(report.witness)
                 got.setdefault(k, []).append(unread[k].witness)
+                got_over.setdefault(k, []).append(report.cm_over)
+                j = i % len(solid_selections)
+                certificates = cm_on_upper_intervals(FacetSelection(solid, solid_selections[j]), fields)
+                got_cm.setdefault(j, []).append(certificates)
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -974,7 +992,10 @@ def test_face_table_fills_safely_from_many_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not errors
-    assert all(got[k] == [expected[k]] * 2 * len(threads) for k in range(len(selections)))
+    for k, x in enumerate(expected):
+        assert got[k] == [x.witness] * 2 * len(threads) and got_over[k] == [x.cm_over] * len(threads)
+    assert all(all(c == expected_cm[j] for c in got_cm[j]) for j in range(len(solid_selections)))
+    assert sum(map(len, got_cm.values())) == len(selections) * len(threads)
     for cone in (shared, lazy):
         table = cone._face_table
         assert len(set(table.exponents)) == len(table.exponents)
@@ -1035,6 +1056,40 @@ def test_reciprocity_check_reads_the_complement_without_inverting(monkeypatch):
         report.witness
     assert set(asked.values()) == {1}
     assert all(face.dim for face in asked)
+
+
+def test_cm_verdicts_rank_cells_not_order_complexes(monkeypatch):
+    # Work pin: every selection of data/pentagon_cone.json and of a
+    # simplicial 4-D cone, whose origin interval (t = 2) is ranked, takes its
+    # Cohen-Macaulay verdicts from the face lattice's cells: no
+    # reduced_homology call and no SimplicialComplex, and one face lattice
+    # built per cone.
+    counts = Counter()
+
+    def count(owner, name, key):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(topology, "reduced_homology", "reduced_homology")
+    count(topology, "sparse_rank", "sparse_rank")
+    count(topology.SimplicialComplex, "__init__", "SimplicialComplex")
+    count(geometry, "_FaceLattice", "lattice")
+    cones = [
+        jsonio.cone_from_dict(jsonio.read(DATA / "pentagon_cone.json")),
+        Cone.from_rays([(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 0, 1)]),
+    ]
+    for cone in cones:
+        n = len(cone.facets)
+        for size in range(1, n):
+            for subset in combinations(range(n), size):
+                reciprocity_check(FacetSelection(cone, frozenset(subset)), fields=(QQ, GF2, FieldSpec(3)))
+    assert counts["lattice"] == len(cones)
+    assert counts["sparse_rank"] and not counts["reduced_homology"] and not counts["SimplicialComplex"]
 
 
 # -- colon identity -------------------------------------------------------------

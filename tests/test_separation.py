@@ -621,12 +621,13 @@ def test_witness_retry_skips_perturbations_off_the_selection_pattern(monkeypatch
     witness = (Fraction(-1, 128), Fraction(-1, 64), Fraction(-1, 128))
     assert [f(witness) for f in cone.facets] == [0, Fraction(1, 128), Fraction(-1, 64), Fraction(-1, 128)]
     steered = []
+    integer_body = separation._line_shelling
 
-    def recording(cone, point):
-        steered.append(point)
-        return line_shelling(cone, point)
+    def recording(cone, den, row):
+        steered.append((den, row))
+        return integer_body(cone, den, row)
 
-    monkeypatch.setattr(separation, "line_shelling", recording)
+    monkeypatch.setattr(separation, "_line_shelling", recording)
     shelling = shelling_through_witness(selection, witness)
     assert is_shelling_prefix(selection, shelling)
     assert len(steered) == 2  # the witness itself, then the second perturbation

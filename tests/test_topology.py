@@ -914,8 +914,63 @@ def _selection(rays, selected):
     return FacetSelection(Cone.from_rays(rays), frozenset(selected))
 
 
+def oracle_cm_on_upper_intervals(selection, fields):
+    """The order-complex scan: per field, the Cohen-Macaulay certificate of
+    the subdivided cross-section from the maximal chains of each upper
+    interval P_{>x}, for the origin and each face x of P (cone faces of
+    dimension at least 1 on a selected facet), ranked by ``reduced_homology``
+    where t = d - 2 - dim x >= 2 and by components where t = 1; highest
+    dimension first, the origin last."""
+    cone = selection.cone
+    faces = geometry.faces_of(cone)
+    nodes = [faces[0], *(f for f in faces if f.dim >= 1 and f.tight_facets & selection.selected)]
+    # the maximal chains of {y} + P_{>y}, known above y before y's own
+    chains_up = [()] * len(nodes)
+    for i in reversed(range(len(nodes))):
+        y = nodes[i]
+        if y.dim == cone.dim - 1:
+            chains_up[i] = ((i,),)
+        else:
+            chains_up[i] = tuple(
+                (i,) + ch
+                for j in range(i + 1, len(nodes))
+                if nodes[j].dim == y.dim + 1 and y.rays < nodes[j].rays
+                for ch in chains_up[j]
+            )
+    certificates = {}
+    pending = list(fields)
+    for i in reversed(range(len(nodes))):
+        t = cone.dim - 2 - nodes[i].dim
+        if not pending or t <= 0:
+            continue
+        chains = [ch[1:] for ch in chains_up[i]]
+        face = tuple(sorted(nodes[i].rays))
+        if t == 1:
+            b0 = _components({v for ch in chains for v in ch}, chains) - 1
+            if b0:
+                certificates.update((f.label, CMCertificate(False, face, 0, b0)) for f in pending)
+                pending = []
+            continue
+        interval = SimplicialComplex(len(nodes), tuple(chains))
+        for f in list(pending):
+            betti = reduced_homology(interval, f).betti
+            failing = next((k for k in range(t) if betti[k]), None)
+            if failing is not None:
+                certificates[f.label] = CMCertificate(False, face, failing, betti[failing])
+                pending.remove(f)
+    return {f.label: certificates.get(f.label, CMCertificate(True)) for f in fields}
+
+
+OCTAHEDRON_RAYS = [(1, 0, 0, 1), (-1, 0, 0, 1), (0, 1, 0, 1), (0, -1, 0, 1), (0, 0, 1, 1), (0, 0, -1, 1)]
+# six of the octahedron's eight triangles, all but two opposite ones: an annulus
+OCTAHEDRON_BELT = (0, 1, 2, 5, 6, 7)
+FIELDS = (QQ, GF2, FieldSpec(3))
+
+
 # Selections whose cross-section fails to be CM only at upper intervals of
-# rays (d = 4 and 5) or of 2-faces (d = 5), not at the origin's
+# rays (d = 4 and 5) or of 2-faces (d = 5), not at the origin's; and the
+# octahedron's belt, which fails at the origin with b_1 = 1
+@example(_selection(OCTAHEDRON_RAYS, OCTAHEDRON_BELT))
 @example(_selection(
     [(-2, 1, 2, 1), (-1, -1, -1, 2), (-1, 2, 1, 1), (1, -1, 0, 2), (2, -1, -2, 2), (2, 1, -2, 1)],
     {5, 7},
@@ -933,11 +988,57 @@ def _selection(rays, selected):
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(cone_selections())
 def test_cm_on_upper_intervals_matches_the_subdivided_cross_section(selection):
+    # the cellular ranks give the order-complex scan's certificates over
+    # every field, and its verdicts are the subdivided cross-section's
     subdivided = barycentric(boundary_subcomplex(selection))
-    got = cm_on_upper_intervals(selection, (QQ, GF2))
-    assert list(got) == ["Q", "F2"]
+    got = cm_on_upper_intervals(selection, FIELDS)
+    assert list(got) == ["Q", "F2", "F3"]
+    assert got == oracle_cm_on_upper_intervals(selection, FIELDS)
     for field in (QQ, GF2):
         assert got[field.label].is_cm == is_cohen_macaulay(subdivided, field).is_cm
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(cone_selections())
+def test_face_lattice_incidences_square_to_zero(selection):
+    # each face's covers are the faces one dimension down inside it, with
+    # incidence +-1, and the augmented boundary squares to zero over Z: for
+    # every face y and face w two dimensions down, sum_z [y : z][z : w] = 0
+    cone = selection.cone
+    lattice = geometry.face_lattice(cone)
+    faces = lattice.faces
+    for k, y in enumerate(faces):
+        below = [j for j, z in enumerate(faces) if z.dim == y.dim - 1 and z.rays < y.rays]
+        assert [j for j, _ in lattice.covers[k]] == below
+        assert all(s in (1, -1) for _, s in lattice.covers[k])
+        square = {}
+        for z, a in lattice.covers[k]:
+            for w, b in lattice.covers[z]:
+                square[w] = square.get(w, 0) + a * b
+        assert not any(square.values()), (sorted(y.rays), square)
+    assert lattice.covers[0] == () and all(lattice.covers[k] == ((0, 1),) for k, f in enumerate(faces) if f.dim == 1)
+
+
+def test_too_large_cellular_ranks_raise_invariant_violation(monkeypatch):
+    # as in reduced_homology, a boundary rank above the true one drives a
+    # Betti number of the origin's interval below zero, which raises
+    original = topology.sparse_rank
+    monkeypatch.setattr(topology, "sparse_rank", lambda *args: original(*args) + 1)
+    with pytest.raises(InvariantViolation, match="negative Betti"):
+        cm_on_upper_intervals(_selection(OCTAHEDRON_RAYS, OCTAHEDRON_BELT), (QQ,))
+
+
+def test_face_lattice_refuses_covers_off_the_diamond():
+    # three edges of a triangle over one vertex each: the vertex under a
+    # cover pair, the origin under all three covers
+    triangle = geometry.Face(frozenset(), frozenset({1, 2, 3}), 2)
+    with pytest.raises(InvariantViolation, match="diamond"):
+        geometry._oriented(triangle, [1, 2, 3], [(), ((0, 1),), ((0, 1),), ((0, 1),)])
+    # two covers over the same two faces, with incidences that no choice of
+    # signs cancels at both
+    covers = [(), ((0, 1),), ((0, 1),), ((1, 1), (2, -1)), ((1, 1), (2, 1))]
+    with pytest.raises(InvariantViolation, match="∂∂ = 0"):
+        geometry._oriented(triangle, [3, 4], covers)
 
 
 def test_cm_on_upper_intervals_names_the_failing_cone_face():
@@ -952,3 +1053,7 @@ def test_cm_on_upper_intervals_names_the_failing_cone_face():
     }
     adjacent = FacetSelection(cone, facet_pairs_sharing_a_ray(cone)[0])
     assert cm_on_upper_intervals(adjacent, (QQ,)) == {"Q": CMCertificate(True)}
+    # the octahedron's belt is an annulus: b_1 = 1 above the origin, over
+    # every field, from the ranks of its cellular boundary maps
+    belt = _selection(OCTAHEDRON_RAYS, OCTAHEDRON_BELT)
+    assert cm_on_upper_intervals(belt, FIELDS) == {f.label: CMCertificate(False, (), 1, 1) for f in FIELDS}
