@@ -14,9 +14,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, count, product, repeat
+from itertools import count, product
 from math import prod
-from operator import add, mul, sub
+from operator import add
 from threading import Lock
 
 from .geometry import (
@@ -389,7 +389,9 @@ def _face_gf(cone: Cone, face: Face) -> RationalGF:
     over the cone's canonical denominator (all rays of the cone).
 
     Each half-open piece's numerator is multiplied by (1 - x^v) for the rays
-    missing from its denominator."""
+    missing from its denominator.  The face table builds the same numerator
+    as a packed graded row (see ``_FaceTable``); this is the multivariate
+    reference that row is checked against."""
     denom = tuple(sorted(cone.rays))
     total = LaurentPoly.zero()
     for piece in _face_decomposition(cone, face):
@@ -428,76 +430,38 @@ def _graded_face_row(cone: Cone, face: Face, w) -> dict[int, int]:
 class _FaceTable:
     """What the face-by-face sums read beyond the cone's face lattice
     (``geometry.face_lattice``, which it keeps as ``lattice`` and whose face
-    order it follows), for one cone: one dense integer row per face, and,
-    per grading asked for, each face's sparse graded row
-    (``_graded_face_row``) and the least degree of its relative interior.
+    order it follows), for one cone: per grading asked for, each face's
+    sparse graded row (``_graded_face_row``) and the least degree of its
+    relative interior.
 
-    A face's row holds the numerator of its closed generating function over
-    the canonical denominator (all cone rays): ``_face_gf`` for a face of
-    positive dimension, and prod (1 - x^v) for the origin, whose closed
-    function is 1.  Rows are indexed by one append-only exponent list and
-    built the first time a sum needs them, under the table's lock; when a new
-    row adds exponents, every row is replaced by one padded with zeros to the
-    new length.  Rows are tuples, which the garbage collector stops tracking
-    once it sees they hold only integers, so the rows of live cones add no
-    work to its full collections.  Graded rows are built, and interior
-    degrees stored, under the same lock, keyed by (grading, face).  The cone
-    is passed in rather than kept, since the cone keeps the table."""
+    A face's graded row is the numerator of its closed generating function
+    over the canonical denominator (all cone rays) under x -> t^w.  Its
+    multivariate numerator is its graded row under the cone's Kronecker
+    grading ``kronecker`` = (B^(d-1), ..., B, 1), which packs each exponent
+    into one integer, coordinate 0 the most significant digit.  Each term
+    of a half-open piece is z + the sum of a set S of cone rays missing
+    from the piece, with z in the parallelepiped of the piece's generators
+    (coefficients in [0, 1]).  Generators and S are disjoint sets of rays,
+    so coordinate i of every exponent lies in [low_i, high_i], the sums of
+    min(0, v_i) and of max(0, v_i) over the rays.  With B = max (high_i -
+    low_i) + 1 the packing is injective on that box and orders it
+    lexicographically (Monagan-Pearce, CASC 2007).  Rows are built the
+    first time a sum needs them, and interior degrees stored, under the
+    table's lock, keyed by (grading, face); a row is a dict of integers,
+    which the garbage collector does not track.  The cone is passed in
+    rather than kept, since the cone keeps the table."""
 
-    __slots__ = ("lattice", "exponents", "_index", "_rows", "_graded", "_interior", "_lock")
+    __slots__ = ("lattice", "low", "base", "kronecker", "_graded", "_interior", "_lock")
 
     def __init__(self, cone: Cone):
         self.lattice = face_lattice(cone)
-        self.exponents: list[tuple] = []
-        self._index: dict[tuple, int] = {}
-        self._rows: dict[int, tuple[int, ...]] = {}
+        self.low = tuple(sum(min(0, v[i]) for v in cone.rays) for i in range(cone.dim))
+        high = [sum(max(0, v[i]) for v in cone.rays) for i in range(cone.dim)]
+        self.base = max(h - lo for h, lo in zip(high, self.low)) + 1
+        self.kronecker = tuple(self.base ** i for i in reversed(range(cone.dim)))
         self._graded: dict[tuple, dict[int, int]] = {}
         self._interior: dict[tuple, int] = {}
         self._lock = Lock()
-
-    def _build_row(self, cone: Cone, k: int) -> None:
-        face = self.lattice.faces[k]
-        if face.dim:
-            terms = _face_gf(cone, face).numerator.terms
-        else:
-            origin = RationalGF(LaurentPoly.monomial((0,) * cone.dim), ())
-            terms = _numerator_over(origin, sorted(cone.rays)).terms
-        n = len(self.exponents)
-        for e in terms:
-            if e not in self._index:
-                self._index[e] = len(self.exponents)
-                self.exponents.append(e)
-        padding = (0,) * (len(self.exponents) - n)
-        for j, other in self._rows.items():
-            self._rows[j] = other + padding
-        row = [0] * len(self.exponents)
-        for e, c in terms.items():
-            row[self._index[e]] = c
-        self._rows[k] = tuple(row)
-
-    def signed_sum(self, cone: Cone, coefficients) -> list[int]:
-        """The sum of c_K times row_K, with c_K = coefficients[K] over the
-        faces in order, as a row over the exponents indexed so far."""
-        with self._lock:
-            picked = [(c, k) for k, c in enumerate(coefficients) if c]
-            for _, k in picked:
-                if k not in self._rows:
-                    self._build_row(cone, k)
-            rows = [(c, self._rows[k]) for c, k in picked]
-            n = len(self.exponents)
-        total = repeat(0, n)
-        for c, row in rows:
-            if c == 1:
-                total = map(add, total, row)
-            elif c == -1:
-                total = map(sub, total, row)
-            else:
-                total = map(add, total, map(mul, repeat(c), row))
-        return list(total)
-
-    def terms(self, row) -> dict[tuple, int]:
-        """A row's nonzero terms {exponent: coefficient}."""
-        return dict(zip(compress(self.exponents, row), filter(None, row)))
 
     def graded_sum(self, cone: Cone, w, coefficients) -> dict[int, int]:
         """The sum of c_K times the graded row of K under w, with c_K =
@@ -515,6 +479,24 @@ class _FaceTable:
             for d, a in row.items():
                 total[d] = total.get(d, 0) + c * a
         return total
+
+    def unpack(self, row) -> dict[tuple, int]:
+        """The nonzero terms {exponent: coefficient} of a row under the
+        Kronecker grading, in lexicographic order of the exponents."""
+        base, low = self.base, self.low
+        offset, size = dot(self.kronecker, low), base ** len(low)
+        terms = {}
+        for key, c in sorted(row.items()):
+            if c:
+                rest = key - offset
+                if not 0 <= rest < size:
+                    raise InvariantViolation(f"packed exponent {key} lies outside the cone's exponent box")
+                digits = []
+                for _ in low:
+                    rest, digit = divmod(rest, base)
+                    digits.append(digit)
+                terms[tuple(map(add, reversed(digits), low))] = c
+        return terms
 
     def interior_degree(self, cone: Cone, w, k: int) -> int:
         """The least w-degree of a lattice point in the relative interior of
@@ -554,11 +536,13 @@ def _open_face_signs(lattice, strict_facets) -> list[int]:
 def _reciprocal_gf(spec: DomainSpec) -> RationalGF:
     """The domain's generating function at 1/x over the canonical
     denominator: the sum of (-1)^dim G sigma_G(x) over its open faces G (see
-    ``domain_gf``).  The origin lies on every facet and is never open."""
+    ``domain_gf``), summed under the cone's Kronecker grading and unpacked
+    (see ``_FaceTable``).  The origin lies on every facet and is never
+    open."""
     cone = spec.cone
     table = _face_table(cone)
-    row = table.signed_sum(cone, _open_face_signs(table.lattice, spec.strict_facets))
-    return RationalGF(LaurentPoly(table.terms(row)), tuple(sorted(cone.rays)))
+    row = table.graded_sum(cone, table.kronecker, _open_face_signs(table.lattice, spec.strict_facets))
+    return RationalGF(LaurentPoly(table.unpack(row)), tuple(sorted(cone.rays)))
 
 
 def domain_gf(spec: DomainSpec) -> RationalGF:
@@ -708,48 +692,40 @@ def _lattice_sides(selection: FacetSelection) -> tuple[list[int], list[int]]:
     return _open_face_signs(lattice, selection.complement), rhs
 
 
-def _lattice_verdict(selection: FacetSelection) -> bool:
-    """Whether F_complement(1/x) == (-1)^d F_selected(x), read off the face
-    lattice.  The closed faces' generating functions sigma_K are linearly
-    independent, so the identity holds exactly when both sides give every
-    face K, the origin included, the same coefficient (see
-    ``_lattice_sides``)."""
-    lhs, rhs = _lattice_sides(selection)
-    return lhs == rhs
-
-
 def reciprocity_check(selection: FacetSelection, fields=(QQ, GF2), grading=None) -> ReciprocityReport:
     """Check F_complement(1/x) == (-1)^d F_selected(x) as rational functions.
 
-    Both verdicts are read off the cone's face lattice.  The identity is
-    decided face by face (see ``_lattice_verdict``; Stanley, "Combinatorial
-    reciprocity theorems", Adv. Math. 14, 1974), and the per-field
+    Both verdicts are read off the cone's face lattice.  The closed faces'
+    generating functions sigma_K are linearly independent, so the identity
+    holds exactly when both sides give every face K, the origin included,
+    the same coefficient (see ``_lattice_sides``; Stanley, "Combinatorial
+    reciprocity theorems", Adv. Math. 14, 1974).  The per-field
     Cohen-Macaulay verdicts for the removed boundary part's cross-section
-    from its upper intervals (see ``topology.cm_on_upper_intervals``).
-    When the identity holds both sides share one numerator over the
-    canonical denominator (all cone rays), and the witness is the
-    complement's: the signed sum of its open faces' rows, built when the
-    report's ``witness`` is first read.  Otherwise the witness is the
-    smallest grading degree where the series disagree, with both per-degree
-    totals, read off the faces' graded rows under the grading (see
-    ``_graded_disagreement``); no multivariate row is built."""
+    are read from its upper intervals (see
+    ``topology.cm_on_upper_intervals``).  When the identity holds both sides
+    share one numerator over the canonical denominator (all cone rays), and
+    the witness is the complement's: the signed sum of its open faces' rows
+    under the cone's Kronecker grading, unpacked, built when the report's
+    ``witness`` is first read.  Otherwise the witness is the smallest
+    grading degree where the series disagree, with both per-degree totals,
+    read off the faces' graded rows under the grading (see
+    ``_graded_disagreement``)."""
     cone = selection.cone
     w = _grading(cone, grading)
     cm_over = {label: c.is_cm for label, c in cm_on_upper_intervals(selection, fields).items()}
     table = _face_table(cone)
-    if _lattice_verdict(selection):
-        signs = _open_face_signs(table.lattice, selection.complement)
+    lhs, rhs = _lattice_sides(selection)
+    if lhs == rhs:
 
         def identity():
-            terms = table.terms(table.signed_sum(cone, signs))
+            terms = table.unpack(table.graded_sum(cone, table.kronecker, lhs))
             return {
                 "kind": "identity",
                 "denominator_rays": [list(v) for v in sorted(cone.rays)],
-                "numerator": [(list(e), terms[e]) for e in sorted(terms)],
+                "numerator": [(list(e), c) for e, c in terms.items()],
             }
 
         return ReciprocityReport._built_on_read(True, cm_over, identity)
-    lhs, rhs = _lattice_sides(selection)
     return ReciprocityReport(False, cm_over, _graded_disagreement(table, cone, w, lhs, rhs))
 
 

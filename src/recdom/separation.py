@@ -38,15 +38,16 @@ from .geometry import (
     default_grading,
     dot,
     extreme_rays,
+    integer_kernel,
     primitive,
     rank_over_field,
 )
 
 # Listing a cone's flats tries C(n, d - 1) subsets of its n facets, each by
-# d minors of size d - 1 and n sign tests; the minors are weighed as d^3 / 2
-# sign tests, which made the listing 0.2-0.5 microseconds a test on cones of
-# 4 to 40 facets in R^3..R^5.  One double-description pass over the signed
-# rows was worth 80-550 tests there.
+# one kernel line of d - 1 rows and n sign tests; the line is weighed as
+# d^3 / 2 sign tests, which made the listing 0.2-0.5 microseconds a test on
+# cones of 4 to 40 facets in R^3..R^5 when each line took d minors.  One
+# double-description pass over the signed rows was worth 80-550 tests there.
 PASS_TESTS = 300
 # Sign tests above which a cone never lists its flats, however many
 # selections it serves: about a second, and up to C(n, d - 1) flats held.
@@ -63,38 +64,16 @@ class SeparationResult:
     witness: Vector | None = None
 
 
-def _det(matrix) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination; each division is exact."""
-    m = [list(r) for r in matrix]
-    n, sign, prev = len(m), 1, 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot, row_k = m[k][k], m[k]
-        for row in m[k + 1:]:
-            f = row[k]
-            for j in range(k + 1, n):
-                row[j] = (pivot * row[j] - f * row_k[j]) // prev
-        prev = pivot
-    return sign * m[-1][-1]
-
-
 def _cofactor_line(rows) -> Vector:
-    """The cofactor vector of d - 1 integer rows of length d: entry j is
-    (-1)^j times the minor without column j.  It is orthogonal to every row,
-    and zero exactly when the rows are dependent; else it spans their
-    kernel.  In R^3 it is the cross product."""
+    """A vector spanning the kernel of d - 1 integer rows of length d, or
+    the zero vector when the rows are dependent: in R^3 the cross product,
+    and above it the one kernel basis vector of ``integer_kernel``, one
+    fraction-free elimination of the rows."""
     if len(rows) == 2:
         (a0, a1, a2), (b0, b1, b2) = rows
         return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
-    return tuple(
-        (-1) ** j * _det([r[:j] + r[j + 1:] for r in rows]) for j in range(len(rows) + 1)
-    )
+    basis = integer_kernel(rows, len(rows) + 1)
+    return basis[0] if len(basis) == 1 else (0,) * (len(rows) + 1)
 
 
 def _flats(cone: Cone) -> tuple[tuple[Vector, int, int], ...]:
@@ -103,8 +82,8 @@ def _flats(cone: Cone) -> tuple[tuple[Vector, int, int], ...]:
     facets positive and negative on it.
 
     A flat is the kernel of d - 1 independent facet covectors, so each
-    (d - 1)-subset is tried by cofactors; its zero mask, the facets through
-    the flat, tells repeats apart."""
+    (d - 1)-subset is tried by ``_cofactor_line``; its zero mask, the facets
+    through the flat, tells repeats apart."""
     normals = [f.coeffs for f in cone.facets]
     full = (1 << len(normals)) - 1
     flats = {}

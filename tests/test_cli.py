@@ -470,13 +470,21 @@ def test_invariant_violation_exit_code(monkeypatch, capsys, adjacent):
 
 
 def test_lattice_verdict_against_agreeing_numerators_exit_code(monkeypatch, capsys, adjacent):
-    # the lattice says "fails" on a selection where the identity holds, so the
-    # two numerators agree and no degree can witness a disagreement: an
-    # internal fault, not an input error
-    monkeypatch.setattr(enumerator, "_lattice_verdict", lambda selection: False)
+    # a witness asked for where the lattice gives both sides the same face
+    # coefficients: the numerators agree and no degree can witness a
+    # disagreement, an internal fault, not an input error
     selection = FacetSelection(square_cone(), frozenset(map(int, adjacent.split(","))))
+    cone = selection.cone
+    lhs, rhs = enumerator._lattice_sides(selection)
+    assert lhs == rhs
+
+    def agreeing(selection, *args, **kwargs):
+        table, w = enumerator._face_table(cone), enumerator.default_grading(cone)
+        return enumerator._graded_disagreement(table, cone, w, lhs, rhs)
+
     with pytest.raises(InvariantViolation, match="numerators agree"):
-        enumerator.reciprocity_check(selection)
+        agreeing(selection)
+    monkeypatch.setattr(cli, "reciprocity_check", agreeing)
     assert main(["reciprocity", data_path("square_cone.json"), "--select", adjacent]) == 3
     assert "numerators agree" in capsys.readouterr().err
 

@@ -375,13 +375,24 @@ def test_oracle_equivalence_custom_grading():
 
 # -- the face-lattice sum against the subset walk ------------------------------
 
+def closed_face_numerator(cone, face) -> LaurentPoly:
+    """The numerator of a closed face's generating function over the cone's
+    canonical denominator: ``_face_gf``'s, or, for the origin, whose closed
+    function is 1, the product of (1 - x^v) over the rays."""
+    if face.dim:
+        return enumerator._face_gf(cone, face).numerator
+    num = LaurentPoly.monomial((0,) * cone.dim)
+    for v in cone.rays:
+        num = num.times_one_minus(v)
+    return num
+
+
 def oracle_domain_gf(spec):
     """Inclusion-exclusion over all 2^|strict| subsets of the strict facets:
     the face where a subset is tight enters with sign (-1)^|subset|."""
     cone = spec.cone
     strict = sorted(spec.strict_facets)
     faces_by_rays = {f.rays: f for f in faces_of(cone)}
-    denom = tuple(sorted(cone.rays))
     all_rays = frozenset(range(len(cone.rays)))
     total = LaurentPoly.zero()
     for size in range(len(strict) + 1):
@@ -389,14 +400,9 @@ def oracle_domain_gf(spec):
             tight_rays = all_rays
             for j in subset:
                 tight_rays &= cone.facets[j].incident_rays
-            if tight_rays:
-                gf = enumerator._face_gf(cone, faces_by_rays[tight_rays])
-            else:
-                # the origin's closed generating function is 1
-                gf = RationalGF(LaurentPoly.monomial((0,) * cone.dim), ())
-            num = _numerator_over(gf, denom)
+            num = closed_face_numerator(cone, faces_by_rays[tight_rays])
             total = total + num if size % 2 == 0 else total - num
-    return RationalGF(total, denom)
+    return RationalGF(total, tuple(sorted(cone.rays)))
 
 
 @st.composite
@@ -434,21 +440,25 @@ def test_domain_gf_expands_to_lattice_points(spec, bound):
 def test_domain_gf_lifts_each_face_at_most_once(monkeypatch):
     # The cone over (x, x^2, 1), x = -5..5, has 11 rays, 11 facets and 24
     # faces; a subset walk over 10 strict facets would ask for 2^10 faces.
+    # Both sides together build each face's row at most once, under one
+    # grading, the cone's Kronecker grading.
     cone = Cone.from_rays([(x, x * x, 1) for x in range(-5, 6)])
     assert len(cone.rays) == 11 and len(faces_of(cone)) == 24
     selection = FacetSelection(cone, frozenset(range(10)))
-    calls = []
-    face_gf = enumerator._face_gf
+    built = Counter()
+    graded_face_row = enumerator._graded_face_row
 
-    def counted(cone, face):
-        calls.append(face)
-        return face_gf(cone, face)
+    def counted(cone, face, w):
+        built[face, w] += 1
+        return graded_face_row(cone, face, w)
 
-    monkeypatch.setattr(enumerator, "_face_gf", counted)
+    monkeypatch.setattr(enumerator, "_graded_face_row", counted)
     for side in (SELECTED, COMPLEMENT):
-        calls.clear()
+        before = len(built)
         domain_gf(DomainSpec(selection, side))
-        assert 0 < len(calls) <= len(faces_of(cone)), side
+        assert len(built) > before, side
+    assert set(built.values()) == {1} and len(built) <= len(faces_of(cone))
+    assert {w for _, w in built} == {cone._face_table.kronecker}
 
 
 def test_triangulation_independence_under_ray_reordering():
@@ -798,16 +808,22 @@ def test_reciprocity_check_matches_two_sided_path_on_every_selection(rays):
 
 
 def oracle_face_row_witness(selection, w):
-    """The multivariate failing path: the signed sums of the face table's
-    multivariate rows, read through ``oracle_first_disagreement`` with the
-    degree of every exponent indexed so far."""
+    """The multivariate failing path: the signed sums of the faces'
+    multivariate numerators (``closed_face_numerator``), read through
+    ``oracle_first_disagreement`` with the degree of every exponent."""
     cone = selection.cone
-    table = enumerator._face_table(cone)
     lhs, rhs = enumerator._lattice_sides(selection)
-    numerator = table.signed_sum(cone, lhs)
-    difference = table.signed_sum(cone, [a - b for a, b in zip(lhs, rhs)])
+    numerator, difference = Counter(), Counter()
+    for face, a, b in zip(geometry.face_lattice(cone).faces, lhs, rhs):
+        for e, c in closed_face_numerator(cone, face).terms.items():
+            numerator[e] += a * c
+            difference[e] += (a - b) * c
+    exponents = sorted(set(numerator) | set(difference))
     return oracle_first_disagreement(
-        [dot(w, e) for e in table.exponents], numerator, difference, [dot(w, v) for v in cone.rays]
+        [dot(w, e) for e in exponents],
+        [numerator[e] for e in exponents],
+        [difference[e] for e in exponents],
+        [dot(w, v) for v in cone.rays],
     )
 
 
@@ -835,8 +851,9 @@ def test_graded_witness_matches_the_multivariate_oracle(spec, data):
 @pytest.mark.parametrize("grading", [None, (1, 2, 3, 4)], ids=["default", "skew"])
 def test_graded_rows_on_the_octahedron_cone(monkeypatch, grading):
     # Work pin: every selection of the octahedron cone under one grading
-    # builds each face's graded row once, and no multivariate row; each
-    # graded row is the face's multivariate numerator summed by degree.
+    # builds each face's graded row once, under that grading alone and not
+    # the cone's Kronecker grading; each graded row is the face's
+    # multivariate numerator summed by degree.
     cone = Cone.from_rays(OCTAHEDRON_RAYS)
     w = default_grading(cone) if grading is None else grading
     built = Counter()
@@ -855,27 +872,77 @@ def test_graded_rows_on_the_octahedron_cone(monkeypatch, grading):
             failing += not reciprocity_check(selection, fields=(), grading=grading).holds
     table, faces = cone._face_table, cone._face_lattice.faces
     assert (failing, len(faces)) == (128, 28)
-    assert set(built.values()) == {1} and len(built) == 28
-    assert not table._rows and not table.exponents
-    origin = RationalGF(LaurentPoly.monomial((0,) * cone.dim), ())
+    assert set(built.values()) == {1} and len(built) == 28 and len(table._graded) == 28
     for (key, k), row in table._graded.items():
         face = faces[k]
-        gf = enumerator._face_gf(cone, face) if face.dim else origin
         by_degree = Counter()
-        for e, c in _numerator_over(gf, sorted(cone.rays)).terms.items():
+        for e, c in closed_face_numerator(cone, face).terms.items():
             by_degree[dot(w, e)] += c
         assert key == w and row == {d: c for d, c in by_degree.items() if c}, face
+
+
+def unpacking_mismatches(cone, base=None) -> list:
+    """The faces whose graded row under a fresh face table's Kronecker
+    grading, or under the packing of base ``base`` in its place, does not
+    unpack to the face's multivariate numerator in lexicographic order; a
+    packed key out of range counts as a mismatch."""
+    table = enumerator._FaceTable(cone)
+    if base is not None:
+        table.base = base
+        table.kronecker = tuple(base**i for i in reversed(range(cone.dim)))
+    wrong = []
+    for face in table.lattice.faces:
+        want = closed_face_numerator(cone, face).terms
+        try:
+            got = table.unpack(enumerator._graded_face_row(cone, face, table.kronecker))
+        except InvariantViolation:
+            got = None
+        if got != want or list(got) != sorted(want):
+            wrong.append(face)
+    return wrong
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(domain_specs())
+def test_packed_face_rows_unpack_to_the_multivariate_numerators(spec):
+    cone = spec.cone
+    assume(any(a < 0 for r in cone.rays for a in r))
+    assert not unpacking_mismatches(cone)
+
+
+@pytest.mark.parametrize(
+    "rays",
+    [OCTAHEDRON_RAYS, BIPYRAMID_RAYS, [(-2, -1, 1), (2, -1, 1), (1, 2, 1), (-1, 2, 1)], [(-1, 1), (2, 1)]],
+    ids=["octahedron", "bipyramid", "quadrilateral", "segment"],
+)
+def test_packing_with_a_base_one_too_small_is_caught(rays):
+    # Mutant: base B - 1 leaves some coordinate's range without a digit, so
+    # some face's row unpacks wrong or out of range.
+    cone = Cone.from_rays(rays)
+    assert not unpacking_mismatches(cone)
+    assert unpacking_mismatches(cone, enumerator._FaceTable(cone).base - 1)
+
+
+def test_unpacking_a_key_out_of_range_raises():
+    cone = Cone.from_rays([(-1, 1), (2, 1)])
+    table = enumerator._FaceTable(cone)
+    assert (table.low, table.base, table.kronecker) == ((-1, 0), 4, (4, 1))
+    offset = dot(table.kronecker, table.low)
+    assert table.unpack({offset: 1, offset + 15: -2, offset + 7: 0}) == {(-1, 0): 1, (2, 3): -2}
+    for key in (offset - 1, offset + 16):
+        with pytest.raises(InvariantViolation, match="outside the cone's exponent box"):
+            table.unpack({key: 1})
 
 
 def test_holding_selections_of_the_4_cube_cone_build_no_multivariate_row(monkeypatch):
     # The cone over the 4-cube with vertices (+-1, ..., +-1) has 16 rays, 8
     # facets and 82 faces (the origin included), and each holding witness
     # has tens of thousands of terms.  Its first 4 two-facet and 36
-    # three-facet selections hold; their verdicts ask for no face's
-    # generating function and walk no parallelepiped.
+    # three-facet selections hold; their verdicts build no face's row, under
+    # any grading, and walk no parallelepiped.
     cone = Cone.from_rays([c + (1,) for c in product((-1, 1), repeat=4)])
     calls = Counter()
-    for name in ("_face_gf", "simplicial_gf", "_parallelepiped_points"):
+    for name in ("_graded_face_row", "_face_gf", "simplicial_gf", "_parallelepiped_points"):
         original = getattr(enumerator, name)
 
         def counted(*args, name=name, original=original):
@@ -887,7 +954,7 @@ def test_holding_selections_of_the_4_cube_cone_build_no_multivariate_row(monkeyp
     reports = [reciprocity_check(FacetSelection(cone, frozenset(s))) for s in subsets]
     assert len(cone._face_lattice.faces) == 82
     assert all(r.holds for r in reports)
-    assert not calls and not cone._face_table._rows
+    assert not calls and not cone._face_table._graded
 
 
 def test_holding_witness_is_built_on_read():
@@ -938,16 +1005,16 @@ TWELVE_GON = [(-4, -4), (-3, -4), (0, -3), (2, -2), (3, -1), (4, 1),
               (5, 4), (4, 4), (1, 3), (-1, 2), (-2, 1), (-3, -1)]
 
 
-def test_face_table_fills_safely_from_many_threads():
+def test_face_table_fills_safely_from_many_threads(monkeypatch):
     # Eight threads, more than the cores, share one fresh cone over a 12-gon
-    # (rows of about 2,500 exponents) and start at different selections, so
-    # they build its face lattice, face rows and graded rows and grow the
-    # exponent index at the same time, under a short switch interval; they
-    # also read the witnesses of shared holding reports made on another cone
-    # and not yet read, so those are built at the same time too, and take
+    # (rows of about 2,500 terms) and start at different selections, so
+    # they build its face lattice and graded rows at the same time, under a
+    # short switch interval; they also read the witnesses of shared holding
+    # reports made on another cone and not yet read, so those rows, under
+    # the cone's Kronecker grading, are built at the same time too, and take
     # Cohen-Macaulay verdicts over three fields on a fresh octahedron cone,
     # whose origin interval is ranked.  Every witness and verdict must equal
-    # the one computed alone, and each exponent be indexed once.
+    # the one computed alone, and each row be built once per cone.
     rays = [(x, y, 1) for x, y in TWELVE_GON]
     selections = [frozenset({i, j}) for i in range(12) for j in (i, (i + 5) % 12)]
     selections += [frozenset({i, (i + 2) % 12, (i + 7) % 12}) for i in range(12)]
@@ -965,6 +1032,14 @@ def test_face_table_fills_safely_from_many_threads():
     solid = Cone.from_rays(OCTAHEDRON_RAYS)
     unread = [reciprocity_check(FacetSelection(lazy, s), fields=()) for s in selections]
     got, got_over, got_cm, errors = {}, {}, {}, []
+    built = []  # list.append is atomic, where a Counter's += is not
+    graded_face_row = enumerator._graded_face_row
+
+    def counted(cone, face, w):
+        built.append((id(cone), face, w))
+        return graded_face_row(cone, face, w)
+
+    monkeypatch.setattr(enumerator, "_graded_face_row", counted)
 
     def work(offset):
         try:
@@ -996,9 +1071,8 @@ def test_face_table_fills_safely_from_many_threads():
         assert got[k] == [x.witness] * 2 * len(threads) and got_over[k] == [x.cm_over] * len(threads)
     assert all(all(c == expected_cm[j] for c in got_cm[j]) for j in range(len(solid_selections)))
     assert sum(map(len, got_cm.values())) == len(selections) * len(threads)
-    for cone in (shared, lazy):
-        table = cone._face_table
-        assert len(set(table.exponents)) == len(table.exponents)
+    assert built and len(set(built)) == len(built)
+    assert {w for _, _, w in built} == {default_grading(shared), shared._face_table.kronecker}
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -1007,16 +1081,18 @@ def test_lattice_verdict_matches_the_numerators(spec):
     selection = spec.selection
     lhs = enumerator._reciprocal_gf(DomainSpec(selection, COMPLEMENT))
     rhs = gf_scale(domain_gf(DomainSpec(selection, SELECTED)), (-1) ** spec.cone.dim)
-    assert enumerator._lattice_verdict(selection) == gf_equal(lhs, rhs)
+    left, right = enumerator._lattice_sides(selection)
+    assert (left == right) == gf_equal(lhs, rhs)
 
 
 def test_reciprocity_check_reads_the_complement_without_inverting(monkeypatch):
     # Work pin, per selection, holding or failing: no domain_gf, inversion,
     # rescaling, series expansion or cross-section, and no face's generating
     # function: a failing witness is read off graded rows, and a holding one
-    # is built when first read, as a signed sum of the cone's face rows.
-    # Once the holding witnesses are read, each face's generating function
-    # has been asked for once per cone, and never for the origin.
+    # is built when first read, as a signed sum of the cone's face rows under
+    # its Kronecker grading.  Once the holding witnesses are read, each
+    # face's row has been built at most once per grading, and the origin's
+    # never under the Kronecker grading.
     cone = pentagon_cone()
     counts = Counter()
 
@@ -1029,15 +1105,15 @@ def test_reciprocity_check_reads_the_complement_without_inverting(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    face_gf = enumerator._face_gf
-    asked = Counter()
+    graded_face_row = enumerator._graded_face_row
+    built = Counter()
 
-    def counted_face_gf(cone, face):
-        asked[face] += 1
-        return face_gf(cone, face)
+    def counted_graded_face_row(cone, face, w):
+        built[face, w] += 1
+        return graded_face_row(cone, face, w)
 
-    monkeypatch.setattr(enumerator, "_face_gf", counted_face_gf)
-    for name in ("domain_gf", "invert_variables", "gf_scale", "expand", "simplicial_gf"):
+    monkeypatch.setattr(enumerator, "_graded_face_row", counted_graded_face_row)
+    for name in ("domain_gf", "invert_variables", "gf_scale", "expand", "simplicial_gf", "_face_gf"):
         count(enumerator, name)
     count(topology, "boundary_subcomplex")
     count(topology, "barycentric")
@@ -1049,13 +1125,17 @@ def test_reciprocity_check_reads_the_complement_without_inverting(monkeypatch):
             counts.clear()
             report = reciprocity_check(FacetSelection(cone, frozenset(subset)))
             outcomes[report.holds] += 1
-            assert not counts and not asked, subset
+            assert not counts, subset
             reports.append(report)
     assert outcomes[True] and outcomes[False]
+    kronecker = cone._face_table.kronecker
+    assert all(w != kronecker for _, w in built)
     for report in reports:
         report.witness
-    assert set(asked.values()) == {1}
-    assert all(face.dim for face in asked)
+    assert not counts
+    assert set(built.values()) == {1}
+    assert any(w == kronecker for _, w in built)
+    assert all(face.dim for face, w in built if w == kronecker)
 
 
 def test_cm_verdicts_rank_cells_not_order_complexes(monkeypatch):
