@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from .geometry import Cone
+from .geometry import Cone, NotFullDimensional
 from .lifting import embedded_complex
 from .topology import PolyhedralComplex, SimplicialComplex
 
@@ -32,35 +32,18 @@ def hexagon_cone() -> Cone:
     return polygon_cone([(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)])
 
 
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _convex_hull_2d(points):
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-    def march(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-    lower = march(pts)
-    upper = march(reversed(pts))
-    return lower[:-1] + upper[:-1]
-
-
 def random_polygon_cone(seed: int) -> Cone:
     """Seeded random 3-dimensional pointed cone over a lattice polygon with 4
     to 8 vertices."""
     rng = random.Random(seed)
     while True:
         sample = {(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(10)}
-        hull = _convex_hull_2d(sample)
-        if 4 <= len(hull) <= 8:
-            return polygon_cone(hull)
+        try:
+            cone = polygon_cone(sample)
+        except NotFullDimensional:
+            continue
+        if 4 <= len(cone.rays) <= 8:
+            return cone
 
 
 def corpus_cones(seed: int = 0) -> dict[str, Cone]:

@@ -9,15 +9,16 @@ onto the lower hull of a polytope one dimension up via the convex height
 ``sum_i |a_i . x - b_i|``.
 
 The work is integer arithmetic from the input points to the output points.
-A :class:`_Polytope` puts a cell's points over one common denominator S as
-integer rows P and takes the differences D = P_i - P_0 independent of those
-before them as the basis of its chart.  The Gram matrix G = D.D^T is
-positive definite, so one fraction-free Gauss-Jordan pass (Bareiss) needs
-no pivoting and gives det(G) > 0 and adj(G); det(G) times a point's chart
-coordinates is the integer vector adj(G).D.(P - P_0).  The facets come from
-the integer double-description kernel :func:`~recdom.geometry.extreme_rays`
-on those vectors, and the hull equations from the fraction-free
-:func:`~recdom.geometry.integer_kernel` on D.  Only maximal cells become
+A :class:`_Polytope` puts a cell's points x over one common denominator S
+as homogeneous integer rows (x.S, S) and runs the integer double-description
+kernel :func:`~recdom.geometry.extreme_rays` once on the cone {y : row.y >=
+0} they cut out, the affine functions nonnegative on the cell.  Its
+lineality space gives the dimension, and its extreme rays that vanish on
+some vertex are the facets, in ambient coordinates.  The hull equations come
+from the fraction-free :func:`~recdom.geometry.integer_kernel` on the
+differences D = P_i - P_0 of the integer points P = x.S that are independent
+of those before them.  Only the Schlegel projection works in a chart of the
+affine hull, with D as its basis (:func:`_chart`).  Only maximal cells become
 polytopes, built once per complex and kept on it, which the embedding check
 intersects pairwise and the subdivision cuts; every other cell is tested as
 a face of a maximal cell, combinatorially: a vertex set is a face when the
@@ -158,79 +159,37 @@ class _Polytope:
     """Exact V/H bookkeeping for one convex cell at desk scale.
 
     ``rows`` are the vertices x as integer rows (x.S, S) over one common
-    denominator S; ``directions`` the independent integer directions from
-    the first vertex that span the affine hull, the basis of the chart.
-    ``inequalities`` are the facets (n, b), n.y <= b, in chart coordinates
-    y; ``facets`` their vertex index sets; ``ambient_inequalities`` the same
-    facets as primitive integer (coeffs, rhs) with coeffs.x <= rhs on the
-    affine hull."""
+    denominator S.  The cone {y : row.y >= 0} of those rows is every affine
+    function nonnegative on the cell: its lineality space is the functions
+    that vanish on the affine hull, and its extreme rays (c, e) that vanish
+    on some vertex are the facets.  ``facets`` are their vertex index sets
+    and ``ambient_inequalities`` the same facets as primitive integer
+    (coeffs, rhs) = (-c, e), coeffs.x <= rhs on the affine hull."""
 
-    __slots__ = (
-        "vertices", "base", "rows", "directions", "inequalities", "facets",
-        "ambient_inequalities", "_det", "_numerators", "_equations",
-    )
+    __slots__ = ("vertices", "rows", "dim", "facets", "ambient_inequalities", "_equations")
 
     def __init__(self, points):
         pts = tuple(tuple(Fraction(x) for x in p) for p in points)
         s, scaled = common_denominator(pts)
         self.vertices = pts
-        self.base = pts[0]
         self.rows = tuple(p + (s,) for p in scaled)
-        self.directions = _directions(scaled)
-        det, chart_map = dual_rows(self.directions)
-        # det(G) times the chart coordinates of every vertex
-        offsets = [dot(row, scaled[0]) for row in chart_map]
-        self._det = det
-        self._numerators = tuple(
-            tuple(dot(row, p) - c for row, c in zip(chart_map, offsets)) for p in scaled
-        )
-        self.inequalities, self.facets = self._chart_facets()
-        columns = list(zip(*chart_map))
-        ambient = []
-        for normal, rhs in self.inequalities:
-            # n.y <= b is c.(x.S - P_0) <= det(G).b with c = n.adj(G).D
-            c = tuple(dot(normal, col) for col in columns)
-            row = primitive(tuple(s * a for a in c) + (det * rhs + dot(c, scaled[0]),))
-            ambient.append((row[:-1], row[-1]))
+        width = len(self.rows[0])
+        lineality, rays = extreme_rays([], self.rows, width)
+        self.dim = width - 1 - len(lineality)
+        facets, ambient = [], []
+        for ray in rays:
+            tight = tuple(i for i, row in enumerate(self.rows) if dot(row, ray) == 0)
+            if tight:
+                facets.append(tight)
+                ambient.append((tuple(-c for c in ray[:-1]), ray[-1]))
+        self.facets = tuple(facets)
         self.ambient_inequalities = tuple(ambient)
         self._equations = None
-
-    @property
-    def dim(self):
-        return len(self.directions)
-
-    @property
-    def chart(self):
-        """The vertices' coordinates in the basis ``directions``, from the
-        first vertex."""
-        return tuple(tuple(Fraction(a, self._det) for a in u) for u in self._numerators)
-
-    def _chart_facets(self):
-        """Facet inequalities (n, b) with n.y <= b in chart coordinates, and
-        the vertex index sets they are tight on.
-
-        They are the extreme rays of the polar cone {(n, b) : n.y <= b for
-        every chart point y}, apart from the ray n = 0.  A chart point
-        y = u / det(G) has the row (-u, det(G)), a positive multiple of
-        (-y, 1), so it is tight exactly where its integer product with the
-        ray vanishes."""
-        k = self.dim
-        if k == 0:
-            return (), ()
-        rows = [primitive(tuple(-a for a in u) + (self._det,)) for u in self._numerators]
-        lineality, rays = extreme_rays([], rows, k + 1)
-        if lineality:
-            raise InvariantViolation("chart points do not span their chart")
-        rays = [ray for ray in rays if any(ray[:-1])]
-        facets = tuple(
-            tuple(i for i, row in enumerate(rows) if dot(row, ray) == 0) for ray in rays
-        )
-        return tuple((ray[:-1], ray[-1]) for ray in rays), facets
 
     def hull_equations(self):
         """Independent integer hyperplanes cutting out the affine hull."""
         if self._equations is None:
-            self._equations = _hull_equations(self.directions, self.rows[0])
+            self._equations = _hull_equations(_directions([r[:-1] for r in self.rows]), self.rows[0])
         return self._equations
 
     def face_vertex_sets(self):
@@ -340,20 +299,42 @@ def verify_embedding(pc: PolyhedralComplex) -> bool:
     return True
 
 
-def _beyond_point(poly: _Polytope, facet_index):
-    """A point beyond one facet and strictly inside every other, chart coords."""
-    normal, rhs = poly.inequalities[facet_index]
-    tight = poly.facets[facet_index]
-    k = poly.dim
-    centroid = tuple(
-        sum(poly.chart[i][j] for i in tight) / len(tight) for j in range(k)
+def _chart(poly: _Polytope):
+    """The vertices' coordinates y in a chart of the affine hull, and the
+    facets there: primitive integer (n, b), n.y <= b, sorted, each with its
+    vertex index set.
+
+    The chart's basis is the independent differences D = P_i - P_0 of the
+    integer rows P = x.S.  The Gram matrix G = D.D^T is positive definite,
+    so :func:`~recdom.geometry.dual_rows` gives det(G) > 0 and adj(G).D, and
+    det(G).y is adj(G).D.(P - P_0).  Then P = P_0 + D^T.y, so a facet
+    c.x <= r reads (D.c).y <= r.S - c.P_0 in the chart."""
+    s = poly.rows[0][-1]
+    points = [row[:-1] for row in poly.rows]
+    base = points[0]
+    directions = _directions(points)
+    det, chart_map = dual_rows(directions)
+    offsets = [dot(row, base) for row in chart_map]
+    chart = tuple(
+        tuple(Fraction(dot(row, p) - c, det) for row, c in zip(chart_map, offsets)) for p in points
     )
+    facets = sorted(
+        (primitive(tuple(dot(d, c) for d in directions) + (r * s - dot(c, base),)), tight)
+        for (c, r), tight in zip(poly.ambient_inequalities, poly.facets)
+    )
+    return chart, tuple(((row[:-1], row[-1]), tight) for row, tight in facets)
+
+
+def _beyond_point(chart, facets, facet_index):
+    """A point beyond one chart facet and strictly inside every other."""
+    (normal, rhs), tight = facets[facet_index]
+    centroid = tuple(sum(chart[i][j] for i in tight) / len(tight) for j in range(len(normal)))
     step = Fraction(1)
     while True:
         z = tuple(c + step * n for c, n in zip(centroid, normal))
         if all(
             dot(n2, z) < b2
-            for idx, (n2, b2) in enumerate(poly.inequalities)
+            for idx, ((n2, b2), _) in enumerate(facets)
             if idx != facet_index
         ):
             if dot(normal, z) <= rhs:
@@ -367,19 +348,22 @@ def schlegel(vertices, cells, avoid: int) -> PolyhedralComplex:
 
     ``vertices`` spans the polytope, ``cells`` lists vertex index tuples of
     the boundary faces to keep (their faces are added), and ``avoid`` indexes
-    the canonical facet list.  The kept subcomplex must stay off the avoided
+    the canonical facet list: the facets' primitive chart inequalities, sorted
+    (see :func:`_chart`).  The kept subcomplex must stay off the avoided
     facet's relative interior, i.e. that facet may not itself be a kept cell;
     central projection happens from an exactly computed point just beyond it,
     and the image is returned in affine coordinates of the facet hyperplane
     (one dimension down), checked to be an embedded complex."""
-    return _schlegel(_Polytope(vertices), cells, avoid)
+    poly = _Polytope(vertices)
+    return _schlegel(poly, *_chart(poly), cells, avoid)
 
 
-def _schlegel(poly: _Polytope, cells, avoid: int) -> PolyhedralComplex:
-    """:func:`schlegel` on a polytope already built."""
-    if not 0 <= avoid < len(poly.inequalities):
+def _schlegel(poly: _Polytope, chart, facets, cells, avoid: int) -> PolyhedralComplex:
+    """:func:`schlegel` on a polytope and its :func:`_chart`, already built."""
+    if not 0 <= avoid < len(facets):
         raise ValueError(f"facet index {avoid} out of range")
-    avoid_vertices = set(poly.facets[avoid])
+    (normal, rhs), avoid_tight = facets[avoid]
+    avoid_vertices = set(avoid_tight)
     kept = []
     for cell in cells:
         ids = tuple(sorted(cell))
@@ -398,9 +382,7 @@ def _schlegel(poly: _Polytope, cells, avoid: int) -> PolyhedralComplex:
         for vs, dim in poly.face_vertex_sets().items()
         if any(k.issuperset(vs) for k in kept)
     }
-    normal, rhs = poly.inequalities[avoid]
-    z = _beyond_point(poly, avoid)
-    chart = poly.chart
+    z = _beyond_point(chart, facets, avoid)
     used = sorted({i for vs in closure for i in vs})
     images = {}
     for i in used:
@@ -441,15 +423,16 @@ def schlegel_of_selection(selection, avoid_facet: int) -> PolyhedralComplex:
     if not 0 <= avoid_facet < len(cone.facets):
         raise ValueError(f"facet index {avoid_facet} out of range")
     poly = _Polytope(cross_section_vertices(cone))
+    chart, facets = _chart(poly)
     target = set(cone.facets[avoid_facet].incident_rays)
     avoid = next(
-        (i for i, tight in enumerate(poly.facets) if set(tight) == target),
+        (i for i, (_, tight) in enumerate(facets) if set(tight) == target),
         None,
     )
     if avoid is None:
         raise InvariantViolation(f"cone facet {avoid_facet} has no cross-section facet")
     cells = [tuple(sorted(cone.facets[i].incident_rays)) for i in sorted(selection.selected)]
-    return _schlegel(poly, cells, avoid)
+    return _schlegel(poly, chart, facets, cells, avoid)
 
 
 def covering_arrangement(pc: PolyhedralComplex) -> Arrangement:
@@ -458,11 +441,16 @@ def covering_arrangement(pc: PolyhedralComplex) -> Arrangement:
 
     The complex is closed under faces, so every facet of a cell is a cell
     whose hull equations include a hyperplane through the facet that misses
-    the rest of the cell."""
+    the rest of the cell.  A maximal cell's equations are its kept
+    polytope's, which the embedding check reads too."""
+    maximal = set(pc.maximal_cells())
     hyperplanes = []
     for cell in pc.cells:
-        s, scaled = common_denominator(pc.cell_points(cell))
-        hyperplanes.extend(_hull_equations(_directions(scaled), scaled[0] + (s,)))
+        if cell in maximal:
+            hyperplanes.extend(_polytope(pc, cell).hull_equations())
+        else:
+            s, scaled = common_denominator(pc.cell_points(cell))
+            hyperplanes.extend(_hull_equations(_directions(scaled), scaled[0] + (s,)))
     return Arrangement(tuple(hyperplanes))
 
 
@@ -478,7 +466,7 @@ def _arrangement_covers(poly: _Polytope, arrangement: Arrangement) -> bool:
             containing.append(h.coeffs)
         else:
             proper.append(zeros)
-    if rank_over_field(containing) != len(poly.base) - poly.dim:
+    if rank_over_field(containing) != len(rows[0]) - 1 - poly.dim:
         return False
     return all(any(zeros.issuperset(tight) for zeros in proper) for tight in poly.facets)
 
@@ -703,11 +691,15 @@ def cell_measure(points) -> Fraction:
     The vertices are the integer rows x.S over one common denominator S, so
     each simplex's |det| comes from one fraction-free elimination of its edge
     rows, S^k times the rational one."""
-    poly = _Polytope(points)
+    return _measure(_Polytope(points))
+
+
+def _measure(poly: _Polytope) -> Fraction:
+    """:func:`cell_measure` of a polytope already built."""
     k = poly.dim
     if k == 0:
         return Fraction(0)
-    if k != len(poly.base):
+    if k != len(poly.rows[0]) - 1:
         raise NotImplementedError("only full-dimensional cells are measured")
     total = 0
     for simplex in pulling_simplices(poly.face_vertex_sets(), tuple(range(len(poly.vertices)))):
@@ -726,5 +718,5 @@ def support_measure(pc: PolyhedralComplex) -> Fraction:
     total = Fraction(0)
     for cell in pc.maximal_cells():
         if cell.dim == top:
-            total += cell_measure(pc.cell_points(cell))
+            total += _measure(_polytope(pc, cell))
     return total

@@ -374,14 +374,19 @@ def test_lift_work_is_pinned(monkeypatch):
     # extreme_rays call for the box's facets and one for the lifted
     # polytope's vertices.  Neither building the inputs, nor the lift and
     # its check, nor a Schlegel projection makes a Fraction row reduction.
-    counts, (triangles, tetrahedron) = _work(monkeypatch, _pinned_inputs, names=())
-    assert counts == {"rref": 0}
+    # A polytope reads its facets off the cone of its homogeneous vertex
+    # rows, so building the inputs makes no chart (no dual_rows call); a
+    # Schlegel projection makes two, the polytope's and the avoided facet's.
+    counts, (triangles, tetrahedron) = _work(monkeypatch, _pinned_inputs, names=("dual_rows",))
+    assert counts == {"dual_rows": 0, "rref": 0}
     counts, verified = _work(monkeypatch, _lift_and_check, triangles)
     assert verified and counts == {"extreme_rays": 1 + 1, "_Polytope": 1, "rref": 0}
     counts, verified = _work(monkeypatch, _lift_and_check, tetrahedron)
     assert verified and counts == {"extreme_rays": 1 + 1, "_Polytope": 1, "rref": 0}
-    counts, out = _work(monkeypatch, schlegel, cube_vertices(), [(0, 2, 4, 6), (0, 1, 4, 5)], 5, names=())
-    assert len(out.maximal_cells()) == 2 and counts == {"rref": 0}
+    counts, out = _work(
+        monkeypatch, schlegel, cube_vertices(), [(0, 2, 4, 6), (0, 1, 4, 5)], 5, names=("dual_rows",)
+    )
+    assert len(out.maximal_cells()) == 2 and counts == {"dual_rows": 2, "rref": 0}
 
 
 def test_verify_embedding_work_is_pinned(monkeypatch):
@@ -430,11 +435,13 @@ def _cube_slab():
 
 def test_cube_slab_is_embedded_and_lifts(monkeypatch):
     # 24 tetrahedra and 163 cells, whose 24 polytopes the embedding check
-    # reads off the complex, where embedded_complex left them
+    # and the volume read off the complex, where embedded_complex left them
     pc = embedded_complex(*_cube_slab())
     assert len(pc.maximal_cells()) == 24 and len(pc.cells) == 163
     counts, embedded = _work(monkeypatch, verify_embedding, pc, names=("_Polytope",))
     assert embedded and counts == {"_Polytope": 0, "rref": 0}
+    counts, measure = _work(monkeypatch, support_measure, pc, names=("_Polytope",))
+    assert measure == 4 and counts == {"_Polytope": 0, "rref": 0}
     result = lift(pc)
     assert verify_lower_hull(result)
     assert support_measure(result.subdivision) == support_measure(pc) == 4
@@ -503,13 +510,14 @@ def test_lift_then_schlegel_round_trip():
             sorted(index[result.lifted_complex.point(i)] for i in cell.vertices)
         )
         lifted_cells.append(ids)
-    # the top facet t = M + 1 is the facet whose vertices all have last coord 7
-    from recdom.lifting import _Polytope
+    # the top facet t = M + 1 is the facet whose vertices all have last coord
+    # 7; Schlegel indexes the facets in its chart's order
+    from recdom.lifting import _chart, _Polytope
 
-    poly = _Polytope(verts)
+    _, facets = _chart(_Polytope(verts))
     top = next(
         i
-        for i, tight in enumerate(poly.facets)
+        for i, (_, tight) in enumerate(facets)
         if all(verts[j][-1] == result.max_value + 1 for j in tight)
     )
     out = schlegel(verts, lifted_cells, top)

@@ -7,8 +7,8 @@ no code with :func:`recdom.geometry.extreme_rays`.  The region cutter of
 :mod:`recdom.lifting` is checked against the construction it replaced: an
 H-to-V pass on each half's constraints and a fresh polytope on its vertices.
 Its integer cover check is checked against the same check in Fractions; the
-integer charts, kernels and hull equations of its polytopes and its cell
-volumes against the Fraction row reduction they replaced; its covering
+facets of its polytopes, its Schlegel charts, its hull equations and its
+cell volumes against the Fraction row reduction they replaced; its covering
 arrangement against the one that also added a cut through every facet; and
 its embedding check, which intersects maximal cells only, against the one
 that intersected every pair of cells."""
@@ -57,6 +57,7 @@ from recdom.lifting import (
     Arrangement,
     ArrangementDoesNotCover,
     _arrangement_covers,
+    _chart,
     _cone_vertices,
     _cut,
     _point,
@@ -199,19 +200,22 @@ def brute_force_chart_facets(chart, k):
     return tuple(sorted(found))
 
 
-def exposed_vertices(poly, active):
+def exposed_vertices(chart, active):
     """Vertex indices of a polytope tight on every chart inequality in
-    ``active``, by Fraction arithmetic on its chart."""
-    return tuple(i for i, y in enumerate(poly.chart) if all(dot(n, y) == b for n, b in active))
+    ``active``, by Fraction arithmetic on its chart points."""
+    return tuple(i for i, y in enumerate(chart) if all(dot(n, y) == b for n, b in active))
 
 
 def brute_force_faces(poly):
     """Vertex sets of the nonempty faces cut out by every subset of facet
-    inequalities, with the affine dimension of their points."""
+    inequalities in the Schlegel chart, with the affine dimension of their
+    points."""
+    chart, facets = _chart(poly)
+    inequalities = [inequality for inequality, _ in facets]
     faces = {}
-    for size in range(len(poly.inequalities) + 1):
-        for active in combinations(poly.inequalities, size):
-            vs = exposed_vertices(poly, active)
+    for size in range(len(inequalities) + 1):
+        for active in combinations(inequalities, size):
+            vs = exposed_vertices(chart, active)
             if vs and vs not in faces:
                 pts = [poly.vertices[i] for i in vs]
                 faces[vs] = rational_rank([[a - b for a, b in zip(p, pts[0])] for p in pts])
@@ -350,7 +354,7 @@ def cut_through(poly, tight):
     facet's directions that is not constant on the cell."""
     base = poly.rows[tight[0]]
     diffs = [tuple(a - b for a, b in zip(poly.rows[i][:-1], base)) for i in tight[1:]]
-    for n in integer_kernel(diffs, len(poly.base)):
+    for n in integer_kernel(diffs, len(poly.rows[0]) - 1):
         offset = dot(n, base)
         if any(dot(n, row) != offset for row in poly.rows):
             return AffineHyperplane.through_row(n, base)
@@ -398,15 +402,17 @@ def oracle_cell_measure(points):
 def oracle_covers(poly, arrangement):
     """The cover check in Fractions: the hyperplanes through every vertex
     have rank the codimension of the cell, and each facet, found from its
-    chart inequality, lies on a hyperplane through not every vertex."""
+    Schlegel chart inequality, lies on a hyperplane through not every
+    vertex."""
     containing = [
         h for h in arrangement.hyperplanes if all(h.value(v) == 0 for v in poly.vertices)
     ]
-    codim = len(poly.base) - poly.dim
+    codim = len(poly.rows[0]) - 1 - poly.dim
     if rational_rank([list(h.coeffs) for h in containing]) != codim:
         return False
-    for inequality in poly.inequalities:
-        facet_points = [poly.vertices[i] for i in exposed_vertices(poly, [inequality])]
+    chart, facets = _chart(poly)
+    for inequality, _ in facets:
+        facet_points = [poly.vertices[i] for i in exposed_vertices(chart, [inequality])]
         if not any(
             all(h.value(p) == 0 for p in facet_points)
             and any(h.value(v) != 0 for v in poly.vertices)
@@ -543,7 +549,9 @@ def test_vertices_match_brute_force(system):
 @given(point_sets())
 def test_facets_and_faces_match_brute_force(points):
     poly = _Polytope(points)
-    assert poly.inequalities == brute_force_chart_facets(poly.chart, poly.dim)
+    chart, facets = _chart(poly)
+    assert tuple(inequality for inequality, _ in facets) == brute_force_chart_facets(chart, poly.dim)
+    assert all(tight == exposed_vertices(chart, [inequality]) for inequality, tight in facets)
     assert poly.face_vertex_sets() == brute_force_faces(poly)
 
 
@@ -568,10 +576,21 @@ def rational_point_sets(draw):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(rational_point_sets())
 def test_polytope_matches_fraction_construction(points):
+    # The polytope's facets are the oracle's as vertex sets.  Its ambient
+    # inequalities are the oracle's up to a function vanishing on the affine
+    # hull, so they are compared where that is zero, in full dimension, and
+    # through the Schlegel chart, which sees them only on the hull.
     poly = _Polytope(points)
-    assert (
-        poly.chart, poly.inequalities, poly.facets, poly.ambient_inequalities, poly.hull_equations()
-    ) == oracle_polytope(points)
+    chart, inequalities, facets, ambient, equations = oracle_polytope(points)
+    assert poly.dim == len(chart[0])
+    assert _chart(poly) == (chart, tuple(zip(inequalities, facets)))
+    assert sorted(poly.facets) == sorted(facets)
+    if poly.dim == len(poly.rows[0]) - 1:
+        assert sorted(zip(poly.facets, poly.ambient_inequalities)) == sorted(zip(facets, ambient))
+    for (coeffs, rhs), tight in zip(poly.ambient_inequalities, poly.facets):
+        slack = [rhs - dot(coeffs, x) for x in poly.vertices]
+        assert min(slack) == 0 and tight == tuple(i for i, v in enumerate(slack) if v == 0)
+    assert poly.hull_equations() == equations
 
 
 @st.composite
@@ -588,7 +607,7 @@ def rational_clouds(draw):
 @given(rational_clouds())
 def test_cell_measure_matches_fraction_determinants(points):
     poly = _Polytope(points)
-    assume(1 <= poly.dim == len(poly.base))
+    assume(1 <= poly.dim == len(poly.rows[0]) - 1)
     assert cell_measure(points) == oracle_cell_measure(points)
 
 
