@@ -27,7 +27,6 @@ from .geometry import (
     FacetSelection,
     InvariantViolation,
     Vector,
-    bitmask,
     default_grading,
     dot,
     dual_rows,
@@ -405,7 +404,7 @@ def _graded_face_row(cone: Cone, face: Face, w) -> dict[int, int]:
     by degree, times (1 - t^(w.v)) for each cone ray v missing from the
     piece (the monomial substitution of a short rational generating
     function; Barvinok-Woods, JAMS 16, 2003).  The origin's row is the
-    product of (1 - t^(w.v)) over all rays."""
+    product of (1 - t^(w.v)) over all rays.  Degrees ascend."""
     if face.dim:
         pieces = [
             (Counter(dot(w, z) for z in _half_open_points(p.generators, p.open_walls)), p.generators)
@@ -424,7 +423,7 @@ def _graded_face_row(cone: Cone, face: Face, w) -> dict[int, int]:
                 counts = shifted
         for d, c in counts.items():
             row[d] = row.get(d, 0) + c
-    return {d: c for d, c in row.items() if c}
+    return {d: row[d] for d in sorted(row) if row[d]}
 
 
 class _FaceTable:
@@ -432,7 +431,8 @@ class _FaceTable:
     (``geometry.face_lattice``, which it keeps as ``lattice`` and whose face
     order it follows), for one cone: per grading asked for, each face's
     sparse graded row (``_graded_face_row``) and the least degree of its
-    relative interior.
+    relative interior, and the cone's default grading ``grading``, checked
+    once (see ``_grading``).
 
     A face's graded row is the numerator of its closed generating function
     over the canonical denominator (all cone rays) under x -> t^w.  Its
@@ -451,10 +451,11 @@ class _FaceTable:
     which the garbage collector does not track.  The cone is passed in
     rather than kept, since the cone keeps the table."""
 
-    __slots__ = ("lattice", "low", "base", "kronecker", "_graded", "_interior", "_lock")
+    __slots__ = ("lattice", "grading", "low", "base", "kronecker", "_graded", "_interior", "_lock")
 
     def __init__(self, cone: Cone):
         self.lattice = face_lattice(cone)
+        self.grading = _grading(cone, None)
         self.low = tuple(sum(min(0, v[i]) for v in cone.rays) for i in range(cone.dim))
         high = [sum(max(0, v[i]) for v in cone.rays) for i in range(cone.dim)]
         self.base = max(h - lo for h, lo in zip(high, self.low)) + 1
@@ -463,19 +464,24 @@ class _FaceTable:
         self._interior: dict[tuple, int] = {}
         self._lock = Lock()
 
+    def rows(self, cone: Cone, w, indices) -> list[dict[int, int]]:
+        """The graded rows under w of the faces at ``indices``, in order."""
+        with self._lock:
+            rows = []
+            for k in indices:
+                row = self._graded.get((w, k))
+                if row is None:
+                    row = self._graded[w, k] = _graded_face_row(cone, self.lattice.faces[k], w)
+                rows.append(row)
+        return rows
+
     def graded_sum(self, cone: Cone, w, coefficients) -> dict[int, int]:
         """The sum of c_K times the graded row of K under w, with c_K =
         coefficients[K] over the faces in order, as {degree: coefficient}."""
-        with self._lock:
-            rows = []
-            for k, c in enumerate(coefficients):
-                if c:
-                    row = self._graded.get((w, k))
-                    if row is None:
-                        row = self._graded[w, k] = _graded_face_row(cone, self.lattice.faces[k], w)
-                    rows.append((c, row))
+        used = [k for k, c in enumerate(coefficients) if c]
         total: dict[int, int] = {}
-        for c, row in rows:
+        for k, row in zip(used, self.rows(cone, w, used)):
+            c = coefficients[k]
             for d, a in row.items():
                 total[d] = total.get(d, 0) + c * a
         return total
@@ -517,20 +523,41 @@ class _FaceTable:
         return low
 
 
+_TABLE_LOCK = Lock()
+
+
 def _face_table(cone: Cone) -> _FaceTable:
-    """The cone's face table, made on first use and kept on the cone."""
+    """The cone's face table, made on first use and kept on the cone; made
+    under a module lock, so threads that ask at once share one table."""
     table = cone._face_table
     if table is None:
-        table = _FaceTable(cone)
-        object.__setattr__(cone, "_face_table", table)
+        with _TABLE_LOCK:
+            table = cone._face_table
+            if table is None:
+                table = _FaceTable(cone)
+                object.__setattr__(cone, "_face_table", table)
     return table
 
 
-def _open_face_signs(lattice, strict_facets) -> list[int]:
-    """(-1)^dim G for the faces G on no strict facet (the open faces), 0 for
-    the others: the coefficients of sigma_G in a domain's function at 1/x."""
-    strict = bitmask(strict_facets)
-    return [0 if m & strict else s for m, s in zip(lattice.masks, lattice.signs)]
+def _open_faces(lattice, strict_facets) -> tuple[int, int]:
+    """The faces on no strict facet (the open faces) and the faces on no
+    other facet (the opposite domain's), as masks: every face less the
+    origin, which lies on every facet, and the faces of dimension at least 1
+    on a facet of the other kind."""
+    on_strict = on_other = 1
+    for i, faces in enumerate(lattice.on_facet):
+        if i in strict_facets:
+            on_strict |= faces
+        else:
+            on_other |= faces
+    every = (1 << len(lattice.faces)) - 1
+    return every & ~on_strict, every & ~on_other
+
+
+def _open_face_signs(lattice, open_faces: int) -> list[int]:
+    """(-1)^dim G for the open faces G, 0 for the others: the coefficients
+    of sigma_G in a domain's function at 1/x."""
+    return [s if open_faces >> k & 1 else 0 for k, s in enumerate(lattice.signs)]
 
 
 def _reciprocal_gf(spec: DomainSpec) -> RationalGF:
@@ -541,7 +568,8 @@ def _reciprocal_gf(spec: DomainSpec) -> RationalGF:
     open."""
     cone = spec.cone
     table = _face_table(cone)
-    row = table.graded_sum(cone, table.kronecker, _open_face_signs(table.lattice, spec.strict_facets))
+    open_faces, _ = _open_faces(table.lattice, spec.strict_facets)
+    row = table.graded_sum(cone, table.kronecker, _open_face_signs(table.lattice, open_faces))
     return RationalGF(LaurentPoly(table.unpack(row)), tuple(sorted(cone.rays)))
 
 
@@ -681,15 +709,15 @@ def _lattice_sides(selection: FacetSelection) -> tuple[list[int], list[int]]:
     it."""
     cone = selection.cone
     lattice = face_lattice(cone)
-    selected = bitmask(selection.selected)
-    open_selected = bitmask(k for k, m in enumerate(lattice.masks) if not m & selected)
+    open_selected, open_complement = _open_faces(lattice, selection.selected)
+    open_even = open_selected & lattice.even
     sign = (-1) ** cone.dim
-    rhs = []
-    for s, above in zip(lattice.signs, lattice.uppers):
-        # the open faces G above K, each with sign (-1)^(dim G - dim K)
-        up = above & open_selected
-        rhs.append(sign * s * (2 * (up & lattice.even).bit_count() - up.bit_count()))
-    return _open_face_signs(lattice, selection.complement), rhs
+    # the open faces G above K, each with sign (-1)^(dim G - dim K)
+    rhs = [
+        sign * s * (2 * (above & open_even).bit_count() - (above & open_selected).bit_count())
+        for s, above in zip(lattice.signs, lattice.uppers)
+    ]
+    return _open_face_signs(lattice, open_complement), rhs
 
 
 def reciprocity_check(selection: FacetSelection, fields=(QQ, GF2), grading=None) -> ReciprocityReport:
@@ -711,9 +739,9 @@ def reciprocity_check(selection: FacetSelection, fields=(QQ, GF2), grading=None)
     read off the faces' graded rows under the grading (see
     ``_graded_disagreement``)."""
     cone = selection.cone
-    w = _grading(cone, grading)
-    cm_over = {label: c.is_cm for label, c in cm_on_upper_intervals(selection, fields).items()}
     table = _face_table(cone)
+    w = table.grading if grading is None else _grading(cone, grading)
+    cm_over = {label: c.is_cm for label, c in cm_on_upper_intervals(selection, fields).items()}
     lhs, rhs = _lattice_sides(selection)
     if lhs == rhs:
 
@@ -749,24 +777,36 @@ def _graded_disagreement(table: _FaceTable, cone: Cone, w, lhs, rhs) -> dict:
     side's total is the left side's minus the numerator difference there.
     The left side's total is the t^degree coefficient of its graded
     numerator times one geometric series per ray, counted from the lowest
-    term at most that degree, so a ray of huge degree builds no long list."""
+    term at most that degree, so a ray of huge degree builds no long list.
+    Each face's row is read once, the difference's only at that degree and
+    the left side's only up to it."""
     difference = [a - b for a, b in zip(lhs, rhs)]
-    changed = [(j, c) for j, c in enumerate(difference) if c]
+    changed = [(1 << j, c) for j, c in enumerate(difference) if c]
+    support = sum(bit for bit, _ in changed)
     lows = [
         table.interior_degree(cone, w, k)
         for k, up in enumerate(table.lattice.uppers)
-        if sum(c for j, c in changed if up >> j & 1)
+        if up & support and sum(c for bit, c in changed if up & bit)
     ]
     if not lows:
         raise InvariantViolation("the two sides were judged to differ, but their numerators agree")
     degree = min(lows)
-    part = table.graded_sum(cone, w, difference).get(degree, 0)
-    left = [(d, c) for d, c in table.graded_sum(cone, w, lhs).items() if c and d <= degree]
+    used = [k for k, (a, c) in enumerate(zip(lhs, difference)) if a or c]
+    part, sums = 0, {}
+    for k, row in zip(used, table.rows(cone, w, used)):
+        part += difference[k] * row.get(degree, 0)
+        if lhs[k]:
+            for d, c in row.items():  # in ascending degree
+                if d > degree:
+                    break
+                sums[d] = sums.get(d, 0) + lhs[k] * c
+    left = [(d, c) for d, c in sums.items() if c]
     # ways[n]: the ways to write n as a sum of ray degrees
     ways = [1] + [0] * (degree - min((d for d, _ in left), default=degree))
-    for a in (dot(w, v) for v in cone.rays):
-        for n in range(a, len(ways)):
-            ways[n] += ways[n - a]
+    if len(ways) > 1:
+        for a in (dot(w, v) for v in cone.rays):
+            for n in range(a, len(ways)):
+                ways[n] += ways[n - a]
     total = sum(c * ways[degree - d] for d, c in left)
     return {"kind": "disagreement", "degree": degree, "lhs": total, "rhs": total - part}
 

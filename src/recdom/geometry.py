@@ -493,16 +493,17 @@ class Cone:
     part of the value: equality, hashing and the repr read the three fields
     above only, and pickles and copies leave them out.  :func:`face_lattice`
     sets ``_face_lattice`` on first use to the cone's face lattice: its
-    faces with their tight facets, upper sets and covers with incidence
+    faces with their upper sets, neighbours and covers with incidence
     numbers, which the Cohen-Macaulay verdicts and the face-by-face sums
-    read.  ``recdom.enumerator`` sets ``_face_table`` on first use to the
-    cone's face table, which fills its face rows lazily under its own lock.
+    read.  ``recdom.enumerator`` sets ``_face_table`` on first use, under a
+    module lock, to the cone's face table, which holds the default grading
+    and fills its face rows lazily under its own lock.
     ``recdom.separation`` sets ``_arrangement`` on first use to the cone's
     facet arrangement: once the cone's double-description passes have cost
     as much as listing them, the arrangement's 1-D flats with their sign
     vectors, which every later separation reads, and, from the first
-    shelling on, the default grading and the cross-section centroid with the
-    facet values there.
+    shelling on, the face table's default grading and the cross-section
+    centroid with the facet values there.
     """
 
     dim: int
@@ -537,9 +538,6 @@ class Cone:
 
     def contains(self, point) -> bool:
         return all(f(point) >= 0 for f in self.facets)
-
-    def interior_contains(self, point) -> bool:
-        return all(f(point) > 0 for f in self.facets)
 
 
 @dataclass(frozen=True)
@@ -677,12 +675,16 @@ def bitmask(indices) -> int:
 
 class _FaceLattice:
     """One cone's face lattice, kept on the cone as ``_face_lattice``:
-    ``faces_of(cone)``, each face's tight facets as a bitmask and its sign
-    (-1)^dim, the faces containing it (itself included) as a bitmask over
-    the face list, the faces of even dimension as one such bitmask, per
-    facet the faces of dimension at least 1 on it as one such bitmask, and
-    each face's covers, the faces one dimension down inside it, as (index,
-    incidence) pairs with incidence +-1.
+    ``faces_of(cone)``, each face's sign (-1)^dim, the faces containing it
+    (itself included) as a bitmask over the face list, the faces of even
+    dimension as one such bitmask, per facet the faces of dimension at least
+    1 on it as one such bitmask, and each face's covers, the faces one
+    dimension down inside it, as (index, incidence) pairs with incidence
+    +-1.  Each face's ``neighbours`` mask holds its covers and the faces
+    that cover it, the edges of the search for connected upper intervals,
+    and ``scan`` lists, from the last face down, the faces of dimension at
+    most d - 3 in R^d, whose upper intervals a Cohen-Macaulay verdict checks
+    (see ``topology.cm_on_upper_intervals``).
 
     A face of dimension k is a (k - 1)-cell of the cross-section, the origin
     its empty (-1)-cell, and the incidences make the augmented cellular
@@ -701,11 +703,10 @@ class _FaceLattice:
     it.  Built once per cone, without a lock: two threads that build it at
     once make equal values and one is kept."""
 
-    __slots__ = ("faces", "masks", "signs", "uppers", "even", "on_facet", "covers")
+    __slots__ = ("faces", "signs", "uppers", "even", "on_facet", "covers", "neighbours", "scan")
 
     def __init__(self, cone: Cone):
         self.faces = faces = faces_of(cone)
-        self.masks = [bitmask(f.tight_facets) for f in faces]
         self.signs = [(-1) ** f.dim for f in faces]
         self.even = bitmask(k for k, s in enumerate(self.signs) if s > 0)
         ray_masks = [bitmask(f.rays) for f in faces]
@@ -723,12 +724,17 @@ class _FaceLattice:
             by_dim.setdefault(face.dim, []).append(k)
         self.covers = covers
         # a face's upper set is itself and the upper sets of the faces that
-        # cover it, which come later in the list
+        # cover it, which come later in the list; its neighbours are its
+        # covers and the faces that cover it
         uppers = [1 << k for k in range(len(faces))]
+        neighbours = [0] * len(faces)
         for k in reversed(range(len(faces))):
             for j, _ in covers[k]:
                 uppers[j] |= uppers[k]
-        self.uppers = uppers
+                neighbours[j] |= 1 << k
+                neighbours[k] |= 1 << j
+        self.uppers, self.neighbours = uppers, neighbours
+        self.scan = tuple(k for k in reversed(range(len(faces))) if faces[k].dim <= cone.dim - 3)
         self.on_facet = on_facet = [0] * len(cone.facets)
         for k, face in enumerate(faces):
             if face.dim:

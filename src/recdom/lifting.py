@@ -658,12 +658,6 @@ def lift(pc: PolyhedralComplex) -> LiftResult:
     )
 
 
-def cell_affine_piece(result: LiftResult, cell: Cell):
-    """The affine piece of the height active on one subdivision cell."""
-    rows = [_homogeneous(p) for p in result.subdivision.cell_points(cell)]
-    return _piece_inside(result.arrangement, rows)
-
-
 def verify_lower_hull(result: LiftResult) -> bool:
     """Every lifted cell must be supported from below by its affine piece.
 

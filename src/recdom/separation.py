@@ -35,13 +35,13 @@ from .geometry import (
     Vector,
     bitmask,
     common_denominator,
-    default_grading,
     dot,
     extreme_rays,
     integer_kernel,
     primitive,
     rank_over_field,
 )
+from .enumerator import _face_table
 
 # Listing a cone's flats tries C(n, d - 1) subsets of its n facets, each by
 # one kernel line of d - 1 rows and n sign tests; the line is weighed as
@@ -120,8 +120,9 @@ class _Arrangement:
     """One cone's facet arrangement, kept on the cone as ``_arrangement``:
     the cost ``tests`` of listing the 1-D flats of :func:`_flats`, in sign
     tests, the flats once listed and, from the first shelling on, the frame
-    of its shellings: the default grading, the cross-section centroid (C, N)
-    and the facet values f_i.C there.
+    of its shellings: the default grading, read from the cone's face table
+    (``enumerator._FaceTable``), the cross-section centroid (C, N) and the
+    facet values f_i.C there.
 
     The flats are listed on the selection at which ``PASS_TESTS`` per
     double-description pass made on the cone, this one included, reach
@@ -142,7 +143,7 @@ class _Arrangement:
         """The shelling frame (w, (C, N), f_i.C), made on first use."""
         frame = self._frame
         if frame is None:
-            w = default_grading(cone)
+            w = _face_table(cone).grading
             centroid = _centroid(cone, w)
             frame = self._frame = (w, centroid, tuple(f(centroid[0]) for f in cone.facets))
         return frame
@@ -281,17 +282,15 @@ def _line_shelling(cone: Cone, den: int, row) -> ShellingOrder:
     if not all(along):
         raise DegeneratePoint(f"line is parallel to facet {along.index(0)}")
     big = lcm(*along)
-    outgoing, returning = [], []
-    for idx, (height, value) in enumerate(zip(at_centroid, along)):
+    # the outgoing half first, by ascending time, then the returning half
+    # by descending time
+    keys = []
+    for height, value in zip(at_centroid, along):
         key = height * (big // abs(value))
-        (outgoing if (value > 0) == (wp < 0) else returning).append((key, idx))
-    for half in (outgoing, returning):
-        if len({key for key, _ in half}) < len(half):
-            raise DegeneratePoint("two facet hyperplanes crossed simultaneously")
-    outgoing.sort()
-    returning.sort(reverse=True)
-    order = tuple(i for _, i in outgoing) + tuple(i for _, i in returning)
-    return ShellingOrder(order, source)
+        keys.append((0, key) if (value > 0) == (wp < 0) else (1, -key))
+    if len(set(keys)) < len(keys):
+        raise DegeneratePoint("two facet hyperplanes crossed simultaneously")
+    return ShellingOrder(tuple(sorted(range(len(keys)), key=keys.__getitem__)), source)
 
 
 def is_shelling_prefix(selection: FacetSelection, shelling: ShellingOrder) -> bool:
@@ -309,10 +308,14 @@ def shelling_through_witness(selection: FacetSelection, witness) -> ShellingOrde
     group.  Degenerate lines are retried with shrinking seeded offsets that
     keep the witness sign pattern.  Candidates and steering points are
     integer rows over a positive denominator, and each steering point is
-    reduced to its least denominator, the one ``line_shelling`` finds."""
+    reduced to its least denominator, the one ``line_shelling`` finds; an
+    integer witness is its own row over 1."""
     cone = selection.cone
     w, (centroid, scale), _ = _arrangement(cone).frame(cone)
-    base_den, (base,) = common_denominator([tuple(Fraction(a) for a in witness)])
+    if all(isinstance(a, int) for a in witness):
+        base_den, base = 1, tuple(witness)
+    else:
+        base_den, (base,) = common_denominator([tuple(Fraction(a) for a in witness)])
     for attempt in range(32):
         if attempt == 0:
             den, row = base_den, base

@@ -472,12 +472,14 @@ def cm_on_upper_intervals(selection: FacetSelection, fields) -> dict[str, CMCert
     b_k = n_k - r_k - r_{k+1}, from the number n_k of k-cells and the ranks
     r_k of the augmented boundary maps.
 
-    Nothing is checked where t <= 0, and where t = 1 the check is
-    connectivity of the 0- and 1-cells, the same over every field.  The
-    scan runs from the highest-dimensional faces down and takes the origin
-    last, so the small intervals come first.  A failure names the cone face
-    x by its rays (the origin by ()), the homology index and the Betti
-    number."""
+    Nothing is checked where t <= 0, so the scan visits only the lattice's
+    ``scan`` list, the faces with t >= 1 from the highest-dimensional down,
+    the origin last, so the small intervals come first.  Where t = 1 the
+    check is connectivity of the 0- and 1-cells, the same over every field:
+    x's upper set within P, less x, since no face of P lies higher, searched
+    through the lattice's ``neighbours`` masks (``_mask_components``).  A
+    failure names the cone face x by its rays (the origin by ()), the
+    homology index and the Betti number."""
     cone = selection.cone
     lattice = face_lattice(cone)
     faces, covers = lattice.faces, lattice.covers
@@ -486,26 +488,25 @@ def cm_on_upper_intervals(selection: FacetSelection, fields) -> dict[str, CMCert
         nodes |= lattice.on_facet[i]
     certificates: dict[str, CMCertificate] = {}
     pending = list(fields)
-    for x in reversed(range(len(faces))):
+    for x in lattice.scan:
         if not pending:
             break
-        t = cone.dim - 2 - faces[x].dim
-        if t <= 0 or not nodes >> x & 1:
+        if not nodes >> x & 1:
             continue
+        t = cone.dim - 2 - faces[x].dim
         cells = lattice.uppers[x] & nodes
+        if t == 1:
+            b0 = _mask_components(cells ^ 1 << x, lattice.neighbours) - 1
+            if b0:
+                face = tuple(sorted(faces[x].rays))
+                certificates.update((f.label, CMCertificate(False, face, 0, b0)) for f in pending)
+                pending = []
+            continue
         # levels[k + 1]: the k-cells, with x the one (-1)-cell
         levels: list[list[int]] = [[] for _ in range(t + 2)]
         for y in range(x, len(faces)):
             if cells >> y & 1:
                 levels[faces[y].dim - faces[x].dim].append(y)
-        face = tuple(sorted(faces[x].rays))
-        if t == 1:
-            edges = ((y, z) for y in levels[2] for z, _ in covers[y] if cells >> z & 1)
-            b0 = _components(levels[1] + levels[2], edges) - 1
-            if b0:
-                certificates.update((f.label, CMCertificate(False, face, 0, b0)) for f in pending)
-                pending = []
-            continue
         position = {y: i for level in levels for i, y in enumerate(level)}
         boundaries = [
             ([{position[z]: s for z, s in covers[y] if z in position} for y in level], len(lower))
@@ -519,6 +520,28 @@ def cm_on_upper_intervals(selection: FacetSelection, fields) -> dict[str, CMCert
                 raise InvariantViolation(f"negative Betti numbers {betti}: a boundary rank is wrong")
             failing = next((k for k in range(t) if betti[k]), None)
             if failing is not None:
+                face = tuple(sorted(faces[x].rays))
                 certificates[f.label] = CMCertificate(False, face, failing, betti[failing])
                 pending.remove(f)
-    return {f.label: certificates.get(f.label, CMCertificate(True)) for f in fields}
+    holding = CMCertificate(True)
+    return {f.label: certificates.get(f.label, holding) for f in fields}
+
+
+def _mask_components(cells: int, neighbours) -> int:
+    """Number of connected components of the graph on the set bits of
+    ``cells``, bit j adjacent to bit i when it is set in neighbours[i]: each
+    component is grown from its lowest bit, one frontier mask at a time."""
+    count = 0
+    while cells:
+        count += 1
+        frontier = cells & -cells
+        cells ^= frontier
+        while frontier:
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                grown |= neighbours[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grown & cells
+            cells ^= frontier
+    return count

@@ -14,11 +14,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from recdom import enumerator, geometry, jsonio, topology
+from recdom import enumerator, geometry, jsonio, separation, topology
 from recdom.corpus import (
     corpus_cones,
     facet_pairs_sharing_a_ray,
     facet_pairs_sharing_no_ray,
+    hexagon_cone,
     pentagon_cone,
     quadrant,
     square_cone,
@@ -64,6 +65,12 @@ from recdom.geometry import (
 from recdom.topology import barycentric, boundary_subcomplex, cm_on_upper_intervals, is_cohen_macaulay
 
 DATA = Path(__file__).resolve().parents[1] / "data"
+
+
+def interior_contains(cone, point):
+    """Whether the point lies in the cone's interior (an oracle kept from the
+    library's former ``Cone.interior_contains``)."""
+    return all(f(point) > 0 for f in cone.facets)
 
 
 def quadrant_selection():
@@ -1172,6 +1179,74 @@ def test_cm_verdicts_rank_cells_not_order_complexes(monkeypatch):
     assert counts["sparse_rank"] and not counts["reduced_homology"] and not counts["SimplicialComplex"]
 
 
+def _selection_chain(cone):
+    """The selections benchmark's chain on every selection of the cone:
+    separation, the shelling through a witness, and the reciprocity check."""
+    n = len(cone.facets)
+    for size in range(1, n):
+        for subset in combinations(range(n), size):
+            selection = FacetSelection(cone, frozenset(subset))
+            result = separation.separation_witness(selection)
+            if result.separable:
+                separation.shelling_through_witness(selection, result.witness)
+            reciprocity_check(selection)
+
+
+def test_default_grading_is_computed_once_per_cone(monkeypatch):
+    # Work pin: over every selection of a hexagon cone the default grading
+    # is computed and checked once, by the face table; the shelling frame
+    # and each reciprocity check read it there.  A grading the caller
+    # passes is still checked on every call.
+    calls = []
+    original = geometry.default_grading
+
+    def counted(cone):
+        calls.append(cone)
+        return original(cone)
+
+    for module in (geometry, enumerator, separation, topology):
+        if getattr(module, "default_grading", None) is original:
+            monkeypatch.setattr(module, "default_grading", counted)
+    cone = hexagon_cone()
+    _selection_chain(cone)
+    assert len(calls) == 1
+    selection = FacetSelection(cone, frozenset({0}))
+    for bad in ((1, 1), (1, 1, -100)):
+        with pytest.raises(BadGrading):
+            reciprocity_check(selection, grading=bad)
+    assert len(calls) == 1
+
+
+# The cones of the selections benchmark, rays (x, y, 1) over polygons and
+# (x, y, z, 1) over tetrahedra, and the graded rows their chains build
+SELECTIONS_CONES = (
+    ([(-3, 2, 1), (-2, -1, 1), (2, 1, 1), (3, 2, 1)], 6),
+    ([(-2, 2, 1), (-1, -1, 1), (2, -2, 1), (3, 0, 1)], 6),
+    ([(-3, -1, 1), (-2, 1, 1), (0, 2, 1), (1, 2, 1), (3, -1, 1)], 12),
+    ([(-2, -2, 1), (-1, -3, 1), (-1, 0, 1), (2, -1, 1), (2, 3, 1)], 12),
+    ([(-2, 2, 1), (-2, 4, 1), (-1, 3, 1), (0, -4, 1), (2, -4, 1), (2, -2, 1)], 14),
+    ([(-2, 1, 1), (-2, 2, 1), (-1, -2, 1), (0, 3, 1), (1, -1, 1), (3, 2, 1)], 14),
+    ([(-1, -1, 1, 1), (0, 1, 0, 1), (0, 1, 1, 1), (1, 1, 1, 1)], 0),
+    ([(-1, 1, 1, 1), (0, -1, 0, 1), (0, -1, 1, 1), (1, -1, -1, 1)], 0),
+)
+
+
+@pytest.mark.parametrize("rays, rows", SELECTIONS_CONES)
+def test_graded_rows_per_cone_on_the_selection_chain(monkeypatch, rays, rows):
+    # Work pin: the chain builds each of these graded rows once, and only
+    # for failing witnesses; a holding verdict builds none
+    built = []
+    graded_face_row = enumerator._graded_face_row
+
+    def counted(cone, face, w):
+        built.append((face, w))
+        return graded_face_row(cone, face, w)
+
+    monkeypatch.setattr(enumerator, "_graded_face_row", counted)
+    _selection_chain(Cone.from_rays(rays))
+    assert len(built) == len(set(built)) == rows
+
+
 # -- colon identity -------------------------------------------------------------
 
 def test_colon_quadrant_examples():
@@ -1209,7 +1284,7 @@ def test_colon_square_cone_instances():
             facet = cone.facets[data["facet"]]
             assert facet(a) == 0 and facet(b) == 0
             assert all(cone.facets[i](b) > 0 for i in pair)
-            assert not cone.interior_contains(data["sum"])
+            assert not interior_contains(cone, data["sum"])
 
 
 def test_colon_witness_exhaustion_error():
@@ -1270,7 +1345,7 @@ def oracle_colon_pairs(selection, bound):
     points = _cone_scan(cone, bound)
     members = [a for a in points if all(cone.facets[i](a) > 0 for i in selection.complement)]
     ideal = [b for b in points if all(cone.facets[i](b) > 0 for i in selection.selected)]
-    bad = [(a, b) for a in members for b in ideal if not cone.interior_contains(vadd(a, b))]
+    bad = [(a, b) for a in members for b in ideal if not interior_contains(cone, vadd(a, b))]
     return len(members), len(members) * len(ideal), bad
 
 

@@ -25,7 +25,8 @@ from recdom.lifting import (
     Arrangement,
     ArrangementDoesNotCover,
     SubcomplexTouchesAvoidedFacet,
-    cell_affine_piece,
+    _homogeneous,
+    _piece_inside,
     cell_measure,
     covering_arrangement,
     embedded_complex,
@@ -38,6 +39,13 @@ from recdom.lifting import (
     verify_lower_hull,
 )
 from recdom.topology import Cell, PolyhedralComplex, barycentric, reduced_homology
+
+
+def cell_affine_piece(result, cell):
+    """The affine piece of the height active on one subdivision cell (an
+    oracle kept from the library's former API)."""
+    rows = [_homogeneous(p) for p in result.subdivision.cell_points(cell)]
+    return _piece_inside(result.arrangement, rows)
 
 
 def test_verify_embedding_shared_edge():

@@ -12,6 +12,7 @@ from recdom import geometry, topology
 from recdom.corpus import (
     annulus,
     corpus_complexes,
+    corpus_cones,
     cubical_complex,
     cycle_complex,
     facet_pairs_sharing_a_ray,
@@ -1057,3 +1058,124 @@ def test_cm_on_upper_intervals_names_the_failing_cone_face():
     # every field, from the ranks of its cellular boundary maps
     belt = _selection(OCTAHEDRON_RAYS, OCTAHEDRON_BELT)
     assert cm_on_upper_intervals(belt, FIELDS) == {f.label: CMCertificate(False, (), 1, 1) for f in FIELDS}
+
+
+def oracle_cm_level_lists(selection, fields):
+    """The former cm_on_upper_intervals: every face scanned from the last
+    down, and where t = 1 the 0- and 1-cells listed by level and their
+    components counted by union-find over the covers between them."""
+    cone = selection.cone
+    lattice = geometry.face_lattice(cone)
+    faces, covers = lattice.faces, lattice.covers
+    nodes = 1
+    for i in selection.selected:
+        nodes |= lattice.on_facet[i]
+    certificates = {}
+    pending = list(fields)
+    for x in reversed(range(len(faces))):
+        if not pending:
+            break
+        t = cone.dim - 2 - faces[x].dim
+        if t <= 0 or not nodes >> x & 1:
+            continue
+        cells = lattice.uppers[x] & nodes
+        levels = [[] for _ in range(t + 2)]
+        for y in range(x, len(faces)):
+            if cells >> y & 1:
+                levels[faces[y].dim - faces[x].dim].append(y)
+        face = tuple(sorted(faces[x].rays))
+        if t == 1:
+            edges = ((y, z) for y in levels[2] for z, _ in covers[y] if cells >> z & 1)
+            b0 = _components(levels[1] + levels[2], edges) - 1
+            if b0:
+                certificates.update((f.label, CMCertificate(False, face, 0, b0)) for f in pending)
+                pending = []
+            continue
+        position = {y: i for level in levels for i, y in enumerate(level)}
+        boundaries = [
+            ([{position[z]: s for z, s in covers[y] if z in position} for y in level], len(lower))
+            for lower, level in zip(levels, levels[1:])
+        ]
+        for f in list(pending):
+            ranks = [geometry.sparse_rank(columns, width, f) for columns, width in boundaries]
+            betti = [len(levels[k + 1]) - ranks[k] - ranks[k + 1] for k in range(t)]
+            failing = next((k for k in range(t) if betti[k]), None)
+            if failing is not None:
+                certificates[f.label] = CMCertificate(False, face, failing, betti[failing])
+                pending.remove(f)
+    return {f.label: certificates.get(f.label, CMCertificate(True)) for f in fields}
+
+
+# the two lattice tetrahedra of volume 2/6 in [-1, 1]^3 of the selections
+# benchmark, coned: each ray's upper interval is checked for connectivity
+TETRAHEDRON_CONES = (
+    ((-1, -1, 1, 1), (0, 1, 0, 1), (0, 1, 1, 1), (1, 1, 1, 1)),
+    ((-1, 1, 1, 1), (0, -1, 0, 1), (0, -1, 1, 1), (1, -1, -1, 1)),
+)
+ORACLE_CONES = (
+    *(cone.rays for cone in corpus_cones(0).values()),
+    tuple(OCTAHEDRON_RAYS),
+    *TETRAHEDRON_CONES,
+)
+
+
+@st.composite
+def oracle_cones(draw):
+    """One of ``ORACLE_CONES`` in a drawn signed permutation of the
+    coordinates, a symmetry of the lattice."""
+    rays = draw(st.sampled_from(ORACLE_CONES))
+    d = len(rays[0])
+    axes = draw(st.permutations(range(d)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=d, max_size=d))
+    return Cone.from_rays([tuple(s * r[a] for s, a in zip(signs, axes)) for r in rays])
+
+
+def _every_oracle_cone(test):
+    for rays in ORACLE_CONES:
+        test = example(Cone.from_rays(rays))(test)
+    return test
+
+
+@_every_oracle_cone
+@settings(derandomize=True, max_examples=24, deadline=None)
+@given(oracle_cones())
+def test_cm_connectivity_search_matches_the_level_lists(cone):
+    # on every selection, over three fields, the neighbour-mask search gives
+    # the former level lists' certificates, failing face, homology index and
+    # Betti number included
+    n = len(cone.facets)
+    for size in range(1, n):
+        for subset in combinations(range(n), size):
+            selection = FacetSelection(cone, frozenset(subset))
+            assert cm_on_upper_intervals(selection, FIELDS) == oracle_cm_level_lists(selection, FIELDS)
+
+
+def test_cm_connectivity_failures_name_rays_and_the_origin():
+    # the property above sees t = 1 failures at rays of 4-D cones and at
+    # the origin of 3-D cones, and holding selections
+    seen = set()
+    for rays in ORACLE_CONES:
+        cone = Cone.from_rays(rays)
+        n = len(cone.facets)
+        for size in range(1, n):
+            for subset in combinations(range(n), size):
+                for c in cm_on_upper_intervals(FacetSelection(cone, frozenset(subset)), (QQ,)).values():
+                    seen.add((cone.dim, c.failing_index, len(c.failing_face or ())) if not c.is_cm else True)
+    assert {True, (3, 0, 0), (4, 0, 1)} <= seen
+
+
+def test_cm_on_3d_cones_counts_no_union_find_or_rank(monkeypatch):
+    # Work pin: on 3-D cones every upper interval with t >= 1 is the
+    # origin's, with t = 1, decided by the neighbour-mask search alone
+    calls = []
+    for name in ("_components", "sparse_rank"):
+        original = getattr(topology, name)
+        monkeypatch.setattr(topology, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+    verdicts = set()
+    for cone in corpus_cones(0).values():
+        n = len(cone.facets)
+        for size in range(1, n):
+            for subset in combinations(range(n), size):
+                got = cm_on_upper_intervals(FacetSelection(cone, frozenset(subset)), FIELDS)
+                verdicts.update(c.is_cm for c in got.values())
+    assert calls == [] and verdicts == {True, False}
