@@ -539,19 +539,14 @@ def _face_table(cone: Cone) -> _FaceTable:
     return table
 
 
-def _open_faces(lattice, strict_facets) -> tuple[int, int]:
-    """The faces on no strict facet (the open faces) and the faces on no
-    other facet (the opposite domain's), as masks: every face less the
-    origin, which lies on every facet, and the faces of dimension at least 1
-    on a facet of the other kind."""
-    on_strict = on_other = 1
-    for i, faces in enumerate(lattice.on_facet):
-        if i in strict_facets:
-            on_strict |= faces
-        else:
-            on_other |= faces
-    every = (1 << len(lattice.faces)) - 1
-    return every & ~on_strict, every & ~on_other
+def _open_faces(lattice, strict_facets) -> int:
+    """The faces on no strict facet (the open faces), as a mask: every face
+    less the origin, which lies on every facet, and the faces of dimension
+    at least 1 on a strict facet."""
+    on_strict = 1
+    for i in strict_facets:
+        on_strict |= lattice.on_facet[i]
+    return ((1 << len(lattice.faces)) - 1) & ~on_strict
 
 
 def _open_face_signs(lattice, open_faces: int) -> list[int]:
@@ -568,8 +563,8 @@ def _reciprocal_gf(spec: DomainSpec) -> RationalGF:
     open."""
     cone = spec.cone
     table = _face_table(cone)
-    open_faces, _ = _open_faces(table.lattice, spec.strict_facets)
-    row = table.graded_sum(cone, table.kronecker, _open_face_signs(table.lattice, open_faces))
+    signs = _open_face_signs(table.lattice, _open_faces(table.lattice, spec.strict_facets))
+    row = table.graded_sum(cone, table.kronecker, signs)
     return RationalGF(LaurentPoly(table.unpack(row)), tuple(sorted(cone.rays)))
 
 
@@ -709,7 +704,7 @@ def _lattice_sides(selection: FacetSelection) -> tuple[list[int], list[int]]:
     it."""
     cone = selection.cone
     lattice = face_lattice(cone)
-    open_selected, open_complement = _open_faces(lattice, selection.selected)
+    open_selected = _open_faces(lattice, selection.selected)
     open_even = open_selected & lattice.even
     sign = (-1) ** cone.dim
     # the open faces G above K, each with sign (-1)^(dim G - dim K)
@@ -717,7 +712,7 @@ def _lattice_sides(selection: FacetSelection) -> tuple[list[int], list[int]]:
         sign * s * (2 * (above & open_even).bit_count() - (above & open_selected).bit_count())
         for s, above in zip(lattice.signs, lattice.uppers)
     ]
-    return _open_face_signs(lattice, open_complement), rhs
+    return _open_face_signs(lattice, _open_faces(lattice, selection.complement)), rhs
 
 
 def reciprocity_check(selection: FacetSelection, fields=(QQ, GF2), grading=None) -> ReciprocityReport:
@@ -803,10 +798,9 @@ def _graded_disagreement(table: _FaceTable, cone: Cone, w, lhs, rhs) -> dict:
     left = [(d, c) for d, c in sums.items() if c]
     # ways[n]: the ways to write n as a sum of ray degrees
     ways = [1] + [0] * (degree - min((d for d, _ in left), default=degree))
-    if len(ways) > 1:
-        for a in (dot(w, v) for v in cone.rays):
-            for n in range(a, len(ways)):
-                ways[n] += ways[n - a]
+    for a in (dot(w, v) for v in cone.rays):
+        for n in range(a, len(ways)):
+            ways[n] += ways[n - a]
     total = sum(c * ways[degree - d] for d, c in left)
     return {"kind": "disagreement", "degree": degree, "lhs": total, "rhs": total - part}
 

