@@ -502,8 +502,8 @@ class Cone:
     facet arrangement: once the cone's double-description passes have cost
     as much as listing them, the arrangement's 1-D flats with their sign
     vectors, which every later separation reads, and, from the first
-    shelling on, the face table's default grading and the cross-section
-    centroid with the facet values there.
+    shelling on, the default grading and the cross-section centroid with the
+    facet values there.
     """
 
     dim: int

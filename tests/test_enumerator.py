@@ -1192,7 +1192,7 @@ def _selection_chain(cone):
             reciprocity_check(selection)
 
 
-def test_default_grading_is_computed_once_per_cone(monkeypatch):
+def test_default_grading_is_computed_twice_per_cone(monkeypatch):
     # Work pin: over every selection of a hexagon cone the default grading
     # is computed twice: once by the face table, which checks it and whose
     # copy each reciprocity check reads, and once by the shelling frame.  A
