@@ -659,30 +659,17 @@ def specialize(gf: RationalGF, weights) -> RationalGF:
 class ReciprocityReport:
     """Outcome of the two-sided enumerator comparison.
 
-    A holding report from ``reciprocity_check`` builds its witness, the
-    shared numerator, when ``witness`` is first read; equality and ``repr``
-    read it, and pickles and copies carry it built.  ``to_json()`` reads it
-    only when the identity fails."""
+    The witness certifies the verdict.  A holding report from
+    ``reciprocity_check`` carries the face coefficients that decided it,
+    ``{"kind": "identity", "faces": ..., "coefficients": ...}``: the cone's
+    faces in ``faces_of`` order and each one's coefficient of sigma_K, the
+    same on both sides.  A failing one carries the first degree where the
+    two sides' series differ and both totals there.  ``to_json()`` reads
+    the witness only when the identity fails."""
 
     holds: bool
     cm_over: dict[str, bool]
     witness: dict
-
-    @classmethod
-    def _built_on_read(cls, holds, cm_over, build) -> "ReciprocityReport":
-        report = cls.__new__(cls)
-        report.holds, report.cm_over, report._build = holds, cm_over, build
-        return report
-
-    def __getattr__(self, name):
-        # reached only while the instance has no ``witness`` of its own
-        build = self.__dict__.get("_build")
-        if name != "witness" or build is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        return self.__dict__.setdefault("witness", build())
-
-    def __getstate__(self):
-        return {"holds": self.holds, "cm_over": self.cm_over, "witness": self.witness}
 
     def to_json(self) -> dict:
         first = None
@@ -725,30 +712,22 @@ def reciprocity_check(selection: FacetSelection, fields=(QQ, GF2), grading=None)
     reciprocity theorems", Adv. Math. 14, 1974).  The per-field
     Cohen-Macaulay verdicts for the removed boundary part's cross-section
     are read from its upper intervals (see
-    ``topology.cm_on_upper_intervals``).  When the identity holds both sides
-    share one numerator over the canonical denominator (all cone rays), and
-    the witness is the complement's: the signed sum of its open faces' rows
-    under the cone's Kronecker grading, unpacked, built when the report's
-    ``witness`` is first read.  Otherwise the witness is the smallest
-    grading degree where the series disagree, with both per-degree totals,
-    read off the faces' graded rows under the grading (see
-    ``_graded_disagreement``)."""
+    ``topology.cm_on_upper_intervals``).  When the identity holds the
+    witness is that certificate: the faces and their common coefficients,
+    which a reader checks from each face's tight facets (see
+    ``ReciprocityReport``); the shared numerator is the complement's
+    ``_reciprocal_gf``, which ``domain_gf`` inverts.  Otherwise the witness
+    is the smallest grading degree where the series disagree, with both
+    per-degree totals, read off the faces' graded rows under the grading
+    (see ``_graded_disagreement``)."""
     cone = selection.cone
     table = _face_table(cone)
     w = table.grading if grading is None else _grading(cone, grading)
     cm_over = {label: c.is_cm for label, c in cm_on_upper_intervals(selection, fields).items()}
     lhs, rhs = _lattice_sides(selection)
     if lhs == rhs:
-
-        def identity():
-            terms = table.unpack(table.graded_sum(cone, table.kronecker, lhs))
-            return {
-                "kind": "identity",
-                "denominator_rays": [list(v) for v in sorted(cone.rays)],
-                "numerator": [(list(e), c) for e, c in terms.items()],
-            }
-
-        return ReciprocityReport._built_on_read(True, cm_over, identity)
+        certificate = {"kind": "identity", "faces": table.lattice.faces, "coefficients": tuple(lhs)}
+        return ReciprocityReport(True, cm_over, certificate)
     return ReciprocityReport(False, cm_over, _graded_disagreement(table, cone, w, lhs, rhs))
 
 

@@ -114,17 +114,19 @@ def test_reciprocity_parallelepiped_above_the_limit_exit_code(capsys, tmp_path, 
 
 @pytest.mark.parametrize("n", [10**30, 10**12])
 def test_holding_verdict_walks_no_parallelepiped(capsys, tmp_path, n):
-    # on the same cone the selection {0} holds; the verdict is read off the
-    # face lattice, and only reading the witness walks the parallelepiped
+    # on the same cone the selection {0} holds; the verdict and its witness,
+    # the faces' coefficients, are read off the face lattice, and only the
+    # shared numerator, one call away, walks the parallelepiped
     rays = [(0, 0, 1), (n, 1, 1), (1, 0, 1), (1, 2, 1), (2, 1, 1)]
     path = tmp_path / "cone.json"
     path.write_text(json.dumps({"dim": 3, "rays": rays}))
     assert main(["reciprocity", str(path), "--select", "0", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["holds"] is True
-    report = enumerator.reciprocity_check(FacetSelection(Cone.from_rays(rays), frozenset({0})))
-    assert report.holds
+    selection = FacetSelection(Cone.from_rays(rays), frozenset({0}))
+    report = enumerator.reciprocity_check(selection)
+    assert report.holds and report.witness["kind"] == "identity"
     with pytest.raises(BoxTooLarge, match=f"exceeds the limit of {BOX_LIMIT}"):
-        report.witness
+        enumerator.domain_gf(enumerator.DomainSpec(selection, enumerator.COMPLEMENT))
 
 
 @pytest.mark.parametrize(

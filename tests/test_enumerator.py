@@ -768,6 +768,57 @@ def test_invariant_violation_is_not_an_input_error():
 
 # -- the one-sided check against the two-sided path -----------------------------
 
+def oracle_identity_certificate(selection):
+    """The coefficients L(K) and R(K) of each closed face's sigma_K, faces in
+    ``faces_of`` order, in F_complement(1/x) and in (-1)^d F_selected(x),
+    from each face's tight facets alone.  A face is open on a side when it
+    is tight on none of that side's strict facets, and a face G contains K
+    when G's tight facets are among K's.  L(K) is (-1)^dim K when K is open
+    on the complement's side and 0 otherwise; R(K) is (-1)^d times the sum
+    of (-1)^(dim G - dim K) over the faces G containing K that are open on
+    the selected side."""
+    cone = selection.cone
+    faces = faces_of(cone)
+    lhs = tuple(0 if k.tight_facets & selection.complement else (-1) ** k.dim for k in faces)
+    rhs = tuple(
+        (-1) ** cone.dim * sum(
+            (-1) ** (g.dim - k.dim)
+            for g in faces
+            if g.tight_facets <= k.tight_facets and not g.tight_facets & selection.selected
+        )
+        for k in faces
+    )
+    return lhs, rhs
+
+
+def certificate_checks(selection, witness) -> bool:
+    """Whether a holding witness is the checker's certificate: the cone's
+    faces, and coefficients equal to L(K) and to R(K) face by face."""
+    lhs, rhs = oracle_identity_certificate(selection)
+    certificate = {"kind": "identity", "faces": faces_of(selection.cone), "coefficients": lhs}
+    return lhs == rhs and witness == certificate
+
+
+def numerators_agree(selection) -> bool:
+    """Whether F_complement(1/x) and (-1)^d F_selected(x), each from the
+    subset walk over the canonical denominator, have equal numerators."""
+    lhs = invert_variables(oracle_domain_gf(DomainSpec(selection, COMPLEMENT)))
+    rhs = oracle_domain_gf(DomainSpec(selection, SELECTED))
+    return lhs.numerator == rhs.numerator.scale((-1) ** selection.cone.dim)
+
+
+def check_certificate_against_the_numerators(selection) -> bool:
+    """The checker's two sides agree exactly when the numerators do, the
+    report holds exactly then, and a holding report's certificate is the
+    checker's.  Returns whether the report holds."""
+    lhs, rhs = oracle_identity_certificate(selection)
+    assert (lhs == rhs) == numerators_agree(selection)
+    report = reciprocity_check(selection, fields=())
+    assert report.holds == (lhs == rhs)
+    assert not report.holds or certificate_checks(selection, report.witness)
+    return report.holds
+
+
 def oracle_reciprocity_check(selection, fields=(QQ, GF2)):
     """Both domains' generating functions, the complement's inverted back to
     1/x, compared by ``gf_equal``, with the library's witness."""
@@ -778,11 +829,8 @@ def oracle_reciprocity_check(selection, fields=(QQ, GF2)):
     subdivided = barycentric(boundary_subcomplex(selection))
     cm_over = {f.label: is_cohen_macaulay(subdivided, f).is_cm for f in fields}
     if holds:
-        witness = {
-            "kind": "identity",
-            "denominator_rays": [list(v) for v in rhs.denom_rays],
-            "numerator": sorted((list(e), c) for e, c in rhs.numerator.terms.items()),
-        }
+        coefficients = oracle_identity_certificate(selection)[0]
+        witness = {"kind": "identity", "faces": faces_of(cone), "coefficients": coefficients}
     else:
         witness = first_disagreement(lhs, rhs, default_grading(cone))
     return ReciprocityReport(holds, cm_over, witness)
@@ -800,7 +848,8 @@ def test_reciprocity_check_matches_two_sided_path(spec):
 def test_reciprocity_check_matches_two_sided_path_on_every_selection(rays):
     # every selection of two cones whose failing witnesses include positive
     # degrees (8 on the octahedron, 6 on the bipyramid), all on one cone
-    # object, so later selections read the face rows that earlier ones built
+    # object, so later selections read the face rows that earlier ones built;
+    # the identity certificate is checked against the subset walk's numerators
     cone = Cone.from_rays(rays)
     n = len(cone.facets)
     degrees = Counter()
@@ -810,8 +859,9 @@ def test_reciprocity_check_matches_two_sided_path_on_every_selection(rays):
             got, want = reciprocity_check(selection), oracle_reciprocity_check(selection)
             assert got.to_json() == want.to_json(), subset
             assert got.witness == want.witness, subset
+            assert check_certificate_against_the_numerators(selection) == got.holds, subset
             degrees[got.witness.get("degree")] += 1
-    assert any(d for d in degrees if d), degrees
+    assert any(d for d in degrees if d) and degrees[None], degrees
 
 
 def oracle_face_row_witness(selection, w):
@@ -943,10 +993,11 @@ def test_unpacking_a_key_out_of_range_raises():
 
 def test_holding_selections_of_the_4_cube_cone_build_no_multivariate_row(monkeypatch):
     # The cone over the 4-cube with vertices (+-1, ..., +-1) has 16 rays, 8
-    # facets and 82 faces (the origin included), and each holding witness
-    # has tens of thousands of terms.  Its first 4 two-facet and 36
-    # three-facet selections hold; their verdicts build no face's row, under
-    # any grading, and walk no parallelepiped.
+    # facets and 82 faces (the origin included), and its shared numerators
+    # have tens of thousands of terms.  Its first 4 two-facet and 36
+    # three-facet selections hold; their verdicts and their witnesses, one
+    # coefficient per face, build no face's row, under any grading, and walk
+    # no parallelepiped.
     cone = Cone.from_rays([c + (1,) for c in product((-1, 1), repeat=4)])
     calls = Counter()
     for name in ("_graded_face_row", "_face_gf", "simplicial_gf", "_parallelepiped_points"):
@@ -958,38 +1009,36 @@ def test_holding_selections_of_the_4_cube_cone_build_no_multivariate_row(monkeyp
 
         monkeypatch.setattr(enumerator, name, counted)
     subsets = list(combinations(range(8), 2))[:4] + list(combinations(range(8), 3))[:36]
-    reports = [reciprocity_check(FacetSelection(cone, frozenset(s))) for s in subsets]
+    selections = [FacetSelection(cone, frozenset(s)) for s in subsets]
+    reports = [reciprocity_check(selection) for selection in selections]
     assert len(cone._face_lattice.faces) == 82
     assert all(r.holds for r in reports)
+    witnesses = [r.witness for r in reports]
     assert not calls and not cone._face_table._graded
+    assert all(certificate_checks(s, x) for s, x in zip(selections, witnesses))
 
 
-def test_holding_witness_is_built_on_read():
-    def unread():
-        report = reciprocity_check(FacetSelection(pentagon_cone(), frozenset({0, 1})))
-        assert report.holds and "witness" not in vars(report)
-        return report
-
-    first = unread()
-    witness = first.witness
-    assert witness["kind"] == "identity" and witness["numerator"]
-    assert vars(first)["witness"] is witness is first.witness
-    built = ReciprocityReport(True, dict(first.cm_over), witness)
-    # equality and repr read the witness first
-    report = unread()
-    assert repr(report) == repr(built) and "witness" in vars(report)
-    report = unread()
-    assert report == built and "witness" in vars(report)
-    assert unread() == unread()
-    # pickles and copies carry it built
-    for copied in (pickle.loads(pickle.dumps(unread())), copy.deepcopy(unread()), copy.copy(unread())):
-        assert set(vars(copied)) == {"holds", "cm_over", "witness"}
-        assert copied == built and copied.witness == witness
-    # the report's JSON does not read it
-    report = unread()
-    assert report.to_json() == built.to_json() and "witness" not in vars(report)
-    with pytest.raises(AttributeError, match="no attribute 'numerator'"):
-        report.numerator
+def test_holding_report_is_a_plain_dataclass():
+    # a holding report holds its certificate as a plain field: equality,
+    # repr, pickles and copies see it as any other field, and to_json()
+    # leaves it out
+    assert not {"_built_on_read", "__getattr__", "__getstate__"} & vars(ReciprocityReport).keys()
+    selection = FacetSelection(pentagon_cone(), frozenset({0, 1}))
+    report = reciprocity_check(selection)
+    assert report.holds and certificate_checks(selection, report.witness)
+    assert vars(report).keys() == {"holds", "cm_over", "witness"}
+    built = ReciprocityReport(True, {"Q": True, "F2": True}, dict(report.witness))
+    assert report == built == reciprocity_check(FacetSelection(pentagon_cone(), frozenset({0, 1})))
+    assert repr(report) == repr(built) == (
+        f"ReciprocityReport(holds=True, cm_over={{'Q': True, 'F2': True}}, witness={report.witness!r})"
+    )
+    for copied in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report), copy.copy(report)):
+        assert vars(copied).keys() == {"holds", "cm_over", "witness"}
+        assert copied == built and repr(copied) == repr(built)
+    assert report.to_json() == {"holds": True, "cm": {"Q": True, "F2": True}, "first_disagreement": None}
+    # equality reads the witness: another origin coefficient makes another report
+    other = dict(report.witness, coefficients=(-1,) + report.witness["coefficients"][1:])
+    assert report != ReciprocityReport(True, dict(report.cm_over), other)
 
 
 def test_face_table_leaves_cone_equality_hash_and_repr_alone():
@@ -1016,12 +1065,10 @@ def test_face_table_fills_safely_from_many_threads(monkeypatch):
     # Eight threads, more than the cores, share one fresh cone over a 12-gon
     # (rows of about 2,500 terms) and start at different selections, so
     # they build its face lattice and graded rows at the same time, under a
-    # short switch interval; they also read the witnesses of shared holding
-    # reports made on another cone and not yet read, so those rows, under
-    # the cone's Kronecker grading, are built at the same time too, and take
-    # Cohen-Macaulay verdicts over three fields on a fresh octahedron cone,
-    # whose origin interval is ranked.  Every witness and verdict must equal
-    # the one computed alone, and each row be built once per cone.
+    # short switch interval, and take Cohen-Macaulay verdicts over three
+    # fields on a fresh octahedron cone, whose origin interval is ranked.
+    # Every witness and verdict must equal the one computed alone, and each
+    # row be built once per cone.
     rays = [(x, y, 1) for x, y in TWELVE_GON]
     selections = [frozenset({i, j}) for i in range(12) for j in (i, (i + 5) % 12)]
     selections += [frozenset({i, (i + 2) % 12, (i + 7) % 12}) for i in range(12)]
@@ -1035,9 +1082,7 @@ def test_face_table_fills_safely_from_many_threads(monkeypatch):
     expected_cm = [cm_on_upper_intervals(FacetSelection(solid_alone, s), fields) for s in solid_selections]
     assert any(not c["Q"].is_cm for c in expected_cm) and any(c["Q"].is_cm for c in expected_cm)
     shared = Cone.from_rays(rays)
-    lazy = Cone.from_rays(rays)
     solid = Cone.from_rays(OCTAHEDRON_RAYS)
-    unread = [reciprocity_check(FacetSelection(lazy, s), fields=()) for s in selections]
     got, got_over, got_cm, errors = {}, {}, {}, []
     built = []  # list.append is atomic, where a Counter's += is not
     graded_face_row = enumerator._graded_face_row
@@ -1054,7 +1099,6 @@ def test_face_table_fills_safely_from_many_threads(monkeypatch):
                 k = i % len(selections)
                 report = reciprocity_check(FacetSelection(shared, selections[k]))
                 got.setdefault(k, []).append(report.witness)
-                got.setdefault(k, []).append(unread[k].witness)
                 got_over.setdefault(k, []).append(report.cm_over)
                 j = i % len(solid_selections)
                 certificates = cm_on_upper_intervals(FacetSelection(solid, solid_selections[j]), fields)
@@ -1075,31 +1119,47 @@ def test_face_table_fills_safely_from_many_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert not errors
     for k, x in enumerate(expected):
-        assert got[k] == [x.witness] * 2 * len(threads) and got_over[k] == [x.cm_over] * len(threads)
+        assert got[k] == [x.witness] * len(threads) and got_over[k] == [x.cm_over] * len(threads)
     assert all(all(c == expected_cm[j] for c in got_cm[j]) for j in range(len(solid_selections)))
     assert sum(map(len, got_cm.values())) == len(selections) * len(threads)
     assert built and len(set(built)) == len(built)
-    assert {w for _, _, w in built} == {default_grading(shared), shared._face_table.kronecker}
+    assert {w for _, _, w in built} == {default_grading(shared)}
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(domain_specs())
 def test_lattice_verdict_matches_the_numerators(spec):
-    selection = spec.selection
-    lhs = enumerator._reciprocal_gf(DomainSpec(selection, COMPLEMENT))
-    rhs = gf_scale(domain_gf(DomainSpec(selection, SELECTED)), (-1) ** spec.cone.dim)
-    left, right = enumerator._lattice_sides(selection)
-    assert (left == right) == gf_equal(lhs, rhs)
+    check_certificate_against_the_numerators(spec.selection)
+
+
+def test_a_flipped_certificate_coefficient_fails_the_checker():
+    # Mutant: every holding certificate of the pentagon cone with any one
+    # nonzero coefficient negated must fail the checker.
+    cone = pentagon_cone()
+    n = len(cone.facets)
+    held = 0
+    for size in range(1, n):
+        for subset in combinations(range(n), size):
+            selection = FacetSelection(cone, frozenset(subset))
+            report = reciprocity_check(selection, fields=())
+            if report.holds:
+                held += 1
+                witness = report.witness
+                assert certificate_checks(selection, witness)
+                coefficients = witness["coefficients"]
+                for k, c in enumerate(coefficients):
+                    flipped = dict(witness, coefficients=coefficients[:k] + (-c,) + coefficients[k + 1:])
+                    assert not c or not certificate_checks(selection, flipped), (subset, k)
+    assert held
 
 
 def test_reciprocity_check_reads_the_complement_without_inverting(monkeypatch):
     # Work pin, per selection, holding or failing: no domain_gf, inversion,
     # rescaling, series expansion or cross-section, and no face's generating
     # function: a failing witness is read off graded rows, and a holding one
-    # is built when first read, as a signed sum of the cone's face rows under
-    # its Kronecker grading.  Once the holding witnesses are read, each
-    # face's row has been built at most once per grading, and the origin's
-    # never under the Kronecker grading.
+    # is the face lattice's certificate.  Each face's row is built at most
+    # once, never under the Kronecker grading, and reading the holding
+    # witnesses builds no row at all.
     cone = pentagon_cone()
     counts = Counter()
 
@@ -1135,14 +1195,13 @@ def test_reciprocity_check_reads_the_complement_without_inverting(monkeypatch):
             assert not counts, subset
             reports.append(report)
     assert outcomes[True] and outcomes[False]
-    kronecker = cone._face_table.kronecker
-    assert all(w != kronecker for _, w in built)
+    before = Counter(built)
     for report in reports:
-        report.witness
-    assert not counts
+        if report.holds:
+            assert report.witness["kind"] == "identity"
+    assert not counts and built == before
     assert set(built.values()) == {1}
-    assert any(w == kronecker for _, w in built)
-    assert all(face.dim for face, w in built if w == kronecker)
+    assert all(w != cone._face_table.kronecker for _, w in built)
 
 
 def test_cm_verdicts_rank_cells_not_order_complexes(monkeypatch):
